@@ -26,16 +26,11 @@ def bounded_equivalence(A: Automaton, B: Automaton, height_bound: int) -> Verdic
         raise AutomatonError("equivalence needs automata over one semiring")
     ta = RunsTable(A, height_bound)
     tb = RunsTable(B, height_bound)
-    trees = sorted(set(ta.trees) | set(tb.trees), key=tree_key)
-    for t in trees:
-        va = ta.evaluate_value(t)
-        vb = tb.evaluate_value(t)
-        if va != vb:
-            return violated(
-                height_bound,
-                (t, ta.evaluate(t), tb.evaluate(t)),
-                f"series differ on {t.text}: {ta.evaluate(t)} vs {tb.evaluate(t)}",
-            )
+    for t in sorted(set(ta.trees) | set(tb.trees), key=tree_key):
+        if ta.evaluate_value(t) != tb.evaluate_value(t):
+            wa, wb = ta.evaluate(t), tb.evaluate(t)
+            return violated(height_bound, (t, wa, wb),
+                            f"series differ on {t.text}: {wa} vs {wb}")
     return verified(height_bound)
 
 

@@ -13,10 +13,15 @@ An automaton is eq-restricted when it has a non-final sink with exactly the
 weight-one rules sigma(sink,...,sink) -> sink, and every constraint class of
 every other rule contains exactly one non-sink position.
 
-Bounded operations (support, unambiguity, state languages) saturate the set
-of trees generated by the rules instead of walking all trees of a given
-height: trees without a run to a real state evaluate to zero and carry no
-accepting runs, so nothing is missed.
+Weights and runs come from one chart: per tree, each state's summed run
+weight and the rule applications that derive its runs, filled bottom-up
+from the cells of the captured subtrees and expanded into Run objects only
+on request.  `Evaluator` fills it on demand for given trees.  Bounded
+operations (support, unambiguity, state languages) use `RunsTable`, which
+fills it by height layers instead of walking all trees of a given height:
+layer h instantiates the rules over the trees of the layers below, since
+each rule application adds height.  Trees without a run to a real state
+evaluate to zero and carry no accepting runs, so nothing is missed.
 """
 
 from __future__ import annotations
@@ -76,14 +81,13 @@ class Rule:
     def key(self):
         return (self.lhs, self.classes, self.target)
 
+    @property
+    def pairs(self):
+        """The constraint as (class head, other member) position pairs."""
+        return tuple((cls[0], p) for cls in self.classes for p in cls[1:])
+
     def constraint_text(self) -> str:
-        parts = []
-        for cls in self.classes:
-            if len(cls) < 2:
-                continue
-            head = format_position(cls[0])
-            parts.extend(f"{head} = {format_position(p)}" for p in cls[1:])
-        return ", ".join(parts)
+        return ", ".join(f"{format_position(a)} = {format_position(b)}" for a, b in self.pairs)
 
     @property
     def text(self) -> str:
@@ -203,8 +207,7 @@ class Automaton:
             if isinstance(r, Rule):
                 # Rebuild rather than share: the automaton owns its rules
                 # (it assigns their indices).
-                lhs, target, weight = r.lhs, r.target, r.weight
-                pairs = [(cls[0], p) for cls in r.classes for p in cls[1:]]
+                lhs, target, weight, pairs = r.lhs, r.target, r.weight, r.pairs
             else:
                 lhs, target, weight, *rest = r
                 pairs = rest[0] if rest else ()
@@ -217,12 +220,8 @@ class Automaton:
         self.rules = tuple(prepared)
         for i, rule in enumerate(self.rules):
             rule.index = i
-
-        self._rules_by_target: dict[str, list[Rule]] = {}
-        for rule in self.rules:
-            self._rules_by_target.setdefault(rule.target, []).append(rule)
-
         self._pure_sink_cache = -1  # not computed yet
+        self._chart_rules = None
 
     @property
     def is_wtg(self) -> bool:
@@ -246,14 +245,17 @@ class Automaton:
                 self._pure_sink_cache = self.sink
         return self._pure_sink_cache
 
-    def sink_rule_for(self, symbol: str) -> Rule:
-        for rule in self._rules_by_target[self.sink]:
-            if rule.lhs.label == symbol:
-                return rule
-        raise AutomatonError(f"no sink rule for symbol {symbol}")
-
-    def rules_for(self, target: str):
-        return tuple(self._rules_by_target.get(target, ()))
+    @property
+    def chart_rules(self):
+        """(index, reached, sink_rules), computed once for the run chart.
+        index maps each root symbol to the rules that can apply, in rule-index
+        order: those whose state labels all have runs on some tree, leaving out
+        the rules to a pure sink, which the chart keeps implicit.  reached is
+        the set of states with a run on some tree; sink_rules maps each symbol
+        to its pure-sink rule."""
+        if self._chart_rules is None:
+            self._chart_rules = _productive_rules(self)
+        return self._chart_rules
 
     @property
     def real_states(self):
@@ -264,6 +266,32 @@ class Automaton:
         kind = "WTA" if self.is_wta else "WTG" if self.is_wtg else "WTAh"
         return (f"<{kind} over {self.semiring.id}: {len(self.states)} states, "
                 f"{len(self.rules)} rules>")
+
+
+def _productive_rules(A: Automaton):
+    sink = A.pure_sink
+    rules = [rule for rule in A.rules if rule.target != sink]
+    need = [{lbl for lbl in rule.state_labels if lbl != sink} for rule in rules]
+    waiting: dict[str, list[int]] = {}
+    for i, labels in enumerate(need):
+        for lbl in labels:
+            waiting.setdefault(lbl, []).append(i)
+    # Worklist over states some tree reaches; a rule fires once it needs none.
+    agenda = [rule.target for rule, labels in zip(rules, need) if not labels]
+    reached = set()
+    while agenda:
+        q = agenda.pop()
+        if q not in reached:
+            reached.add(q)
+            for i in waiting.get(q, ()):
+                need[i].discard(q)
+                if not need[i]:
+                    agenda.append(rules[i].target)
+    index: dict[str, list[Rule]] = {}
+    for rule, labels in zip(rules, need):
+        if not labels:
+            index.setdefault(rule.lhs.label, []).append(rule)
+    return index, reached, {r.lhs.label: r for r in A.rules if r.target == sink}
 
 
 def _sink_shape_violation(A: Automaton) -> str | None:
@@ -427,52 +455,149 @@ def check_run(A: Automaton, run: Run, expect_tree: Tree | None = None,
 
 
 def _check_ground(A: Automaton, t: Tree):
-    if t.label not in A.alphabet:
-        raise AutomatonError(f"undeclared symbol {t.label} in input tree")
-    if A.alphabet.rank(t.label) != len(t.children):
-        raise AutomatonError(f"symbol {t.label} used at wrong rank in input tree")
-    for c in t.children:
-        _check_ground(A, c)
+    ranks = dict(A.alphabet.items())
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        rank = ranks.get(node.label)
+        if rank is None:
+            raise AutomatonError(f"undeclared symbol {node.label} in input tree")
+        if rank != len(node.children):
+            raise AutomatonError(f"symbol {node.label} used at wrong rank in input tree")
+        stack += node.children[::-1]
+
+
+_NO_RUNS: dict = {}
 
 
 class Evaluator:
-    """Memoized weight computation wt_q(t); memo persists across calls."""
+    """The run chart of an automaton, filled on demand; it persists across calls.
+
+    Per tree, the chart maps each state with at least one run to
+    [value, applications]: the semiring sum of the runs' weights and the
+    (rule, captured subtrees) pairs that derive them, in rule-index order.
+    Runs exist only as these applications until `runs` expands them.  The
+    pure sink stays implicit: every tree has one weight-one run to it.
+    """
 
     def __init__(self, A: Automaton):
         self.automaton = A
-        self._memo: dict = {}
+        self._sink = A.pure_sink
+        self._rules, self._reached, self._sink_rules = A.chart_rules
+        self._chart: dict[Tree, dict] = {}
+        self._runs: dict[tuple, tuple[Run, ...]] = {}
 
-    def state_value(self, t: Tree, q: str):
-        key = (t, q)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        A = self.automaton
-        sr = A.semiring
-        total = sr.zero
-        for rule in A._rules_by_target.get(q, ()):
+    def _matches(self, t: Tree):
+        """The (rule, captured subtrees) pairs of the rules that apply at t."""
+        out = []
+        for rule in self._rules.get(t.label, ()):
             subs = match_lhs(rule, t)
-            if subs is None or not constraints_ok(rule, subs):
-                continue
+            if subs is not None and constraints_ok(rule, subs):
+                out.append((rule, subs))
+        return out
+
+    def _fill(self, t: Tree, matches) -> dict:
+        """Fill the cell of t from the cells of the subtrees the matches capture."""
+        sr = self.automaton.semiring
+        chart, sink = self._chart, self._sink
+        cell: dict = {}
+        for rule, subs in matches:
             val = rule.weight.value
             for sub, lbl in zip(subs, rule.state_labels):
-                val = sr.mul(val, self.state_value(sub, lbl))
-            total = sr.add(total, val)
-        self._memo[key] = total
-        return total
+                if lbl == sink:
+                    continue
+                entry = chart.get(sub, _NO_RUNS).get(lbl)
+                if entry is None:
+                    break
+                val = sr.mul(val, entry[0])
+            else:
+                entry = cell.get(rule.target)
+                if entry is None:
+                    cell[rule.target] = [val, [(rule, subs)]]
+                else:
+                    entry[0] = sr.add(entry[0], val)
+                    entry[1].append((rule, subs))
+        chart[t] = cell
+        return cell
 
-    def state_weight(self, t: Tree, q: str) -> Weight:
-        if q not in self.automaton.states:
-            raise AutomatonError(f"undeclared state: {q}")
-        return Weight(self.automaton.semiring, self.state_value(t, q))
+    def _cell(self, t: Tree) -> dict:
+        """The cell of t, filling first, in postorder, the cells of the
+        subtrees that the rules applying at t capture."""
+        chart, sink = self._chart, self._sink
+        stack = [] if t in chart else [(t, None)]
+        while stack:
+            node, matches = stack[-1]
+            if node in chart:
+                stack.pop()
+                continue
+            if matches is None:
+                matches = self._matches(node)
+                stack[-1] = (node, matches)
+                pending = [
+                    (sub, None) for rule, subs in matches
+                    for sub, lbl in zip(subs, rule.state_labels)
+                    if lbl != sink and sub not in chart
+                ]
+                if pending:
+                    stack.extend(pending)
+                    continue
+            stack.pop()
+            self._fill(node, matches)
+        return chart[t]
 
-    def evaluate(self, t: Tree) -> Weight:
-        _check_ground(self.automaton, t)
+    def _entry(self, t: Tree, q: str):
+        """[value, applications] of the runs for t to q, or None if none exist."""
+        if q == self._sink:
+            return (self.automaton.semiring.one, ((self._sink_rules[t.label], t.children),))
+        return self._cell(t).get(q) if q in self._reached else None
+
+    def state_value(self, t: Tree, q: str):
+        entry = self._entry(t, q)
+        return self.automaton.semiring.zero if entry is None else entry[0]
+
+    def evaluate_value(self, t: Tree):
         sr = self.automaton.semiring
         total = sr.zero
         for q in self.automaton.finals:
             total = sr.add(total, self.state_value(t, q))
-        return Weight(sr, total)
+        return total
+
+    def evaluate(self, t: Tree) -> Weight:
+        _check_ground(self.automaton, t)
+        return Weight(self.automaton.semiring, self.evaluate_value(t))
+
+    def runs(self, t: Tree, q: str) -> tuple[Run, ...]:
+        """All runs for t to q, ordered by (rule index, child-run order)."""
+        memo = self._runs
+        stack = [(t, q)]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            entry = self._entry(*key)
+            apps = () if entry is None else entry[1]
+            pending = [
+                k for rule, subs in apps
+                for k in zip(subs, rule.state_labels) if k not in memo
+            ]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            memo[key] = tuple(
+                Run(rule, combo)
+                for rule, subs in apps
+                for combo in product(*(memo[k] for k in zip(subs, rule.state_labels)))
+            )
+        return memo[(t, q)]
+
+    def accepting_runs(self, t: Tree) -> tuple[Run, ...]:
+        """Valid (nonzero-weight) runs for t to a final state."""
+        return tuple(
+            run for q in self.automaton.finals for run in self.runs(t, q)
+            if not run.weight.is_zero
+        )
 
 
 def evaluate(A: Automaton, t: Tree) -> Weight:
@@ -483,7 +608,9 @@ def evaluate(A: Automaton, t: Tree) -> Weight:
 def state_weight(A: Automaton, t: Tree, q: str) -> Weight:
     """wt_q(t): sum of the weights of all runs for t to state q."""
     _check_ground(A, t)
-    return Evaluator(A).state_weight(t, q)
+    if q not in A.states:
+        raise AutomatonError(f"undeclared state: {q}")
+    return Weight(A.semiring, Evaluator(A).state_value(t, q))
 
 
 def runs_to_state(A: Automaton, t: Tree, q: str) -> tuple[Run, ...]:
@@ -491,177 +618,98 @@ def runs_to_state(A: Automaton, t: Tree, q: str) -> tuple[Run, ...]:
     _check_ground(A, t)
     if q not in A.states:
         raise AutomatonError(f"undeclared state: {q}")
-    memo: dict = {}
-
-    def rec(t, q):
-        key = (t, q)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = []
-        for rule in A._rules_by_target.get(q, ()):
-            subs = match_lhs(rule, t)
-            if subs is None or not constraints_ok(rule, subs):
-                continue
-            lists = [rec(sub, lbl) for sub, lbl in zip(subs, rule.state_labels)]
-            for combo in product(*lists):
-                out.append(Run(rule, combo))
-        memo[key] = tuple(out)
-        return memo[key]
-
-    return rec(t, q)
+    return Evaluator(A).runs(t, q)
 
 
 def accepting_runs(A: Automaton, t: Tree) -> tuple[Run, ...]:
     """Valid (nonzero-weight) runs for t to a final state."""
-    out = []
-    for q in A.finals:
-        for run in runs_to_state(A, t, q):
-            if not run.weight.is_zero:
-                out.append(run)
-    return tuple(out)
+    _check_ground(A, t)
+    return Evaluator(A).accepting_runs(t)
 
 
-class RunsTable:
-    """All runs to real states on trees of height <= bound, computed by
-    saturating the rule system rather than enumerating all trees.
-
-    A pure sink is kept implicit: it accepts every tree with exactly one
-    weight-one run, materialized on demand.
+class RunsTable(Evaluator):
+    """The chart of every tree of height <= bound that has a run to a real
+    state, filled by height layers: layer h instantiates each rule with trees
+    from the layers below h such that the result has height exactly h, and
+    fills each new tree once.  A rule application strictly increases height,
+    so the layers below h hold every tree that a tree of layer h captures.
+    Trees outside the chart have no runs except the pure sink's.
     """
 
     def __init__(self, A: Automaton, height_bound: int):
         if height_bound < 0:
             raise AutomatonError("height bound must be nonnegative")
-        self.automaton = A
+        super().__init__(A)
         self.bound = height_bound
-        sink = A.pure_sink
-        self._sink_memo: dict[Tree, Run] = {}
-        self._langs: dict[str, dict[Tree, list[Run]]] = {
-            q: {} for q in A.states if q != sink
-        }
-        self._run_sets: dict[tuple, set] = {}
-        self._saturate(sink)
-        trees = set()
-        for lang in self._langs.values():
-            trees.update(lang)
-        self.trees = sorted(trees, key=tree_key)
+        chart = self._chart
+        # state -> trees reaching it, by height
+        langs = {q: [] for q in A.real_states}
+        for h in range(height_bound + 1):
+            for lang in langs.values():
+                lang.append([])
+            for rules in self._rules.values():
+                for rule in rules:
+                    for t in self._instances(rule, h, langs):
+                        if t not in chart:
+                            for q in self._fill(t, self._matches(t)):
+                                langs[q][h].append(t)
+        self.trees = sorted(chart, key=tree_key)
 
-    def _sink_run(self, t: Tree) -> Run:
-        hit = self._sink_memo.get(t)
-        if hit is None:
-            rule = self.automaton.sink_rule_for(t.label)
-            hit = Run(rule, tuple(self._sink_run(c) for c in t.children))
-            self._sink_memo[t] = hit
-        return hit
-
-    def _saturate(self, sink):
-        A = self.automaton
-        bound = self.bound
-        rules = [r for r in A.rules if r.target != sink]
-        changed = True
-        while changed:
-            changed = False
-            for rule in rules:
-                domains = self._domains(rule, sink)
-                if domains is None:
-                    continue
-                for combo in product(*domains):
-                    class_tree = {}
-                    t = rule.lhs
-                    for cls, tc in zip(rule.classes, combo):
-                        for p in cls:
-                            class_tree[p] = tc
-                            t = replace_at(t, p, tc)
-                    if t.height > bound:
-                        continue
-                    options = []
-                    for p, lbl in zip(rule.state_positions, rule.state_labels):
-                        tc = class_tree[p]
-                        if lbl == sink:
-                            options.append((self._sink_run(tc),))
-                        else:
-                            options.append(tuple(self._langs[lbl][tc]))
-                    for subruns in product(*options):
-                        run = Run(rule, subruns)
-                        key = (t, rule.target)
-                        bucket = self._run_sets.get(key)
-                        if bucket is None:
-                            bucket = self._run_sets[key] = set()
-                        if run not in bucket:
-                            bucket.add(run)
-                            self._langs[rule.target].setdefault(t, []).append(run)
-                            changed = True
-
-    def _domains(self, rule: Rule, sink):
-        domains = []
+    def _instances(self, rule: Rule, h: int, langs):
+        """Instantiations of rule of height exactly h: one tree per constraint
+        class, drawn from the trees below h that reach all its real states.
+        Semi-naive: the first class that reaches height h picks the split."""
+        if rule.lhs.height > h:
+            return
+        below, at = [], []
         for cls, labels in zip(rule.classes, rule.class_labels):
-            cap = self.bound - max(len(p) for p in cls)
-            if cap < 0:
-                return None
-            real = [lbl for lbl in dict.fromkeys(labels) if lbl != sink]
-            if real:
-                base = [t for t in self._langs[real[0]] if t.height <= cap]
-                for q in real[1:]:
-                    lang = self._langs[q]
-                    base = [t for t in base if t in lang]
-            else:
-                # Class constrains only pure-sink positions: any tree works.
-                base = enumerate_trees(self.automaton.alphabet, cap)
-            domains.append(base)
-        return domains
+            k = h - max(len(p) for p in cls)
+            pool = self._class_trees(labels, k, langs)
+            below.append([t for t in pool if t.height < k])
+            at.append([t for t in pool if t.height == k])
+        upto = [b + a for b, a in zip(below, at)]
+        if rule.lhs.height == h:
+            splits = [upto]
+        else:
+            splits = [below[:i] + [at[i]] + upto[i + 1:] for i in range(len(at))]
+        for domains in splits:
+            for combo in product(*domains):
+                t = rule.lhs
+                for cls, tc in zip(rule.classes, combo):
+                    for p in cls:
+                        t = replace_at(t, p, tc)
+                yield t
 
-    def runs(self, t: Tree, q: str) -> tuple[Run, ...]:
-        sink = self.automaton.pure_sink
-        if q == sink:
-            return (self._sink_run(t),) if t.height <= self.bound else ()
-        return tuple(self._langs[q].get(t, ()))
+    def _class_trees(self, labels, k: int, langs):
+        """Trees of height <= k that reach every real state in labels."""
+        real = [lbl for lbl in dict.fromkeys(labels) if lbl != self._sink]
+        if not real:
+            # Class constrains only pure-sink positions: any tree works.
+            return enumerate_trees(self.automaton.alphabet, k)
+        return [
+            t for j in range(k + 1) for t in langs[real[0]][j]
+            if all(q in self._chart[t] for q in real[1:])
+        ]
 
-    def weight_value(self, t: Tree, q: str):
-        sr = self.automaton.semiring
-        total = sr.zero
-        for run in self.runs(t, q):
-            total = sr.add(total, run.weight.value)
-        return total
+    def _cell(self, t: Tree) -> dict:
+        return self._chart.get(t, _NO_RUNS)
 
-    def state_weight(self, t: Tree, q: str) -> Weight:
-        return Weight(self.automaton.semiring, self.weight_value(t, q))
-
-    def evaluate_value(self, t: Tree):
-        sr = self.automaton.semiring
-        total = sr.zero
-        for q in self.automaton.finals:
-            total = sr.add(total, self.weight_value(t, q))
-        return total
-
-    def evaluate(self, t: Tree) -> Weight:
-        return Weight(self.automaton.semiring, self.evaluate_value(t))
-
-    def accepting_runs(self, t: Tree) -> tuple[Run, ...]:
-        out = []
-        for q in self.automaton.finals:
-            for run in self.runs(t, q):
-                if not run.weight.is_zero:
-                    out.append(run)
-        return tuple(out)
+    def _entry(self, t: Tree, q: str):
+        if t.height > self.bound:
+            return None
+        return super()._entry(t, q)
 
     def support(self):
+        """(tree, series value) for each tree of the table with a nonzero value."""
         sr = self.automaton.semiring
-        out = []
-        for t in self.trees:
-            v = self.evaluate_value(t)
-            if v != sr.zero:
-                out.append((t, Weight(sr, v)))
-        return out
+        values = map(self.evaluate_value, self.trees)
+        return [(t, Weight(sr, v)) for t, v in zip(self.trees, values) if v != sr.zero]
 
     def state_trees(self, q: str):
+        """(tree, wt_q(tree)) for each tree of the table where it is nonzero."""
         sr = self.automaton.semiring
-        out = []
-        for t in self.trees:
-            v = self.weight_value(t, q)
-            if v != sr.zero:
-                out.append((t, Weight(sr, v)))
-        return out
+        values = (self.state_value(t, q) for t in self.trees)
+        return [(t, Weight(sr, v)) for t, v in zip(self.trees, values) if v != sr.zero]
 
 
 def support_up_to(A: Automaton, height_bound: int):
@@ -686,9 +734,5 @@ def check_unambiguous(A: Automaton, height_bound: int) -> Verdict:
     for t in table.trees:
         acc = table.accepting_runs(t)
         if len(acc) > 1:
-            return violated(
-                height_bound,
-                (t, acc),
-                f"{len(acc)} accepting runs for {t.text}",
-            )
+            return violated(height_bound, (t, acc), f"{len(acc)} accepting runs for {t.text}")
     return verified(height_bound)

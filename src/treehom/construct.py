@@ -15,10 +15,10 @@ from itertools import product
 from .automaton import (
     Automaton,
     AutomatonError,
+    Evaluator,
     Rule,
     Run,
     RunsTable,
-    _close_partition,
     eq_restriction_violation,
 )
 from .hom import TreeHomomorphism
@@ -121,16 +121,12 @@ def _variable_occurrences(image: Tree, rank: int):
     return {i: tuple(sorted(ps)) for i, ps in occ.items()}
 
 
-def _image_rule_specs(A: Automaton, h: TreeHomomorphism, sink: str, annotate: bool):
+def _image_rule_specs(A: Automaton, h: TreeHomomorphism, sink: str):
     """Image rule data for the non-sink rules: (lhs, target, weight value, pairs)."""
     specs = []
     for rule in A.rules:
-        symbol = rule.lhs.label
-        image = h.image_of(symbol)
-        if annotate:
-            image = Tree(f"{image.label}__r{rule.index}", image.children)
-        occ = _variable_occurrences(image, len(rule.state_labels))
-        lhs = image
+        lhs = h.image_of(rule.lhs.label)
+        occ = _variable_occurrences(lhs, len(rule.state_labels))
         pairs = []
         for i, q in enumerate(rule.state_labels, start=1):
             ps = occ[i]
@@ -163,67 +159,10 @@ def hom_image(A: Automaton, h: TreeHomomorphism) -> Automaton:
     if A.alphabet != h.source:
         raise AutomatonError("automaton alphabet differs from the homomorphism source")
     sink = _fresh_name("bot", set(A.states) | set(h.target.names()))
-    rules = _merge_rules(A.semiring, _image_rule_specs(A, h, sink, annotate=False))
+    rules = _merge_rules(A.semiring, _image_rule_specs(A, h, sink))
     rules.extend(_sink_rule_specs(h.target, A.semiring, sink))
     states = list(A.states) + [sink]
     return Automaton(A.semiring, h.target, states, A.finals, rules, sink=sink)
-
-
-def hom_image_annotated(A: Automaton, h: TreeHomomorphism) -> Automaton:
-    """Intermediate image automaton with rule-annotated root symbols, for
-    cross-checking the fused construction against relabel-and-merge."""
-    if not A.is_wta:
-        raise AutomatonError("homomorphic image is defined on WTA input only")
-    if A.alphabet != h.source:
-        raise AutomatonError("automaton alphabet differs from the homomorphism source")
-    sink = _fresh_name("bot", set(A.states) | set(h.target.names()))
-    symbols = dict(h.target.items())
-    for rule in A.rules:
-        root = h.image_of(rule.lhs.label).label
-        symbols[f"{root}__r{rule.index}"] = h.target.rank(root)
-    alphabet = RankedAlphabet(sorted(symbols.items()))
-    specs = _image_rule_specs(A, h, sink, annotate=True)
-    rules = [(lhs, tgt, Weight(A.semiring, v), pairs) for lhs, tgt, v, pairs in specs]
-    rules.extend(_sink_rule_specs(h.target, A.semiring, sink))
-    states = list(A.states) + [sink]
-    return Automaton(A.semiring, alphabet, states, A.finals, rules, sink=sink)
-
-
-def relabel_symbols(A: Automaton, mapping: dict[str, str]) -> Automaton:
-    """Rename alphabet symbols and merge rules that become identical."""
-    ranks: dict[str, int] = {}
-    for name, rank in A.alphabet.items():
-        new = mapping.get(name, name)
-        if new in ranks and ranks[new] != rank:
-            raise AutomatonError(f"relabeling maps two ranks onto symbol {new}")
-        ranks[new] = rank
-
-    def rename(t: Tree) -> Tree:
-        if t.label in A.states:
-            return t
-        return Tree(mapping.get(t.label, t.label), [rename(c) for c in t.children])
-
-    specs = [
-        (rename(r.lhs), r.target, r.weight.value,
-         tuple((cls[0], p) for cls in r.classes for p in cls[1:]))
-        for r in A.rules
-    ]
-    merged = _merge_rules(A.semiring, specs)
-    return Automaton(A.semiring, RankedAlphabet(sorted(ranks.items())), A.states,
-                     A.finals, merged, sink=A.sink)
-
-
-def _sink_run_builder(image: Automaton):
-    memo: dict[Tree, Run] = {}
-
-    def build(t: Tree) -> Run:
-        hit = memo.get(t)
-        if hit is None:
-            hit = Run(image.sink_rule_for(t.label), tuple(build(c) for c in t.children))
-            memo[t] = hit
-        return hit
-
-    return build
 
 
 def run_image(A: Automaton, h: TreeHomomorphism, run: Run,
@@ -234,24 +173,19 @@ def run_image(A: Automaton, h: TreeHomomorphism, run: Run,
     if image is None:
         image = hom_image(A, h)
     sink = image.sink
-    state_set = frozenset(image.states)
-    specs = _image_rule_specs(A, h, sink, annotate=False)
-    by_key = {r.key: r for r in image.rules}
+    # An image rule's pairs tie each variable's first occurrence to its other
+    # occurrences, so as a set they equal the pairs of its constraint classes.
+    by_key = {(r.lhs, frozenset(r.pairs), r.target): r for r in image.rules}
     image_rule_of = {}
-    for rule in A.rules:
-        lhs, target, _, pairs = specs[rule.index]
-        state_positions = tuple(
-            p for p in positions(lhs) if subtree_at(lhs, p).label in state_set
-        )
-        partition = _close_partition(state_positions, pairs)
-        img_rule = by_key.get((lhs, partition, target))
+    for rule, (lhs, target, _, pairs) in zip(A.rules, _image_rule_specs(A, h, sink)):
+        img_rule = by_key.get((lhs, frozenset(pairs), target))
         if img_rule is None:
             raise AutomatonError(
                 f"no image rule for source rule '{rule.text}' "
                 f"(merged away by weight cancellation)"
             )
         image_rule_of[rule.index] = img_rule
-    sink_run = _sink_run_builder(image)
+    sink_runs = Evaluator(image)
 
     def convert(run: Run) -> Run:
         img_rule = image_rule_of[run.rule.index]
@@ -263,7 +197,7 @@ def run_image(A: Automaton, h: TreeHomomorphism, run: Run,
             ps = occ[i]
             sub_at[ps[0]] = convert(sub)
             for p in ps[1:]:
-                sub_at[p] = sink_run(h.apply(sub.subject))
+                (sub_at[p],) = sink_runs.runs(h.apply(sub.subject), sink)
         return Run(img_rule, tuple(sub_at[p] for p in img_rule.state_positions))
 
     return convert(run)
@@ -340,8 +274,7 @@ def eliminate_zero_divisors(A: Automaton) -> Automaton:
     out_rules = []
     for rule in A.rules:
         if rule.target == sink:
-            out_rules.append((rule.lhs, rule.target, rule.weight,
-                              tuple((cls[0], p) for cls in rule.classes for p in cls[1:])))
+            out_rules.append((rule.lhs, rule.target, rule.weight, rule.pairs))
             continue
         real = [
             (p, lbl)
@@ -349,7 +282,6 @@ def eliminate_zero_divisors(A: Automaton) -> Automaton:
             if lbl != sink
         ]
         base = unit.get(rule.weight.value, zero_vec)
-        pairs = tuple((cls[0], p) for cls in rule.classes for p in cls[1:])
         for assignment in product(vectors, repeat=len(real)):
             vec = base
             for v in assignment:
@@ -359,7 +291,7 @@ def eliminate_zero_divisors(A: Automaton) -> Automaton:
             lhs = rule.lhs
             for (p, lbl), v in zip(real, assignment):
                 lhs = replace_at(lhs, p, Tree(name(lbl, v)))
-            out_rules.append((lhs, name(rule.target, vec), rule.weight, pairs))
+            out_rules.append((lhs, name(rule.target, vec), rule.weight, rule.pairs))
 
     states = [name(q, vec) for q in A.states if q != sink for vec in vectors]
     states.append(sink)
@@ -389,17 +321,12 @@ def project_boolean(A: Automaton) -> Automaton:
                 for p, lbl in zip(cls, labels):
                     if lbl == sink:
                         lhs = replace_at(lhs, p, Tree(real))
-            pairs = tuple((cls[0], p) for cls in rule.classes for p in cls[1:])
-            specs.append((lhs, rule.target, 1, pairs))
+            specs.append((lhs, rule.target, 1, rule.pairs))
         merged = _merge_rules(boolean, specs)
         states = [q for q in A.states if q != sink]
         return Automaton(boolean, A.alphabet, states, A.finals, merged, sink=None)
     if A.is_wtg:
-        specs = [
-            (r.lhs, r.target, 1,
-             tuple((cls[0], p) for cls in r.classes for p in cls[1:]))
-            for r in A.rules
-        ]
+        specs = [(r.lhs, r.target, 1, r.pairs) for r in A.rules]
         merged = _merge_rules(boolean, specs)
         return Automaton(boolean, A.alphabet, A.states, A.finals, merged, sink=A.sink)
     raise AutomatonError(
@@ -523,8 +450,7 @@ def canonical_rename(A: Automaton) -> Automaton:
         return Tree(t.label, [rename_tree(c) for c in t.children])
 
     rules = [
-        (rename_tree(r.lhs), mapping[r.target], r.weight,
-         tuple((cls[0], p) for cls in r.classes for p in cls[1:]))
+        (rename_tree(r.lhs), mapping[r.target], r.weight, r.pairs)
         for r in A.rules
     ]
     return canonical_form(

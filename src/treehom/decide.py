@@ -12,13 +12,14 @@ it does not prove non-regularity; agreement is evidence, not proof.
 
 from __future__ import annotations
 
+import os
 import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
 
 from .analyze import bounded_equivalence, check_h_unambiguous
-from .automaton import Automaton, AutomatonError, check_unambiguous, support_up_to
+from .automaton import Automaton, AutomatonError, check_unambiguous
 from .construct import (
     dickson_cap,
     eliminate_zero_divisors,
@@ -86,6 +87,8 @@ def _oracle_answer(command: str, projection: Automaton):
         )
     except (OSError, subprocess.TimeoutExpired) as err:
         return None, f"oracle failed to run: {err}"
+    finally:
+        os.unlink(path)
     answer = proc.stdout.strip()
     if proc.returncode != 0:
         return None, f"oracle exited with status {proc.returncode}"
@@ -186,23 +189,3 @@ def decide_hom_regularity(A: Automaton, h: TreeHomomorphism, *, check_bound: int
         )
         report.verdict = UNKNOWN
     return report
-
-
-@dataclass
-class SupportReduction:
-    unambiguous: Verdict
-    projection: Automaton
-    support: list
-    boolean_support: list
-    agree: bool
-
-
-def reduce_to_support(A: Automaton, height_bound: int) -> SupportReduction:
-    """Project to the boolean support automaton and record bounded evidence
-    that its language equals the support of the input series."""
-    unambiguous = check_unambiguous(A, height_bound)
-    projection = project_boolean(A)
-    support = support_up_to(A, height_bound)
-    boolean_support = support_up_to(projection, height_bound)
-    agree = [t for t, _ in support] == [t for t, _ in boolean_support]
-    return SupportReduction(unambiguous, projection, support, boolean_support, agree)

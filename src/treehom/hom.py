@@ -134,14 +134,6 @@ def _match_image(pattern: Tree, t: Tree, binding=None):
     return binding
 
 
-def apply_hom(h: TreeHomomorphism, s: Tree) -> Tree:
-    return h.apply(s)
-
-
-def preimage(h: TreeHomomorphism, t: Tree) -> tuple[Tree, ...]:
-    return h.preimage(t)
-
-
 def check_tetris_free(h: TreeHomomorphism, height_bound: int) -> Verdict:
     """Bounded tetris-freeness: whenever h(s) = h(s'), the two source trees must
     have the same position set and pointwise equal symbol images.

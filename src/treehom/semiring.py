@@ -299,28 +299,21 @@ class Weight:
 
 
 _MODULAR_ID = re.compile(r"z([0-9]+)\Z")
-_CACHE: dict[str, Semiring] = {}
+_CACHE: dict[str, Semiring] = {
+    sr.id: sr
+    for sr in (BooleanSemiring(), NaturalSemiring(), IntegerSemiring(),
+               TropicalSemiring(), ArcticSemiring())
+}
 
 
 def get_semiring(name: str) -> Semiring:
     """Look up a semiring by id: boolean, natural, integer, tropical, arctic, z<k>."""
     key = name.strip().lower()
     if key not in _CACHE:
-        if key == "boolean":
-            _CACHE[key] = BooleanSemiring()
-        elif key == "natural":
-            _CACHE[key] = NaturalSemiring()
-        elif key == "integer":
-            _CACHE[key] = IntegerSemiring()
-        elif key == "tropical":
-            _CACHE[key] = TropicalSemiring()
-        elif key == "arctic":
-            _CACHE[key] = ArcticSemiring()
-        else:
-            m = _MODULAR_ID.fullmatch(key)
-            if not m:
-                raise SemiringError(f"unknown semiring: {name!r}")
-            _CACHE[key] = ModularSemiring(int(m.group(1)))
+        m = _MODULAR_ID.fullmatch(key)
+        if not m:
+            raise SemiringError(f"unknown semiring: {name!r}")
+        _CACHE[key] = ModularSemiring(int(m.group(1)))
     return _CACHE[key]
 
 

@@ -77,9 +77,6 @@ class RankedAlphabet:
     def items(self):
         return tuple(self._ranks.items())
 
-    def as_dict(self) -> dict:
-        return dict(self._ranks)
-
     def __eq__(self, other):
         return isinstance(other, RankedAlphabet) and other._ranks == self._ranks
 
@@ -131,13 +128,6 @@ class Tree:
     def __repr__(self):
         return f"Tree({self.text!r})"
 
-    def leaf_labels(self):
-        if not self.children:
-            yield self.label
-        else:
-            for c in self.children:
-                yield from c.leaf_labels()
-
 
 def tree_key(t: Tree):
     """Sort key used for all deterministic tree orders: (height, size, text)."""
@@ -156,13 +146,6 @@ def parse_position(text: str) -> Position:
     if not all(re.fullmatch(r"[1-9][0-9]*", part) for part in parts):
         raise PositionError(f"invalid position: {text!r}")
     return tuple(int(part) for part in parts)
-
-
-def lex_min_position(positions) -> Position:
-    ps = list(positions)
-    if not ps:
-        raise PositionError("empty position set has no minimum")
-    return min(ps)
 
 
 def positions(t: Tree) -> tuple[Position, ...]:
@@ -187,10 +170,6 @@ def subtree_at(t: Tree, p: Position) -> Tree:
     return node
 
 
-def label_at(t: Tree, p: Position) -> str:
-    return subtree_at(t, p).label
-
-
 def replace_at(t: Tree, p: Position, sub: Tree) -> Tree:
     if not p:
         return sub
@@ -200,10 +179,6 @@ def replace_at(t: Tree, p: Position, sub: Tree) -> Tree:
     children = list(t.children)
     children[i - 1] = replace_at(children[i - 1], p[1:], sub)
     return Tree(t.label, children)
-
-
-def positions_of_label(t: Tree, label: str) -> tuple[Position, ...]:
-    return tuple(p for p in positions(t) if label_at(t, p) == label)
 
 
 def substitute_vars(t: Tree, theta: dict[str, Tree]) -> Tree:

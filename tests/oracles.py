@@ -7,6 +7,7 @@ from itertools import product
 
 from treehom import (
     Automaton,
+    AutomatonError,
     RankedAlphabet,
     Run,
     Tree,
@@ -16,6 +17,12 @@ from treehom import (
     positions,
     replace_at,
     subtree_at,
+)
+from treehom.construct import (
+    _fresh_name,
+    _image_rule_specs,
+    _merge_rules,
+    _sink_rule_specs,
 )
 
 
@@ -86,6 +93,49 @@ def naive_accepting_runs(A, t):
             if not naive_run_weight(run).is_zero:
                 out.append(run)
     return out
+
+
+def hom_image_annotated(A, h):
+    """Intermediate image automaton with rule-annotated root symbols, for
+    cross-checking the fused construction against relabel-and-merge."""
+    if not A.is_wta:
+        raise AutomatonError("homomorphic image is defined on WTA input only")
+    if A.alphabet != h.source:
+        raise AutomatonError("automaton alphabet differs from the homomorphism source")
+    sink = _fresh_name("bot", set(A.states) | set(h.target.names()))
+    symbols = dict(h.target.items())
+    for rule in A.rules:
+        root = h.image_of(rule.lhs.label).label
+        symbols[f"{root}__r{rule.index}"] = h.target.rank(root)
+    alphabet = RankedAlphabet(sorted(symbols.items()))
+    specs = _image_rule_specs(A, h, sink)  # one per rule of A, in rule order
+    rules = [
+        (Tree(f"{lhs.label}__r{i}", lhs.children), tgt, Weight(A.semiring, v), pairs)
+        for i, (lhs, tgt, v, pairs) in enumerate(specs)
+    ]
+    rules.extend(_sink_rule_specs(h.target, A.semiring, sink))
+    states = list(A.states) + [sink]
+    return Automaton(A.semiring, alphabet, states, A.finals, rules, sink=sink)
+
+
+def relabel_symbols(A, mapping):
+    """Rename alphabet symbols and merge rules that become identical."""
+    ranks = {}
+    for name, rank in A.alphabet.items():
+        new = mapping.get(name, name)
+        if new in ranks and ranks[new] != rank:
+            raise AutomatonError(f"relabeling maps two ranks onto symbol {new}")
+        ranks[new] = rank
+
+    def rename(t):
+        if t.label in A.states:
+            return t
+        return Tree(mapping.get(t.label, t.label), [rename(c) for c in t.children])
+
+    specs = [(rename(r.lhs), r.target, r.weight.value, r.pairs) for r in A.rules]
+    merged = _merge_rules(A.semiring, specs)
+    return Automaton(A.semiring, RankedAlphabet(sorted(ranks.items())), A.states,
+                     A.finals, merged, sink=A.sink)
 
 
 def naive_preimage(h, t, height_bound, trees):

@@ -29,7 +29,6 @@ from treehom import (
     hom_image,
     linearize,
     parse_term,
-    preimage,
     project_boolean,
     run_count_compare,
     support_up_to,
@@ -75,7 +74,7 @@ def test_c03_image_series_property(doubling_chain, duplicating_hom):
         image_eval = Evaluator(img)
         for t in enumerate_trees(h.target, bound):
             total = A.semiring.zero_weight
-            for s in preimage(h, t):
+            for s in h.preimage(t):
                 total = total + source_eval.evaluate(s)
             assert image_eval.evaluate(t) == total
 

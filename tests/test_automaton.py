@@ -8,6 +8,7 @@ from treehom import (
     Evaluator,
     RankedAlphabet,
     RunsTable,
+    Tree,
     Weight,
     accepting_runs,
     check_run,
@@ -17,7 +18,9 @@ from treehom import (
     evaluate,
     format_run,
     get_semiring,
+    hom_image,
     is_eq_restricted,
+    linearize,
     parse_term,
     run_state_map,
     runs_to_state,
@@ -35,7 +38,6 @@ from oracles import (
     random_pair,
     random_wta,
 )
-from treehom.construct import hom_image
 
 NAT = get_semiring("natural")
 
@@ -301,6 +303,41 @@ def test_runs_table_covers_all_support_trees(doubling_image):
         if not naive_evaluate(doubling_image, t).is_zero
     }
     assert sup == want
+
+
+BRANCHING = RankedAlphabet([("a", 0), ("b", 0), ("g", 1), ("m", 2)])
+
+
+def chart_instances():
+    """Automata the instance generators of the other tests never make:
+    3-state WTAs over a branching alphabet, and images and linearized images
+    of random pairs, each with the height bound to check it at."""
+    rng = random.Random(29)
+    for sr_id in ("natural", "tropical", "z6", "integer"):
+        yield random_wta(rng, BRANCHING, sr_id, n_states=3), 2
+    for sr_id in ("natural", "arctic", "z6", "integer") * 3:
+        A, h = random_pair(rng, sr_id)
+        image = hom_image(A, h)
+        yield image, 3
+        yield linearize(image, 1), 3
+
+
+def test_chart_matches_naive_on_unseen_instances():
+    for B, bound in chart_instances():
+        table = RunsTable(B, bound)
+        for t in enumerate_trees(B.alphabet, bound):
+            for q in B.states:
+                got = table.runs(t, q)
+                assert got == runs_to_state(B, t, q)
+                assert set(got) == set(naive_runs(B, t, q))
+            assert evaluate(B, t) == naive_evaluate(B, t)
+
+
+def test_evaluate_tall_chain(doubling_chain):
+    t = Tree("a")
+    for _ in range(5000):
+        t = Tree("g", (t,))
+    assert evaluate(doubling_chain, Tree("f", (t,))).value == 2**5000
 
 
 def test_evaluator_memoization_is_persistent(doubling_chain):

@@ -12,9 +12,11 @@ from treehom import (
     UNKNOWN,
     Automaton,
     AutomatonError,
+    check_unambiguous,
     decide_hom_regularity,
     get_semiring,
-    reduce_to_support,
+    project_boolean,
+    support_up_to,
 )
 from treehom.cli import report_to_dict
 
@@ -125,6 +127,16 @@ def test_oracle_receives_projection_file(tmp_path, doubling_chain, duplicating_h
     assert "k(q,g(q)) -> qf @ 1 | 1 = 2.1" in text
 
 
+def test_oracle_projection_file_is_removed(tmp_path, doubling_chain, identity_hom):
+    seen = tmp_path / "path.txt"
+    oracle = write_script(tmp_path, "record.sh", f'echo "$1" > {seen}\necho regular\n')
+    report = decide_hom_regularity(doubling_chain, identity_hom, oracle=oracle)
+    assert report.verdict == ORACLE_REGULAR
+    path = seen.read_text().strip()
+    assert path.endswith(".aut")
+    assert not os.path.exists(path)
+
+
 def test_oracle_garbage_output_is_unknown(tmp_path, doubling_chain, identity_hom):
     oracle = write_script(tmp_path, "noise.sh", "echo maybe\n")
     report = decide_hom_regularity(doubling_chain, identity_hom, oracle=oracle)
@@ -147,18 +159,21 @@ def test_report_is_deterministic(doubling_chain, duplicating_hom):
 
 
 def test_reduce_to_support(doubling_image):
-    result = reduce_to_support(doubling_image, 4)
-    assert result.unambiguous.is_ok
-    assert result.projection.semiring.id == "boolean"
-    assert result.agree
-    assert [t.text for t, _ in result.support] == [
+    assert check_unambiguous(doubling_image, 4).is_ok
+    projection = project_boolean(doubling_image)
+    assert projection.semiring.id == "boolean"
+    support = support_up_to(doubling_image, 4)
+    boolean_support = support_up_to(projection, 4)
+    assert [t for t, _ in support] == [t for t, _ in boolean_support]
+    assert [t.text for t, _ in support] == [
         "k(a,g(a))", "k(g(a),g(g(a)))", "k(g(g(a)),g(g(g(a))))"]
-    assert [t.text for t, _ in result.boolean_support] == [
-        t.text for t, _ in result.support]
+    assert [t.text for t, _ in boolean_support] == [
+        t.text for t, _ in support]
 
 
 def test_reduce_to_support_detects_overapproximation(z6_chain):
-    result = reduce_to_support(z6_chain, 4)
+    support = support_up_to(z6_chain, 4)
+    boolean_support = support_up_to(project_boolean(z6_chain), 4)
     # Zero-divisor products inflate the projected language.
-    assert not result.agree
-    assert len(result.boolean_support) > len(result.support)
+    assert [t for t, _ in support] != [t for t, _ in boolean_support]
+    assert len(boolean_support) > len(support)

@@ -6,11 +6,9 @@ from treehom import (
     HomError,
     RankedAlphabet,
     TreeHomomorphism,
-    apply_hom,
     check_tetris_free,
     enumerate_trees,
     parse_term,
-    preimage,
     tree_key,
 )
 from oracles import naive_preimage, random_hom
@@ -70,7 +68,7 @@ def test_validation_rejects_unknown_target_symbol():
 
 def test_apply(dup):
     s = parse_term("f(g(g(a)))", SIGMA)
-    assert apply_hom(dup, s).text == "k(g(g(a)),g(g(g(a))))"
+    assert dup.apply(s).text == "k(g(g(a)),g(g(g(a))))"
     assert dup.apply(parse_term("a", SIGMA)).text == "a"
 
 
@@ -82,9 +80,9 @@ def test_apply_repeated_variable():
 
 def test_preimage_golden(dup):
     t = parse_term("k(g(a),g(g(a)))", DELTA)
-    pre = preimage(dup, t)
+    pre = dup.preimage(t)
     assert [s.text for s in pre] == ["f(g(a))"]
-    empty = preimage(dup, parse_term("k(a,a)", DELTA))
+    empty = dup.preimage(parse_term("k(a,a)", DELTA))
     assert empty == ()
 
 
@@ -97,7 +95,7 @@ def test_preimage_matches_brute_force(dup):
             (s for s in pool if dup.apply(s) == t and s.size <= t.size),
             key=tree_key,
         )
-        assert list(preimage(dup, t)) == expected
+        assert list(dup.preimage(t)) == expected
 
 
 def test_preimage_random_homs_match_brute_force():
@@ -107,7 +105,7 @@ def test_preimage_random_homs_match_brute_force():
         pool = enumerate_trees(h.source, 3)
         for t in enumerate_trees(h.target, 2):
             expected = sorted(naive_preimage(h, t, 3, pool), key=tree_key)
-            got = [s for s in preimage(h, t) if s.height <= 3]
+            got = [s for s in h.preimage(t) if s.height <= 3]
             assert got == expected
 
 
@@ -122,7 +120,7 @@ def test_preimage_with_shared_image():
         },
     )
     t = parse_term("k(c,c)", h2.target)
-    assert [s.text for s in preimage(h2, t)] == ["b", "g(a)"]
+    assert [s.text for s in h2.preimage(t)] == ["b", "g(a)"]
 
 
 def test_tetris_free_accepts_duplicator(dup):

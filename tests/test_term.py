@@ -11,11 +11,9 @@ from treehom import (
     format_position,
     format_term,
     is_variable,
-    lex_min_position,
     parse_position,
     parse_term,
     positions,
-    positions_of_label,
     replace_at,
     substitute_vars,
     subtree_at,
@@ -64,18 +62,6 @@ def test_subtree_and_replace():
     assert replace_at(s, (), t("a")) == t("a")
     with pytest.raises(TermError):
         subtree_at(s, (3,))
-
-
-def test_positions_of_label():
-    s = t("k(g(a),g(g(a)))")
-    assert positions_of_label(s, "g") == ((1,), (2,), (2, 1))
-    assert positions_of_label(s, "a") == ((1, 1), (2, 1, 1))
-
-
-def test_lex_min_position():
-    assert lex_min_position([(2,), (1, 1), (1,)]) == (1,)
-    assert lex_min_position([(1, 2), (1, 1, 1)]) == (1, 1, 1)
-    assert lex_min_position([()]) == ()
 
 
 def test_position_formatting():
