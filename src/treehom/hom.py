@@ -8,14 +8,14 @@ so sizes never shrink under application and preimages are finite.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from .term import (
     RankedAlphabet,
     Tree,
-    enumerate_trees,
     format_position,
     is_variable,
+    iter_trees,
     positions,
     subtree_at,
     substitute_vars,
@@ -134,20 +134,53 @@ def _match_image(pattern: Tree, t: Tree, binding=None):
     return binding
 
 
+def _clash(p: Tree, q: Tree) -> bool:
+    """Whether two image patterns differ in label or arity at a position that
+    both reach without passing through a variable: then no tree matches both."""
+    stack = [(p, q)]
+    while stack:
+        p, q = stack.pop()
+        if is_variable(p.label) or is_variable(q.label):
+            continue
+        if p.label != q.label or len(p.children) != len(q.children):
+            return True
+        stack.extend(zip(p.children, q.children))
+    return False
+
+
 def check_tetris_free(h: TreeHomomorphism, height_bound: int) -> Verdict:
     """Bounded tetris-freeness: whenever h(s) = h(s'), the two source trees must
     have the same position set and pointwise equal symbol images.
 
-    Checks all source trees of height <= height_bound; returns the first
-    violating pair in (image group, enumeration order).
+    The witness is taken from the first violating image group, groups ordered
+    by their least member in (height, size, text) order among the source trees
+    of height <= height_bound.  It pairs that least member with the first
+    member, in the same order, that differs from it in position set or in a
+    symbol image; the detail names the first such difference.
+
+    Two paths give this verdict.  If the images of every two symbols with
+    distinct images clash (see ``_clash``), h(s) = h(s') forces the two roots
+    to have equal images and, because h is nondeleting, so on down: h is
+    tetris-free at every height, which is reported as ``verified(height_bound)``
+    without enumerating any tree.  Otherwise the source trees are walked in
+    (height, size, text) order.  A tree opens its image group exactly when it
+    is the first entry of the (equally ordered) preimage of its image; the rest
+    of the group, up to the height bound, is compared against it, and the walk
+    stops at the first violation.
     """
-    groups: dict[Tree, list[Tree]] = {}
-    for s in enumerate_trees(h.source, height_bound):
-        groups.setdefault(h.apply(s), []).append(s)
-    for image, members in groups.items():
-        first = members[0]
+    classes = dict.fromkeys(h.images.values())
+    if all(_clash(p, q) for p, q in combinations(classes, 2)):
+        return verified(height_bound)
+    for first in iter_trees(h.source, height_bound):
+        image = h.apply(first)
+        group = h.preimage(image)
+        if group[0] != first:
+            continue
+        rest = [other for other in group[1:] if other.height <= height_bound]
+        if not rest:
+            continue
         first_pos = positions(first)
-        for other in members[1:]:
+        for other in rest:
             # Same-positions + pointwise-equal-images is an equivalence, so
             # comparing against the group's first member finds the first
             # violating pair.

@@ -260,16 +260,17 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset(
     return tree
 
 
-def enumerate_trees(alphabet: RankedAlphabet, max_height: int) -> list[Tree]:
-    """All ground trees of height <= max_height in (height, size, text) order."""
+def iter_trees(alphabet: RankedAlphabet, max_height: int):
+    """Ground trees of height <= max_height in (height, size, text) order,
+    lazily: a height level is built only once the one below it is used up."""
     if max_height < 0:
-        return []
+        return
     names = sorted(alphabet.names())
     leaves = sorted(
         (Tree(name) for name in names if alphabet.rank(name) == 0),
         key=tree_key,
     )
-    levels = [leaves]
+    yield from leaves
     upto = list(leaves)
     for h in range(1, max_height + 1):
         level = []
@@ -281,9 +282,13 @@ def enumerate_trees(alphabet: RankedAlphabet, max_height: int) -> list[Tree]:
                 if max(c.height for c in combo) == h - 1:
                     level.append(Tree(name, combo))
         level.sort(key=tree_key)
-        levels.append(level)
+        yield from level
         upto.extend(level)
-    return [t for level in levels for t in level]
+
+
+def enumerate_trees(alphabet: RankedAlphabet, max_height: int) -> list[Tree]:
+    """All ground trees of height <= max_height in (height, size, text) order."""
+    return list(iter_trees(alphabet, max_height))
 
 
 def count_trees(alphabet: RankedAlphabet, max_height: int) -> int:

@@ -1,4 +1,6 @@
 import os
+import resource
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -71,3 +73,35 @@ def identity_hom(doubling_chain):
         "g": parse_term("g(x1)", sigma, ext={"x1"}),
         "f": parse_term("f(x1)", sigma, ext={"x1"}),
     })
+
+
+@contextmanager
+def _capped_memory(extra=512 * 2**20):
+    # The cap is lifted before pytest formats the failure, which needs memory.
+    try:
+        with open("/proc/self/statm") as f:
+            size = int(f.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = min([size + extra] + [x for x in (soft, hard) if x != resource.RLIM_INFINITY])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    except MemoryError:
+        ran_out = True
+    else:
+        ran_out = False
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    if ran_out:
+        pytest.fail(f"ran out of memory {extra >> 20} MiB above the size at the start")
+
+
+@pytest.fixture
+def memory_cap():
+    """Context manager that caps the address space at its current size plus
+    512 MiB, so a runaway enumeration fails the test instead of taking the
+    machine's memory.  No cap where /proc/self/statm is missing."""
+    return _capped_memory

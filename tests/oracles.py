@@ -13,6 +13,8 @@ from treehom import (
     Tree,
     TreeHomomorphism,
     Weight,
+    enumerate_trees,
+    format_position,
     get_semiring,
     positions,
     replace_at,
@@ -24,6 +26,7 @@ from treehom.construct import (
     _merge_rules,
     _sink_rule_specs,
 )
+from treehom.verdict import verified, violated
 
 
 def _match_states(node, t, states, acc):
@@ -138,6 +141,36 @@ def relabel_symbols(A, mapping):
                      A.finals, merged, sink=A.sink)
 
 
+def naive_tetris_free(h, height_bound):
+    """Bounded tetris-freeness by enumerating every source tree up to the
+    bound, grouping them by image and comparing each group against its first
+    member (the reference for ``check_tetris_free``)."""
+    groups = {}
+    for s in enumerate_trees(h.source, height_bound):
+        groups.setdefault(h.apply(s), []).append(s)
+    for image, members in groups.items():
+        first = members[0]
+        first_pos = positions(first)
+        for other in members[1:]:
+            if positions(other) != first_pos:
+                return violated(
+                    height_bound,
+                    (first, other),
+                    f"position sets differ for preimages of {image.text}",
+                )
+            for p in first_pos:
+                a = subtree_at(first, p).label
+                b = subtree_at(other, p).label
+                if h.image_of(a) != h.image_of(b):
+                    return violated(
+                        height_bound,
+                        (first, other),
+                        f"symbol images differ at position {format_position(p)}: "
+                        f"h({a}) != h({b})",
+                    )
+    return verified(height_bound)
+
+
 def naive_preimage(h, t, height_bound, trees):
     """Source trees from the given pool whose image is t."""
     return [s for s in trees if h.apply(s) == t and s.height <= height_bound]
@@ -175,6 +208,61 @@ def random_hom(rng):
     target = UNARY_TARGET if rng.random() < 0.5 else BINARY_TARGET
     images = {name: random_image(rng, target, rank) for name, rank in symbols}
     return TreeHomomorphism(source, target, images)
+
+
+BRANCHING_TARGET = RankedAlphabet([("c", 0), ("d", 0), ("g", 1), ("h", 1), ("k", 2)])
+# Source alphabets with at most 723 trees up to height 3, so the enumerating
+# oracle stays cheap.
+BRANCHING_SOURCES = (
+    (("a", 0), ("g", 1), ("m", 2)),
+    (("a", 0), ("f", 1), ("g", 1), ("m", 2)),
+    (("a", 0), ("b", 0), ("f", 1), ("g", 1)),
+    (("a", 0), ("m", 2), ("n", 2)),
+)
+
+
+def random_pattern(rng, rank):
+    """Image pattern over BRANCHING_TARGET of height 1-2 (mostly 1) in which
+    each of x1..x<rank> occurs, some of them twice."""
+    height = rng.choice([1, 1, 2])
+    if rank == 0:
+        return random_ground(rng, BRANCHING_TARGET, height)
+    while True:
+        t = random_ground(rng, BRANCHING_TARGET, height)
+        leaves = [p for p in positions(t) if not subtree_at(t, p).children]
+        if t.height >= 1 and len(leaves) >= rank:
+            break
+    rng.shuffle(leaves)
+    for i, p in enumerate(leaves):
+        if i < rank:
+            var = i + 1
+        elif rng.random() < 0.3:
+            var = rng.randint(1, rank)
+        else:
+            continue
+        t = replace_at(t, p, Tree(f"x{var}", ()))
+    return t
+
+
+def random_branching_hom(rng):
+    """Hom from one of BRANCHING_SOURCES into BRANCHING_TARGET.  Two symbols
+    of equal rank often share one image, and two unary symbols often get
+    same-root nested images such as g(g(x1)) and g(x1)."""
+    source = rng.choice(BRANCHING_SOURCES)
+    images = {name: random_pattern(rng, rank) for name, rank in source}
+    by_rank = {}
+    for name, rank in source:
+        by_rank.setdefault(rank, []).append(name)
+    same_rank = [names for names in by_rank.values() if len(names) > 1]
+    if same_rank and rng.random() < 0.4:
+        a, b = rng.sample(rng.choice(same_rank), 2)
+        images[b] = images[a]
+    if len(by_rank.get(1, ())) > 1 and rng.random() < 0.4:
+        a, b = rng.sample(by_rank[1], 2)
+        root = rng.choice(["g", "h"])
+        images[a] = Tree(root, (Tree("x1", ()),))
+        images[b] = Tree(root, (rng.choice([images[a], images[b]]),))
+    return TreeHomomorphism(RankedAlphabet(source), BRANCHING_TARGET, images)
 
 
 def random_weight(rng, sr):

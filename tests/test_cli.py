@@ -319,6 +319,25 @@ def test_cli_decide_unknown_exit(data_dir, tmp_path, capsys):
     assert code == 3
 
 
+def test_cli_decide_tetris_violation_at_default_bound(tmp_path, capsys, memory_cap):
+    # Every source tree up to height 4 over this alphabet would not fit in memory.
+    aut = tmp_path / "branching.aut"
+    aut.write_text(
+        "semiring: natural\nstates: q\nfinal: q\nrules:\n"
+        "a -> q @ 1\nb -> q @ 1\nf(q) -> q @ 1\ng(q) -> q @ 2\nm(q,q) -> q @ 1\n")
+    hom = tmp_path / "tetris.hom"
+    hom.write_text(
+        "from: a/0 b/0 f/1 g/1 m/2\nto: a/0 b/0 g/1 m/2\n"
+        "a/0 -> a\nb/0 -> b\nf/1 -> g(g(x1))\ng/1 -> g(x1)\nm/2 -> m(x1,x2)\n")
+    with memory_cap():
+        code = run_cli("decide", "--automaton", str(aut), "--hom", str(hom),
+                       "--check-bound", "4", "--format", "machine")
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["verdict"] == "PRECONDITION_VIOLATED"
+    assert payload["tetris_free"]["witness"] == ["f(a)", "g(g(a))"]
+
+
 def test_enumeration_warning(capsys):
     big = RankedAlphabet([("a", 0), ("g", 1), ("k", 2)])
     _warn_enumeration(big, 5)

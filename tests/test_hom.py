@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import combinations
 
 import pytest
 
@@ -11,7 +13,8 @@ from treehom import (
     parse_term,
     tree_key,
 )
-from oracles import naive_preimage, random_hom
+from treehom.hom import _clash
+from oracles import naive_preimage, naive_tetris_free, random_branching_hom, random_hom
 
 SIGMA = RankedAlphabet([("a", 0), ("g", 1), ("f", 1)])
 DELTA = RankedAlphabet([("a", 0), ("g", 1), ("k", 2)])
@@ -195,3 +198,60 @@ def test_image_of(dup):
     assert dup.image_of("f").text == "k(x1,g(x1))"
     with pytest.raises(HomError):
         dup.image_of("z")
+
+
+def verdict_key(v):
+    witness = None if v.witness is None else tuple(s.text for s in v.witness)
+    return (v.status, v.bound, witness, v.detail)
+
+
+def test_tetris_free_matches_naive_on_branching_homs():
+    rng = random.Random(2309)
+    paths = set()
+    violations = 0
+    for _ in range(200):
+        h = random_branching_hom(rng)
+        classes = dict.fromkeys(h.images.values())
+        clash = all(_clash(p, q) for p, q in combinations(classes, 2))
+        for bound in (1, 2, 3):
+            expected = naive_tetris_free(h, bound)
+            assert verdict_key(check_tetris_free(h, bound)) == verdict_key(expected)
+            assert expected.is_ok or not clash
+            violations += not expected.is_ok
+        paths.add(clash)
+    assert paths == {True, False}
+    assert violations > 0
+
+
+BRANCHING = RankedAlphabet([("a", 0), ("b", 0), ("f", 1), ("g", 1), ("m", 2)])
+BRANCHING_SHAPES = {
+    # duplicating, injective: distinct image roots
+    "dup": ({"a": "a", "b": "b", "f": "f(x1)", "g": "k(x1,x1)", "m": "m(x1,x2)"},
+            [("a", 0), ("b", 0), ("f", 1), ("g", 1), ("k", 2), ("m", 2)]),
+    # h(a) = h(b): tetris-free, the collision stays at the symbol level
+    "merge": ({"a": "c", "b": "c", "f": "f(x1)", "g": "g(x1)", "m": "m(x2,x1)"},
+              [("c", 0), ("f", 1), ("g", 1), ("m", 2)]),
+    # h(f(a)) = h(g(g(a))): not tetris-free
+    "tetris": ({"a": "a", "b": "b", "f": "g(g(x1))", "g": "g(x1)", "m": "m(x1,x2)"},
+               [("a", 0), ("b", 0), ("g", 1), ("m", 2)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BRANCHING_SHAPES))
+def test_tetris_free_cost_does_not_follow_the_bound(kind, memory_cap):
+    # count_trees(BRANCHING, 6) is about 2.8e33; the verdict must come from the
+    # symbol images and the first colliding group.
+    images, target = BRANCHING_SHAPES[kind]
+    h = TreeHomomorphism(BRANCHING, RankedAlphabet(target), {
+        name: parse_term(text, None, ext={"x1", "x2"}) for name, text in images.items()
+    })
+    start = time.perf_counter()
+    with memory_cap():
+        verdict = check_tetris_free(h, 6)
+    assert time.perf_counter() - start < 1.0
+    if kind == "tetris":
+        assert verdict_key(verdict) == (
+            "witness", 6, ("f(a)", "g(g(a))"),
+            "position sets differ for preimages of g(g(a))")
+    else:
+        assert verdict_key(verdict) == ("ok", 6, None, "")
