@@ -53,7 +53,7 @@ from .decide import (
     DecisionReport,
     decide_hom_regularity,
 )
-from .hom import HomError, TreeHomomorphism, check_tetris_free
+from .hom import HomError, TreeHomomorphism, check_tetris_free, images_clash
 from .semiring import SemiringError, Weight, get_semiring
 from .term import (
     RankedAlphabet,
@@ -364,6 +364,11 @@ def report_to_text(r: DecisionReport) -> str:
             f"image: {len(r.image.states)} states, {len(r.image.rules)} rules"
         )
         lines.append(f"zero-divisor elimination: {r.zero_divisor_path}")
+        if r.fixed_image is not r.image:
+            lines.append(
+                f"fixed image: {len(r.fixed_image.states)} states, "
+                f"{len(r.fixed_image.rules)} rules"
+            )
         lines.append(f"image unambiguous: {_verdict_text(r.image_unambiguous)}")
     if r.projection is not None:
         lines.append(
@@ -518,7 +523,8 @@ def _cmd_check(args) -> int:
         return _print_verdict(args, v, "unambiguous", "ambiguous")
     if args.what == "tetris-free":
         h = load_hom(args.hom)
-        _warn_enumeration(h.source, args.height)
+        if not images_clash(h):  # otherwise the check enumerates nothing
+            _warn_enumeration(h.source, args.height)
         v = check_tetris_free(h, args.height)
         return _print_verdict(args, v, "tetris-free", "not tetris-free")
     if args.what == "h-unambiguous":

@@ -233,6 +233,14 @@ def eliminate_zero_divisors(A: Automaton) -> Automaton:
     a finite semiring the cap is u = max(index + period) of the weights'
     power sequences: beyond u, one more period never changes the product, so
     any vector witnessing a zero product reduces into {0..u}^n.
+
+    Only annotated states that some tree reaches are built.  A bottom-up
+    worklist starts from the rules without real child states and derives
+    q_v when a rule sums vector v (capped) from child vectors already
+    derived and v has a nonzero product.  The result is the product
+    construction over all of {0..u}^n (`full_zero_divisor_elimination` in
+    tests/oracles.py) restricted to its bottom-up-reachable states, with
+    states, finals and rules in the same order.
     """
     reason = eq_restriction_violation(A)
     if reason is not None:
@@ -252,18 +260,19 @@ def eliminate_zero_divisors(A: Automaton) -> Automaton:
         return A
 
     u = dickson_cap(A)
-    universe = list(product(range(u + 1), repeat=n))
-    value_of = {}
-    for vec in universe:
-        val = sr.one
-        for s, e in zip(weights, vec):
-            for _ in range(e):
-                val = sr.mul(val, s)
-        value_of[vec] = val
-    vectors = [vec for vec in universe if value_of[vec] != sr.zero]
-    vec_set = set(vectors)
     unit = {s: tuple(1 if j == i else 0 for j in range(n)) for i, s in enumerate(weights)}
     zero_vec = (0,) * n
+    viable_memo: dict = {}
+
+    def viable(vec):
+        hit = viable_memo.get(vec)
+        if hit is None:
+            val = sr.one
+            for s, e in zip(weights, vec):
+                for _ in range(e):
+                    val = sr.mul(val, s)
+            hit = viable_memo[vec] = val != sr.zero
+        return hit
 
     def vec_add(a, b):
         return tuple(min(x + y, u) for x, y in zip(a, b))
@@ -271,31 +280,67 @@ def eliminate_zero_divisors(A: Automaton) -> Automaton:
     def name(q, vec):
         return f"{q}_v{'_'.join(str(x) for x in vec)}"
 
+    rules = [rule for rule in A.rules if rule.target != sink]
+    real = {
+        rule.index: [
+            (p, lbl)
+            for p, lbl in zip(rule.state_positions, rule.state_labels)
+            if lbl != sink
+        ]
+        for rule in rules
+    }
+    uses: dict[str, list] = {}  # state -> (rule, index among its real children)
+    for rule in rules:
+        for j, (_, lbl) in enumerate(real[rule.index]):
+            uses.setdefault(lbl, []).append((rule, j))
+    derived: dict[str, set] = {}
+    applied = {rule.index: {} for rule in rules}  # child vectors -> target vector
+    agenda = []
+
+    def fire(rule, assignment):
+        vec = unit.get(rule.weight.value, zero_vec)
+        for v in assignment:
+            vec = vec_add(vec, v)
+        if viable(vec):
+            applied[rule.index][assignment] = vec
+            agenda.append((rule.target, vec))
+
+    for rule in rules:
+        if not real[rule.index]:
+            fire(rule, ())
+    # Semi-naive: each new q_v is combined only with the vectors derived so
+    # far, so every assignment fires once its last child vector comes in.
+    while agenda:
+        q, v = agenda.pop()
+        found = derived.setdefault(q, set())
+        if v in found:
+            continue
+        found.add(v)
+        for rule, j in uses.get(q, ()):
+            choices = [
+                (v,) if k == j else derived.get(lbl, ())
+                for k, (_, lbl) in enumerate(real[rule.index])
+            ]
+            for assignment in product(*choices):
+                fire(rule, assignment)
+
+    # {0..u}^n is enumerated in lexicographic order, so sorting vectors and
+    # assignments restores the emission order of the full construction.
     out_rules = []
     for rule in A.rules:
         if rule.target == sink:
             out_rules.append((rule.lhs, rule.target, rule.weight, rule.pairs))
             continue
-        real = [
-            (p, lbl)
-            for p, lbl in zip(rule.state_positions, rule.state_labels)
-            if lbl != sink
-        ]
-        base = unit.get(rule.weight.value, zero_vec)
-        for assignment in product(vectors, repeat=len(real)):
-            vec = base
-            for v in assignment:
-                vec = vec_add(vec, v)
-            if vec not in vec_set:
-                continue
+        for assignment, vec in sorted(applied[rule.index].items()):
             lhs = rule.lhs
-            for (p, lbl), v in zip(real, assignment):
+            for (p, lbl), v in zip(real[rule.index], assignment):
                 lhs = replace_at(lhs, p, Tree(name(lbl, v)))
             out_rules.append((lhs, name(rule.target, vec), rule.weight, rule.pairs))
 
-    states = [name(q, vec) for q in A.states if q != sink for vec in vectors]
+    states = [name(q, vec) for q in A.states if q != sink
+              for vec in sorted(derived.get(q, ()))]
     states.append(sink)
-    finals = [name(q, vec) for q in A.finals for vec in vectors]
+    finals = [name(q, vec) for q in A.finals for vec in sorted(derived.get(q, ()))]
     return Automaton(sr, A.alphabet, states, finals, out_rules, sink=sink)
 
 

@@ -148,6 +148,15 @@ def _clash(p: Tree, q: Tree) -> bool:
     return False
 
 
+def images_clash(h: TreeHomomorphism) -> bool:
+    """Whether the images of every two symbols with distinct images clash
+    (see ``_clash``).  Then h(s) = h(s') forces the two roots to have equal
+    images and, because h is nondeleting, so on down: h is tetris-free at
+    every height."""
+    classes = dict.fromkeys(h.images.values())
+    return all(_clash(p, q) for p, q in combinations(classes, 2))
+
+
 def check_tetris_free(h: TreeHomomorphism, height_bound: int) -> Verdict:
     """Bounded tetris-freeness: whenever h(s) = h(s'), the two source trees must
     have the same position set and pointwise equal symbol images.
@@ -158,18 +167,15 @@ def check_tetris_free(h: TreeHomomorphism, height_bound: int) -> Verdict:
     member, in the same order, that differs from it in position set or in a
     symbol image; the detail names the first such difference.
 
-    Two paths give this verdict.  If the images of every two symbols with
-    distinct images clash (see ``_clash``), h(s) = h(s') forces the two roots
-    to have equal images and, because h is nondeleting, so on down: h is
-    tetris-free at every height, which is reported as ``verified(height_bound)``
-    without enumerating any tree.  Otherwise the source trees are walked in
+    Two paths give this verdict.  If ``images_clash(h)``, h is tetris-free at
+    every height, which is reported as ``verified(height_bound)`` without
+    enumerating any tree.  Otherwise the source trees are walked in
     (height, size, text) order.  A tree opens its image group exactly when it
     is the first entry of the (equally ordered) preimage of its image; the rest
     of the group, up to the height bound, is compared against it, and the walk
     stops at the first violation.
     """
-    classes = dict.fromkeys(h.images.values())
-    if all(_clash(p, q) for p, q in combinations(classes, 2)):
+    if images_clash(h):
         return verified(height_bound)
     for first in iter_trees(h.source, height_bound):
         image = h.apply(first)

@@ -8,6 +8,8 @@ from itertools import product
 from treehom import (
     Automaton,
     AutomatonError,
+    dickson_cap,
+    eq_restriction_violation,
     RankedAlphabet,
     Run,
     Tree,
@@ -16,6 +18,7 @@ from treehom import (
     enumerate_trees,
     format_position,
     get_semiring,
+    hom_image,
     positions,
     replace_at,
     subtree_at,
@@ -24,6 +27,7 @@ from treehom.construct import (
     _fresh_name,
     _image_rule_specs,
     _merge_rules,
+    _non_one_weights,
     _sink_rule_specs,
 )
 from treehom.verdict import verified, violated
@@ -139,6 +143,101 @@ def relabel_symbols(A, mapping):
     merged = _merge_rules(A.semiring, specs)
     return Automaton(A.semiring, RankedAlphabet(sorted(ranks.items())), A.states,
                      A.finals, merged, sink=A.sink)
+
+
+def full_zero_divisor_elimination(A):
+    """Annotate states with capped multiplicity vectors of the non-one rule
+    weights so that every surviving run has nonzero weight.
+
+    Over a zero-divisor-free semiring the input is returned unchanged.  Over
+    a finite semiring the cap is u = max(index + period) of the weights'
+    power sequences: beyond u, one more period never changes the product, so
+    any vector witnessing a zero product reduces into {0..u}^n.
+
+    The paper's product construction: every viable (state, vector) pair over
+    all of {0..u}^n, and every rule over them (the reference for
+    ``eliminate_zero_divisors``, which builds only its reachable part).
+    """
+    reason = eq_restriction_violation(A)
+    if reason is not None:
+        raise AutomatonError(f"input is not eq-restricted: {reason}")
+    sr = A.semiring
+    if sr.zero_divisor_free:
+        return A
+    if not sr.finite:
+        raise AutomatonError(
+            f"zero-divisor elimination needs a zero-divisor-free or finite "
+            f"semiring, got {sr.id}"
+        )
+    sink = A.sink
+    weights = _non_one_weights(A)
+    n = len(weights)
+    if n == 0:
+        return A
+
+    u = dickson_cap(A)
+    universe = list(product(range(u + 1), repeat=n))
+    value_of = {}
+    for vec in universe:
+        val = sr.one
+        for s, e in zip(weights, vec):
+            for _ in range(e):
+                val = sr.mul(val, s)
+        value_of[vec] = val
+    vectors = [vec for vec in universe if value_of[vec] != sr.zero]
+    vec_set = set(vectors)
+    unit = {s: tuple(1 if j == i else 0 for j in range(n)) for i, s in enumerate(weights)}
+    zero_vec = (0,) * n
+
+    def vec_add(a, b):
+        return tuple(min(x + y, u) for x, y in zip(a, b))
+
+    def name(q, vec):
+        return f"{q}_v{'_'.join(str(x) for x in vec)}"
+
+    out_rules = []
+    for rule in A.rules:
+        if rule.target == sink:
+            out_rules.append((rule.lhs, rule.target, rule.weight, rule.pairs))
+            continue
+        real = [
+            (p, lbl)
+            for p, lbl in zip(rule.state_positions, rule.state_labels)
+            if lbl != sink
+        ]
+        base = unit.get(rule.weight.value, zero_vec)
+        for assignment in product(vectors, repeat=len(real)):
+            vec = base
+            for v in assignment:
+                vec = vec_add(vec, v)
+            if vec not in vec_set:
+                continue
+            lhs = rule.lhs
+            for (p, lbl), v in zip(real, assignment):
+                lhs = replace_at(lhs, p, Tree(name(lbl, v)))
+            out_rules.append((lhs, name(rule.target, vec), rule.weight, rule.pairs))
+
+    states = [name(q, vec) for q in A.states if q != sink for vec in vectors]
+    states.append(sink)
+    finals = [name(q, vec) for q in A.finals for vec in vectors]
+    return Automaton(sr, A.alphabet, states, finals, out_rules, sink=sink)
+
+
+def naive_reachable_part(A):
+    """A restricted to the states that some rule derives from states already
+    derived (a naive fixpoint over all rules, constraints ignored), keeping
+    the sink and the order of states, finals and rules."""
+    reached = {A.sink}
+    changed = True
+    while changed:
+        changed = False
+        for rule in A.rules:
+            if rule.target not in reached and all(q in reached for q in rule.state_labels):
+                reached.add(rule.target)
+                changed = True
+    rules = [r for r in A.rules if all(q in reached for q in r.state_labels)]
+    return Automaton(A.semiring, A.alphabet, [q for q in A.states if q in reached],
+                     [q for q in A.finals if q in reached], rules, sink=A.sink)
 
 
 def naive_tetris_free(h, height_bound):
@@ -296,3 +395,52 @@ def random_pair(rng, semiring_id, n_states=None):
     h = random_hom(rng)
     A = random_wta(rng, h.source, semiring_id, n_states)
     return A, h
+
+
+MODULAR_SEMIRINGS = ("z6", "z12", "z30", "z60")
+
+
+def _universe_size(A):
+    """(u + 1)^n for the Dickson cap u of A's n distinct non-one weights."""
+    return (dickson_cap(A) + 1) ** len(_non_one_weights(A))
+
+
+def random_modular_pair(rng):
+    """(A, h) with h from random_branching_hom over a source that has a rank-2
+    symbol and A a 3-state WTA over that source in z6, z12, z30 or z60.  A's
+    rules carry 2-4 distinct non-one weights; the other rules weigh one.
+
+    Pairs are drawn until {0..u}^n has at most 81 vectors both for
+    A and for hom_image(A, h) (merged image rules can add weights), so that
+    full_zero_divisor_elimination, squared on rank-2 rules, stays cheap."""
+    n = rng.randint(2, 4)
+    while True:
+        h = random_branching_hom(rng)
+        if 2 not in dict(h.source.items()).values():
+            continue
+        sr = get_semiring(rng.choice(MODULAR_SEMIRINGS))
+        if sr.k - 2 < n:
+            continue
+        pool = rng.sample(range(2, sr.k), n)
+        states = ["s0", "s1", "s2"]
+        lhss = []
+        for name, rank in sorted(h.source.items()):
+            shapes = [Tree(name, tuple(Tree(q, ()) for q in vec))
+                      for vec in product(states, repeat=rank)]
+            lhss += shapes if rank == 0 else rng.sample(shapes, rng.randint(1, 2))
+        if len(lhss) < n:
+            continue
+        weights = pool + [rng.choice(pool + [1, 1]) for _ in lhss[n:]]
+        rng.shuffle(weights)
+        rules = [(lhs, rng.choice(states), sr.weight(w), ()) for lhs, w in zip(lhss, weights)]
+        finals = sorted(rng.sample(states, rng.randint(1, 2)))
+        A = Automaton(sr, h.source, states, finals, rules)
+        if all(_universe_size(B) <= 81 for B in (with_sink(A), hom_image(A, h))):
+            return A, h
+
+
+def with_sink(A, sink="bot"):
+    """The WTA A plus a sink state and its weight-one rules: eq-restricted."""
+    return Automaton(A.semiring, A.alphabet, list(A.states) + [sink], A.finals,
+                     list(A.rules) + _sink_rule_specs(A.alphabet, A.semiring, sink),
+                     sink=sink)

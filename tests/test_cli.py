@@ -338,6 +338,65 @@ def test_cli_decide_tetris_violation_at_default_bound(tmp_path, capsys, memory_c
     assert payload["tetris_free"]["witness"] == ["f(a)", "g(g(a))"]
 
 
+FOUR_WEIGHT_CHAIN = (
+    "semiring: z30\nstates: q0 q1 q2\nfinal: q2\nrules:\n"
+    "a -> q0 @ 2\ng(q0) -> q1 @ 3\ng(q1) -> q1 @ 5\nk(q1,q0) -> q2 @ 7\n")
+SWAP_HOM = ("from: a/0 g/1 k/2\nto: a/0 g/1 k/2\n"
+            "a/0 -> a\ng/1 -> g(x1)\nk/2 -> k(x2,x1)\n")
+
+
+def test_cli_decide_four_weight_chain_stays_small(tmp_path, capsys, memory_cap):
+    # Over all of {0..5}^4 the fixed image has 1,639 states and 136,912
+    # rules; 2 * 3 * 5 = 0 mod 30, so only one vector per state is reachable.
+    aut = tmp_path / "chain.aut"
+    aut.write_text(FOUR_WEIGHT_CHAIN)
+    hom = tmp_path / "swap.hom"
+    hom.write_text(SWAP_HOM)
+    with memory_cap():
+        code = run_cli("decide", "--automaton", str(aut), "--hom", str(hom),
+                       "--check-bound", "4", "--format", "machine")
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert payload["verdict"] == "UNKNOWN"
+    assert payload["zero_divisor_path"] == "dickson cap u=5"
+    assert (payload["fixed_image"]["states"], payload["fixed_image"]["rules"]) == (4, 6)
+
+
+def test_cli_decide_text_reports_fixed_image(data_dir, tmp_path, capsys):
+    hom = tmp_path / "swap.hom"
+    hom.write_text(SWAP_HOM)
+    aut = tmp_path / "chain.aut"
+    aut.write_text(FOUR_WEIGHT_CHAIN)
+    run_cli("decide", "--automaton", str(aut), "--hom", str(hom))
+    lines = capsys.readouterr().out.splitlines()
+    i = lines.index("zero-divisor elimination: dickson cap u=5")
+    assert lines[i + 1] == "fixed image: 4 states, 6 rules"
+    # Elimination returns a natural image unchanged: no line for it.
+    run_cli("decide", "--automaton", str(data_dir / "doubling_chain.aut"),
+            "--hom", str(data_dir / "duplicating_hom.hom"))
+    assert "fixed image" not in capsys.readouterr().out
+
+
+def test_cli_check_tetris_free_warns_only_before_a_walk(tmp_path, capsys, memory_cap):
+    # About 2.8e33 source trees up to height 6; only the walk enumerates them.
+    head = "from: a/0 b/0 f/1 g/1 m/2\n"
+    dup = tmp_path / "dup.hom"
+    dup.write_text(head + "to: a/0 b/0 f/1 k/2 m/2\n"
+                   "a/0 -> a\nb/0 -> b\nf/1 -> f(x1)\ng/1 -> k(x1,x1)\n"
+                   "m/2 -> m(x1,x2)\n")
+    tetris = tmp_path / "tetris.hom"
+    tetris.write_text(head + "to: a/0 b/0 g/1 m/2\n"
+                      "a/0 -> a\nb/0 -> b\nf/1 -> g(g(x1))\ng/1 -> g(x1)\n"
+                      "m/2 -> m(x1,x2)\n")
+    with memory_cap():
+        assert run_cli("check", "tetris-free", "--hom", str(dup), "--height", "6") == 0
+        out, err = capsys.readouterr()
+        assert out == "tetris-free up to height 6\n"
+        assert err == ""
+        assert run_cli("check", "tetris-free", "--hom", str(tetris), "--height", "6") == 2
+        assert "warning: enumerating" in capsys.readouterr().err
+
+
 def test_enumeration_warning(capsys):
     big = RankedAlphabet([("a", 0), ("g", 1), ("k", 2)])
     _warn_enumeration(big, 5)

@@ -31,7 +31,17 @@ from treehom import (
     support_up_to,
     wtg_to_wta,
 )
-from oracles import hom_image_annotated, naive_evaluate, random_pair, relabel_symbols
+from treehom.construct import _non_one_weights
+from oracles import (
+    full_zero_divisor_elimination,
+    hom_image_annotated,
+    naive_evaluate,
+    naive_reachable_part,
+    random_modular_pair,
+    random_pair,
+    relabel_symbols,
+    with_sink,
+)
 
 NAT = get_semiring("natural")
 Z6 = get_semiring("z6")
@@ -262,7 +272,7 @@ def test_dickson_cap(z6_chain, doubling_image):
 
 
 def test_eliminate_zero_divisors_golden(z6_chain):
-    fixed = eliminate_zero_divisors(z6_chain)
+    fixed = full_zero_divisor_elimination(z6_chain)
     assert is_eq_restricted(fixed)
     # 7 viable power vectors for the weights (2, 3) times two real states.
     assert len(fixed.real_states) == 14
@@ -271,6 +281,42 @@ def test_eliminate_zero_divisors_golden(z6_chain):
     assert "a -> q_v1_0 @ 2" in texts
     # No rule may step onto the dead vector (1, 1): 2 * 3 = 0.
     assert not any("v1_1" in text for text in texts)
+
+
+def test_eliminate_zero_divisors_reachable_golden(z6_chain):
+    fixed = eliminate_zero_divisors(z6_chain)
+    # Only the vector (1, 0) is reachable: g(q) would step onto (1, 1).
+    assert fixed.states == ("q_v1_0", "qf_v1_0", "bot")
+    assert fixed.finals == ("qf_v1_0",)
+    assert fixed.sink == "bot"
+    assert [r.text for r in fixed.rules] == [
+        "a -> q_v1_0 @ 2",
+        "f(q_v1_0) -> qf_v1_0 @ 1",
+        "a -> bot @ 1",
+        "g(bot) -> bot @ 1",
+        "f(bot) -> bot @ 1",
+    ]
+
+
+def test_eliminate_zero_divisors_is_reachable_part_of_full_construction(z6_image):
+    rng = random.Random(11)
+    instances = [z6_image]
+    for _ in range(12):
+        A, h = random_modular_pair(rng)
+        instances += [with_sink(A), hom_image(A, h)]
+    weight_counts = set()
+    constrained = 0
+    for B in instances:
+        expected = naive_reachable_part(full_zero_divisor_elimination(B))
+        got = eliminate_zero_divisors(B)
+        assert got.states == expected.states
+        assert got.finals == expected.finals
+        assert [(r.lhs, r.target, r.weight, r.pairs) for r in got.rules] == [
+            (r.lhs, r.target, r.weight, r.pairs) for r in expected.rules]
+        weight_counts.add(len(_non_one_weights(B)))
+        constrained += not B.is_wtg
+    assert {2, 3, 4} <= weight_counts
+    assert constrained > 1  # z6_image and at least one random image
 
 
 def test_eliminate_zero_divisors_no_zero_runs(z6_chain):
