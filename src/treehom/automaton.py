@@ -16,12 +16,13 @@ every other rule contains exactly one non-sink position.
 Weights and runs come from one chart: per tree, each state's summed run
 weight and the rule applications that derive its runs, filled bottom-up
 from the cells of the captured subtrees and expanded into Run objects only
-on request.  `Evaluator` fills it on demand for given trees.  Bounded
-operations (support, unambiguity, state languages) use `RunsTable`, which
-fills it by height layers instead of walking all trees of a given height:
-layer h instantiates the rules over the trees of the layers below, since
-each rule application adds height.  Trees without a run to a real state
-evaluate to zero and carry no accepting runs, so nothing is missed.
+on request.  `Evaluator` fills it on demand for given trees, matching the
+rules at each node.  Bounded operations (support, unambiguity, state
+languages) use `RunsTable`, which fills it by height layers instead: layer h
+instantiates the rules over the trees of the layers below, since each rule
+application adds height, and records the applications it builds, so it never
+matches.  Trees without a run to a real state evaluate to zero and carry no
+accepting runs, so nothing is missed.
 """
 
 from __future__ import annotations
@@ -80,6 +81,14 @@ class Rule:
     @property
     def key(self):
         return (self.lhs, self.classes, self.target)
+
+    def plug(self, subs) -> Tree:
+        """The lhs with subs[i] at its i-th state position.  It path-copies,
+        so the ground parts of the lhs stay shared."""
+        t = self.lhs
+        for p, sub in zip(self.state_positions, subs):
+            t = replace_at(t, p, sub)
+        return t
 
     @property
     def pairs(self):
@@ -382,12 +391,10 @@ class Run:
         self.subruns = tuple(subruns)
         sr = rule.weight.semiring
         val = rule.weight.value
-        subject = rule.lhs
-        for p, sub in zip(rule.state_positions, self.subruns):
+        for sub in self.subruns:
             val = sr.mul(val, sub.weight.value)
-            subject = replace_at(subject, p, sub.subject)
         self.weight = Weight(sr, val)
-        self.subject = subject
+        self.subject = rule.plug([sub.subject for sub in self.subruns])
         self._hash = hash((rule.index, self.subruns))
 
     @property
@@ -496,12 +503,12 @@ class Evaluator:
                 out.append((rule, subs))
         return out
 
-    def _fill(self, t: Tree, matches) -> dict:
-        """Fill the cell of t from the cells of the subtrees the matches capture."""
+    def _fill(self, t: Tree, apps) -> dict:
+        """Fill the cell of t from its applications and their subtrees' cells."""
         sr = self.automaton.semiring
         chart, sink = self._chart, self._sink
         cell: dict = {}
-        for rule, subs in matches:
+        for rule, subs in apps:
             val = rule.weight.value
             for sub, lbl in zip(subs, rule.state_labels):
                 if lbl == sink:
@@ -631,34 +638,37 @@ class RunsTable(Evaluator):
     """The chart of every tree of height <= bound that has a run to a real
     state, filled by height layers: layer h instantiates each rule with trees
     from the layers below h such that the result has height exactly h, and
-    fills each new tree once.  A rule application strictly increases height,
-    so the layers below h hold every tree that a tree of layer h captures.
-    Trees outside the chart have no runs except the pure sink's.
+    fills each new tree once from the applications that built it.  A rule
+    application strictly increases height, so the layers below h hold every
+    tree that a tree of layer h captures.  Trees outside the chart have no
+    runs except the pure sink's.
     """
 
     def __init__(self, A: Automaton, height_bound: int):
         if height_bound < 0:
             raise AutomatonError("height bound must be nonnegative")
         super().__init__(A)
-        self.bound = height_bound
-        chart = self._chart
         # state -> trees reaching it, by height
         langs = {q: [] for q in A.real_states}
         for h in range(height_bound + 1):
             for lang in langs.values():
                 lang.append([])
             for rules in self._rules.values():
+                # Rules in index order: a cell lists applications as matching would.
+                by_tree: dict[Tree, list] = {}
                 for rule in rules:
-                    for t in self._instances(rule, h, langs):
-                        if t not in chart:
-                            for q in self._fill(t, self._matches(t)):
-                                langs[q][h].append(t)
-        self.trees = sorted(chart, key=tree_key)
+                    for subs in self._instances(rule, h, langs):
+                        by_tree.setdefault(rule.plug(subs), []).append((rule, subs))
+                for t, apps in by_tree.items():
+                    for q in self._fill(t, apps):
+                        langs[q][h].append(t)
+        self.trees = sorted(self._chart, key=tree_key)
 
     def _instances(self, rule: Rule, h: int, langs):
-        """Instantiations of rule of height exactly h: one tree per constraint
-        class, drawn from the trees below h that reach all its real states.
-        Semi-naive: the first class that reaches height h picks the split."""
+        """Instantiations of rule of height exactly h, as captured subtrees:
+        one tree per constraint class, spread over its state positions, drawn
+        from the trees below h that reach all its real states.  Semi-naive:
+        the first class that reaches height h picks the split."""
         if rule.lhs.height > h:
             return
         below, at = [], []
@@ -674,11 +684,11 @@ class RunsTable(Evaluator):
             splits = [below[:i] + [at[i]] + upto[i + 1:] for i in range(len(at))]
         for domains in splits:
             for combo in product(*domains):
-                t = rule.lhs
-                for cls, tc in zip(rule.classes, combo):
-                    for p in cls:
-                        t = replace_at(t, p, tc)
-                yield t
+                subs = [None] * len(rule.state_positions)
+                for idxs, tc in zip(rule.class_indices, combo):
+                    for i in idxs:
+                        subs[i] = tc
+                yield subs
 
     def _class_trees(self, labels, k: int, langs):
         """Trees of height <= k that reach every real state in labels."""
@@ -693,11 +703,6 @@ class RunsTable(Evaluator):
 
     def _cell(self, t: Tree) -> dict:
         return self._chart.get(t, _NO_RUNS)
-
-    def _entry(self, t: Tree, q: str):
-        if t.height > self.bound:
-            return None
-        return super()._entry(t, q)
 
     def support(self):
         """(tree, series value) for each tree of the table with a nonzero value."""

@@ -191,8 +191,8 @@ def parse_automaton(text: str) -> Automaton:
         raise FileFormatError(None, str(err)) from None
 
 
-def format_automaton(A: Automaton, canonical: bool = True) -> str:
-    B = canonical_form(A) if canonical else A
+def format_automaton(A: Automaton) -> str:
+    B = canonical_form(A)
     lines = [f"semiring: {B.semiring.id}", f"states: {' '.join(B.states)}"]
     if B.sink is not None:
         lines.append(f"sink: {B.sink}")

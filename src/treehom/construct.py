@@ -165,13 +165,10 @@ def hom_image(A: Automaton, h: TreeHomomorphism) -> Automaton:
     return Automaton(A.semiring, h.target, states, A.finals, rules, sink=sink)
 
 
-def run_image(A: Automaton, h: TreeHomomorphism, run: Run,
-              image: Automaton | None = None) -> Run:
-    """Map a run of the WTA A to the corresponding run of hom_image(A, h):
+def run_image(A: Automaton, h: TreeHomomorphism, run: Run, image: Automaton) -> Run:
+    """Map a run of the WTA A to the corresponding run of image = hom_image(A, h):
     child runs land on the lex-least variable occurrences, sink runs fill the
     remaining copies of the (constraint-equal) subtrees."""
-    if image is None:
-        image = hom_image(A, h)
     sink = image.sink
     # An image rule's pairs tie each variable's first occurrence to its other
     # occurrences, so as a set they equal the pairs of its constraint classes.
@@ -282,11 +279,7 @@ def eliminate_zero_divisors(A: Automaton) -> Automaton:
 
     rules = [rule for rule in A.rules if rule.target != sink]
     real = {
-        rule.index: [
-            (p, lbl)
-            for p, lbl in zip(rule.state_positions, rule.state_labels)
-            if lbl != sink
-        ]
+        rule.index: [(i, lbl) for i, lbl in enumerate(rule.state_labels) if lbl != sink]
         for rule in rules
     }
     uses: dict[str, list] = {}  # state -> (rule, index among its real children)
@@ -332,9 +325,10 @@ def eliminate_zero_divisors(A: Automaton) -> Automaton:
             out_rules.append((rule.lhs, rule.target, rule.weight, rule.pairs))
             continue
         for assignment, vec in sorted(applied[rule.index].items()):
-            lhs = rule.lhs
-            for (p, lbl), v in zip(real[rule.index], assignment):
-                lhs = replace_at(lhs, p, Tree(name(lbl, v)))
+            subs = [Tree(lbl) for lbl in rule.state_labels]
+            for (i, lbl), v in zip(real[rule.index], assignment):
+                subs[i] = Tree(name(lbl, v))
+            lhs = rule.plug(subs)
             out_rules.append((lhs, name(rule.target, vec), rule.weight, rule.pairs))
 
     states = [name(q, vec) for q in A.states if q != sink
@@ -360,13 +354,12 @@ def project_boolean(A: Automaton) -> Automaton:
         for rule in A.rules:
             if rule.target == sink:
                 continue
-            lhs = rule.lhs
-            for cls, labels in zip(rule.classes, rule.class_labels):
-                real = next(lbl for lbl in labels if lbl != sink)
-                for p, lbl in zip(cls, labels):
-                    if lbl == sink:
-                        lhs = replace_at(lhs, p, Tree(real))
-            specs.append((lhs, rule.target, 1, rule.pairs))
+            subs = [None] * len(rule.state_labels)
+            for idxs, labels in zip(rule.class_indices, rule.class_labels):
+                real = Tree(next(lbl for lbl in labels if lbl != sink))
+                for i in idxs:
+                    subs[i] = real
+            specs.append((rule.plug(subs), rule.target, 1, rule.pairs))
         merged = _merge_rules(boolean, specs)
         states = [q for q in A.states if q != sink]
         return Automaton(boolean, A.alphabet, states, A.finals, merged, sink=None)

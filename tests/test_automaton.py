@@ -310,8 +310,20 @@ BRANCHING = RankedAlphabet([("a", 0), ("b", 0), ("g", 1), ("m", 2)])
 
 def chart_instances():
     """Automata the instance generators of the other tests never make:
-    3-state WTAs over a branching alphabet, and images and linearized images
-    of random pairs, each with the height bound to check it at."""
+    3-state WTAs over a branching alphabet, images and linearized images of
+    random pairs, a pure sink at an unconstrained position and in a sink-only
+    class, and a class joining two real states, each with the height bound
+    to check it at."""
+    abc = [("a", 0), ("g", 1), ("k", 2)]
+    sink_rules = ["a -> bot @ 1", "g(bot) -> bot @ 1", "k(bot,bot) -> bot @ 1"]
+    yield build("natural", abc, ["q", "qf", "bot"], ["qf"], [
+        "a -> q @ 1", "g(q) -> q @ 2", "k(q,bot) -> qf @ 1",
+        "k(bot,bot) -> qf @ 3 | 1 = 2", *sink_rules,
+    ], sink="bot"), 3
+    yield build("z6", abc, ["q", "p", "qf"], ["qf"], [
+        "a -> q @ 2", "a -> p @ 1", "g(q) -> q @ 1", "g(p) -> p @ 3",
+        "k(q,g(p)) -> qf @ 1 | 1 = 2.1", "k(q,p) -> qf @ 4",
+    ]), 3
     rng = random.Random(29)
     for sr_id in ("natural", "tropical", "z6", "integer"):
         yield random_wta(rng, BRANCHING, sr_id, n_states=3), 2

@@ -176,6 +176,26 @@ def test_cli_runs(data_dir, capsys):
     assert "b -> q @ 3" in out
 
 
+def test_cli_runs_accepting(data_dir, capsys):
+    code = run_cli("runs", "--automaton", str(data_dir / "doubling_image.aut"),
+                   "--tree", "k(g(a),g(g(a)))")
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "1 accepting run(s) for k(g(a),g(g(a)))\n"
+        "run 1: target qf, weight 2\n"
+        "  k(q,g(bot)) -> qf @ 1 | 1 = 2.1\n"
+        "    g(q) -> q @ 2\n"
+        "      a -> q @ 1\n"
+        "    g(bot) -> bot @ 1\n"
+        "      a -> bot @ 1\n"
+    )
+    # The one run on f(g(a)) weighs 2 * 3 = 0 in z6, so it is not accepting.
+    code = run_cli("runs", "--automaton", str(data_dir / "z6_chain.aut"),
+                   "--tree", "f(g(a))")
+    assert code == 0
+    assert capsys.readouterr().out == "0 accepting run(s) for f(g(a))\n"
+
+
 def test_cli_image_writes_output(data_dir, tmp_path, capsys):
     out_file = tmp_path / "image.aut"
     code = run_cli("image", "--automaton", str(data_dir / "doubling_chain.aut"),
@@ -261,6 +281,39 @@ def test_cli_equiv(data_dir, tmp_path, capsys):
     assert differ == 2
     assert "k(g(g(g(a))),g(g(g(g(a)))))" in out
     assert "8 vs 0" in out
+
+
+def test_cli_equiv_machine_format(data_dir, tmp_path, capsys):
+    lin_file = tmp_path / "lin.aut"
+    run_cli("linearize", "--automaton", str(data_dir / "doubling_image.aut"),
+            "--height", "2", "-o", str(lin_file))
+    capsys.readouterr()
+    args = ("equiv", "--a", str(data_dir / "doubling_image.aut"), "--b", str(lin_file),
+            "--format", "machine", "--height")
+    assert run_cli(*args, "4") == 0
+    assert capsys.readouterr().out == (
+        '{\n  "bound": 4,\n  "detail": "",\n  "status": "ok",\n  "witness": null\n}\n'
+    )
+    assert run_cli(*args, "5") == 2
+    assert capsys.readouterr().out == (
+        '{\n  "bound": 5,\n'
+        '  "detail": "series differ on k(g(g(g(a))),g(g(g(g(a))))): 8 vs 0",\n'
+        '  "status": "witness",\n'
+        '  "witness": [\n    "k(g(g(g(a))),g(g(g(g(a)))))",\n    "8",\n    "0"\n  ]\n}\n'
+    )
+
+
+def test_cli_check_eq_restricted_machine_format(data_dir, capsys):
+    ok = run_cli("check", "eq-restricted", "--automaton",
+                 str(data_dir / "doubling_image.aut"), "--format", "machine")
+    assert ok == 0
+    assert capsys.readouterr().out == '{\n  "eq_restricted": true,\n  "reason": null\n}\n'
+    bad = run_cli("check", "eq-restricted", "--automaton",
+                  str(data_dir / "constrained_pair.aut"), "--format", "machine")
+    assert bad == 2
+    assert capsys.readouterr().out == (
+        '{\n  "eq_restricted": false,\n  "reason": "no sink state declared"\n}\n'
+    )
 
 
 def test_cli_decide_text_and_exit(data_dir, capsys):
