@@ -4,14 +4,21 @@ All checks are exhaustive up to an explicit height bound and return a
 Verdict: either clean-up-to-bound or the first concrete witness in the
 global (height, size, text) tree order.  Witness search walks the union of
 the automata's generated tree sets; trees without any run evaluate to zero
-on both sides, so no witness can hide outside that union.
+on both sides, so no witness can hide outside that union.  h-unambiguity is
+proved, or its least violating height found, by a fixpoint where it can.
 """
 
 from __future__ import annotations
 
-from .automaton import Automaton, AutomatonError, RunsTable, run_state_map
+from .automaton import (
+    Automaton,
+    AutomatonError,
+    RunsTable,
+    first_diverging_height,
+    run_state_map,
+)
 from .construct import linearize
-from .hom import TreeHomomorphism
+from .hom import TreeHomomorphism, images_clash
 from .term import Tree, format_position, tree_key
 from .verdict import Verdict, verified, violated
 
@@ -39,14 +46,36 @@ def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) ->
     with equal h-images must apply equally-targeted rules at every position.
 
     Witness payload: (s, s', run on s, run on s', position) for the first
-    disagreement; comparing each accepting run against the group's first
-    accepting run suffices because pointwise agreement is an equivalence.
+    disagreement.  Image groups are ordered by their least member in
+    (height, size, text) order; in the first violating group, each accepting
+    run, members in that order, is compared against the first member's first
+    accepting run, which suffices because pointwise agreement is an
+    equivalence.
+
+    Two paths give this verdict.  If ``images_clash(h)``, two source trees
+    have equal images exactly when they have one shape and, position by
+    position, symbols with equal images.  Then `first_diverging_height` over
+    the symbol image classes finds the least height H of a violation; if there
+    is none up to the bound, the verdict is ok without enumerating any tree.
+    Over a zero-divisor-free semiring every run weighs nonzero, and every
+    image group holds trees of one height, so the groups of height <= H hold
+    the first violation: only those trees are enumerated.  With zero divisors
+    H may come from zero-weight runs, and the search covers the full bound.
+    Every other hom gets that full search.
     """
     if not A.is_wta:
         raise AutomatonError("h-unambiguity is defined on WTA input only")
     if A.alphabet != h.source:
         raise AutomatonError("automaton alphabet differs from the homomorphism source")
-    table = RunsTable(A, height_bound)
+    search_height = height_bound
+    if images_clash(h):
+        rules = [(h.image_of(r.lhs.label), r.state_labels, r.target) for r in A.rules]
+        first = first_diverging_height(rules, A.finals, height_bound)
+        if first is None:
+            return verified(height_bound)
+        if A.semiring.zero_divisor_free:
+            search_height = first
+    table = RunsTable(A, search_height)
     groups: dict[Tree, list] = {}
     for s in table.trees:
         acc = table.accepting_runs(s)

@@ -17,8 +17,9 @@ Weights and runs come from one chart: per tree, each state's summed run
 weight and the rule applications that derive its runs, filled bottom-up
 from the cells of the captured subtrees and expanded into Run objects only
 on request.  `Evaluator` fills it on demand for given trees, matching the
-rules at each node.  Bounded operations (support, unambiguity, state
-languages) use `RunsTable`, which fills it by height layers instead: layer h
+rules at each node.  Bounded operations (support, state languages, and
+unambiguity when the pair-automaton fixpoint `first_diverging_height` cannot
+prove it) use `RunsTable`, which fills it by height layers instead: layer h
 instantiates the rules over the trees of the layers below, since each rule
 application adds height, and records the applications it builds, so it never
 matches.  Trees without a run to a real state evaluate to zero and carry no
@@ -382,11 +383,12 @@ def constraints_ok(rule: Rule, subs) -> bool:
 
 class Run:
     """A run per the constrained semantics: a rule plus one child run per
-    state position (in prefix order).  Identity is (rule, child runs)."""
+    state position (in prefix order), on the tree subject, which is
+    rule.plug of the child runs' subjects.  Identity is (rule, child runs)."""
 
     __slots__ = ("rule", "subruns", "weight", "subject", "_hash")
 
-    def __init__(self, rule: Rule, subruns):
+    def __init__(self, rule: Rule, subruns, subject: Tree):
         self.rule = rule
         self.subruns = tuple(subruns)
         sr = rule.weight.semiring
@@ -394,7 +396,7 @@ class Run:
         for sub in self.subruns:
             val = sr.mul(val, sub.weight.value)
         self.weight = Weight(sr, val)
-        self.subject = rule.plug([sub.subject for sub in self.subruns])
+        self.subject = subject
         self._hash = hash((rule.index, self.subruns))
 
     @property
@@ -593,7 +595,7 @@ class Evaluator:
                 continue
             stack.pop()
             memo[key] = tuple(
-                Run(rule, combo)
+                Run(rule, combo, key[0])
                 for rule, subs in apps
                 for combo in product(*(memo[k] for k in zip(subs, rule.state_labels)))
             )
@@ -733,8 +735,108 @@ def state_language_up_to(A: Automaton, q: str, height_bound: int):
     return RunsTable(A, height_bound).state_trees(q)
 
 
+def first_diverging_height(rules, finals, height_bound: int):
+    """The least height <= height_bound of two trees with accepting runs of a
+    flat automaton that differ in the state at some position, or None.
+
+    rules are (symbol class, child states, target) triples; the two trees
+    have one shape and, position by position, symbols of one class.  (With
+    one class per symbol and no repeated triple, two distinct runs on one
+    tree always differ in some state.)
+
+    This is the pair ("square") automaton fixpoint over triples
+    (p, q, diverged).  Layer h maps each pair of states (p, q) that two such
+    trees of height <= h reach to whether two of their runs to p and q
+    differ in the state at some position.  It pairs two rules of one class
+    over the child pairs of layer h - 1: the result diverges when its states
+    differ or a child pair diverges.  Weights play no part, so over a
+    semiring with zero divisors the runs found may weigh zero.
+    """
+    if height_bound < 0:
+        raise AutomatonError("height bound must be nonnegative")
+    by_kids: dict = {}  # (class, child states) -> indices of its rules
+    uses: dict = {}  # state -> (class, child index) -> indices of rules with it there
+    for i, (cls, kids, _) in enumerate(rules):
+        by_kids.setdefault((cls, kids), []).append(i)
+        for k, p in enumerate(kids):
+            uses.setdefault(p, {}).setdefault((cls, k), []).append(i)
+    finals = set(finals)
+    reached: dict[tuple[str, str], bool] = {}  # (p, q) -> diverged
+    partners: dict = {}  # p -> the q with (p, q) reached
+    pairs = [(i, j) for (_, kids), ids in by_kids.items() if not kids
+             for i in ids for j in ids]
+    for height in range(height_bound + 1):
+        new: dict[tuple[str, str], bool] = {}
+        for i, j in pairs:
+            (_, kids_i, p), (_, kids_j, q) = rules[i], rules[j]
+            diverged = p != q or any(reached[pq] for pq in zip(kids_i, kids_j))
+            new[p, q] = new.get((p, q), False) or diverged
+        grown = []
+        for (p, q), diverged in new.items():
+            if (p, q) not in reached:
+                partners.setdefault(p, []).append(q)
+            elif reached[p, q] or not diverged:
+                continue
+            reached[p, q] = diverged
+            grown.append((p, q))
+            if diverged and p in finals and q in finals:
+                return height
+        # Semi-naive: the next layer pairs only rules that have a grown pair
+        # at some child index and reached pairs at the others.
+        pairs = set()
+        for p, q in grown:
+            for (cls, k), ids in uses.get(p, {}).items():
+                for i in ids:
+                    choices = [(q,) if m == k else partners.get(kid, ())
+                               for m, kid in enumerate(rules[i][1])]
+                    for kids in product(*choices):
+                        pairs.update((i, j) for j in by_kids.get((cls, kids), ()))
+        if not pairs:
+            return None
+    return None
+
+
+def _relaxed_rules(A: Automaton):
+    """The rules of A with every equality constraint dropped, flattened for
+    `first_diverging_height`, or None when two rules of A share a left-hand
+    side and target (differing only in constraints or weight), since those
+    would merge.  Flattening gives each distinct proper subterm of a
+    left-hand side one fresh state with one rule, so it keeps run counts:
+    each run of A is one run of the result, which may have more."""
+    if len({(r.lhs, r.target) for r in A.rules}) < len(A.rules):
+        return None
+    states = set(A.states)
+    out = []
+    fresh: dict[Tree, int] = {}  # subterm -> its fresh state (an int)
+
+    def state_of(node: Tree):
+        if not node.children and node.label in states:
+            return node.label
+        hit = fresh.get(node)
+        if hit is None:
+            kids = tuple(state_of(c) for c in node.children)
+            hit = fresh[node] = len(fresh)
+            out.append((node.label, kids, hit))
+        return hit
+
+    for rule in A.rules:
+        out.append((rule.lhs.label, tuple(map(state_of, rule.lhs.children)), rule.target))
+    return out
+
+
 def check_unambiguous(A: Automaton, height_bound: int) -> Verdict:
-    """First tree of height <= bound carrying two accepting runs, if any."""
+    """First tree of height <= bound carrying two accepting runs, if any.
+
+    The witness is the first such tree in (height, size, text) order, with
+    its accepting (nonzero-weight) runs.  Dropping the equality constraints of
+    A only adds runs, so when the flattened relaxation (`_relaxed_rules`) has
+    no two accepting runs on one tree of height <= bound
+    (`first_diverging_height`), the verdict is ok without enumerating any
+    tree.  Otherwise every tree of height <= bound with a run is examined.
+    """
+    relaxed = _relaxed_rules(A)
+    if relaxed is not None and first_diverging_height(relaxed, A.finals, height_bound) is None:
+        return verified(height_bound)
     table = RunsTable(A, height_bound)
     for t in table.trees:
         acc = table.accepting_runs(t)

@@ -553,7 +553,10 @@ def _cmd_equiv(args) -> int:
 def _cmd_decide(args) -> int:
     A = load_automaton(args.automaton)
     h = load_hom(args.hom)
-    _warn_enumeration(h.source, args.check_bound)
+    # With clashing class images over a zero-divisor-free semiring, neither
+    # tetris-freeness nor h-unambiguity builds the source trees up to the bound.
+    if not (images_clash(h) and A.semiring.zero_divisor_free):
+        _warn_enumeration(h.source, args.check_bound)
     report = decide_hom_regularity(
         A,
         h,

@@ -195,7 +195,8 @@ def run_image(A: Automaton, h: TreeHomomorphism, run: Run, image: Automaton) -> 
             sub_at[ps[0]] = convert(sub)
             for p in ps[1:]:
                 (sub_at[p],) = sink_runs.runs(h.apply(sub.subject), sink)
-        return Run(img_rule, tuple(sub_at[p] for p in img_rule.state_positions))
+        subruns = [sub_at[p] for p in img_rule.state_positions]
+        return Run(img_rule, subruns, img_rule.plug([sub.subject for sub in subruns]))
 
     return convert(run)
 

@@ -88,6 +88,11 @@ class RankedAlphabet:
         return f"<alphabet {inner}>"
 
 
+# Trees at most this tall compare by native tuple comparison, which recurses
+# once per level; taller ones take an explicit stack down to this height.
+_NATIVE_EQ_HEIGHT = 64
+
+
 class Tree:
     """Immutable labeled tree; children is a tuple of Trees."""
 
@@ -114,7 +119,24 @@ class Tree:
             return NotImplemented
         if self._hash != other._hash or self.size != other.size:
             return False
-        return self.label == other.label and self.children == other.children
+        if self.height <= _NATIVE_EQ_HEIGHT:
+            return self.label == other.label and self.children == other.children
+        # Equal but distinct subtrees may be arbitrarily tall: walk the tall
+        # part with an explicit stack.
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.height <= _NATIVE_EQ_HEIGHT:
+                if a != b:
+                    return False
+            elif (a._hash != b._hash or a.size != b.size or a.label != b.label
+                  or len(a.children) != len(b.children)):
+                return False
+            else:
+                stack.extend(zip(a.children, b.children))
+        return True
 
     def __hash__(self):
         return self._hash

@@ -8,6 +8,7 @@ from itertools import product
 from treehom import (
     Automaton,
     AutomatonError,
+    RunsTable,
     dickson_cap,
     eq_restriction_violation,
     RankedAlphabet,
@@ -21,6 +22,7 @@ from treehom import (
     hom_image,
     positions,
     replace_at,
+    run_state_map,
     subtree_at,
 )
 from treehom.construct import (
@@ -65,7 +67,7 @@ def naive_runs(A, t, q):
             continue
         child_runs = [naive_runs(A, sub, lbl) for lbl, sub in acc]
         for combo in product(*child_runs):
-            out.append(Run(rule, combo))
+            out.append(Run(rule, combo, t))
     return out
 
 
@@ -267,6 +269,57 @@ def naive_tetris_free(h, height_bound):
                         f"symbol images differ at position {format_position(p)}: "
                         f"h({a}) != h({b})",
                     )
+    return verified(height_bound)
+
+
+def naive_h_unambiguous(A, h, height_bound):
+    """Bounded h-unambiguity by enumerating every tree of height <= bound with
+    a run, grouping the accepting ones by image and comparing each run against
+    its group's first (the reference for ``check_h_unambiguous``)."""
+    if not A.is_wta:
+        raise AutomatonError("h-unambiguity is defined on WTA input only")
+    if A.alphabet != h.source:
+        raise AutomatonError("automaton alphabet differs from the homomorphism source")
+    table = RunsTable(A, height_bound)
+    groups = {}
+    for s in table.trees:
+        acc = table.accepting_runs(s)
+        if acc:
+            groups.setdefault(h.apply(s), []).append((s, acc))
+    for members in groups.values():
+        ref_tree, ref_runs = members[0]
+        ref_map = run_state_map(ref_runs[0])
+        ref_positions = sorted(ref_map)
+        for s, runs in members:
+            for run in runs:
+                if s is ref_tree and run is ref_runs[0]:
+                    continue
+                cur = run_state_map(run)
+                if sorted(cur) != ref_positions:
+                    return violated(
+                        height_bound,
+                        (ref_tree, s, ref_runs[0], run, None),
+                        f"position sets differ for {ref_tree.text} and {s.text}",
+                    )
+                for p in ref_positions:
+                    if cur[p] != ref_map[p]:
+                        return violated(
+                            height_bound,
+                            (ref_tree, s, ref_runs[0], run, p),
+                            f"runs on {ref_tree.text} and {s.text} disagree at "
+                            f"position {format_position(p)}: {ref_map[p]} vs {cur[p]}",
+                        )
+    return verified(height_bound)
+
+
+def naive_unambiguous(A, height_bound):
+    """First tree of height <= bound carrying two accepting runs, found by
+    examining every tree with a run (the reference for ``check_unambiguous``)."""
+    table = RunsTable(A, height_bound)
+    for t in table.trees:
+        acc = table.accepting_runs(t)
+        if len(acc) > 1:
+            return violated(height_bound, (t, acc), f"{len(acc)} accepting runs for {t.text}")
     return verified(height_bound)
 
 

@@ -7,11 +7,13 @@ from treehom import (
     AutomatonError,
     RankedAlphabet,
     Tree,
+    TreeHomomorphism,
     bounded_equivalence,
     check_h_unambiguous,
     check_tetris_free,
     enumerate_trees,
     evaluate,
+    format_run,
     get_semiring,
     hom_image,
     linearize,
@@ -19,7 +21,15 @@ from treehom import (
     run_count_compare,
     wtg_to_wta,
 )
-from oracles import naive_evaluate, random_pair
+from treehom.hom import images_clash
+from oracles import (
+    BRANCHING_SOURCES,
+    naive_evaluate,
+    naive_h_unambiguous,
+    random_branching_hom,
+    random_pair,
+    random_wta,
+)
 
 NAT = get_semiring("natural")
 
@@ -150,3 +160,70 @@ def test_run_count_compare_counts_match_brute_force(doubling_image):
         cl = len(accepting_runs(lin, t))
         ca = len(accepting_runs(doubling_image, t))
         assert cl <= ca
+
+
+def h_verdict_key(v):
+    """Everything a check_h_unambiguous verdict reports, runs as text."""
+    if v.witness is None:
+        return (v.status, v.bound, v.detail, None)
+    s, s2, run, run2, p = v.witness
+    return (v.status, v.bound, v.detail, s.text, s2.text, format_run(run), format_run(run2), p)
+
+
+H_SEMIRINGS = ("natural", "arctic", "tropical", "boolean", "integer", "z6")
+
+
+def test_h_unambiguous_matches_naive_on_branching_homs():
+    rng = random.Random(2309)
+    outcomes = set()
+    for _ in range(200):
+        h = random_branching_hom(rng)
+        A = random_wta(rng, h.source, rng.choice(H_SEMIRINGS), rng.randint(1, 3))
+        clash = images_clash(h)
+        for bound in range(4):
+            expected = naive_h_unambiguous(A, h, bound)
+            assert h_verdict_key(check_h_unambiguous(A, h, bound)) == h_verdict_key(expected)
+            if expected.is_ok:
+                outcomes.add("proved absent" if clash else "ok after a walk")
+            else:
+                outcomes.add("violation on a clash hom" if clash else "violation")
+                if expected.witness[0].height < bound:
+                    outcomes.add("witness below the bound")
+    assert {"proved absent", "witness below the bound",
+            "violation on a clash hom"} <= outcomes
+
+
+def test_h_unambiguous_matches_naive_at_bound_4():
+    # Over (a, g/1, m/2) the oracle builds up to 33,673 source trees.
+    rng = random.Random(7)
+    source = RankedAlphabet(BRANCHING_SOURCES[0])
+    statuses = []
+    while len(statuses) < 4:
+        h = random_branching_hom(rng)
+        if h.source != source:
+            continue
+        A = random_wta(rng, h.source, rng.choice(H_SEMIRINGS), rng.randint(1, 3))
+        expected = naive_h_unambiguous(A, h, 4)
+        assert h_verdict_key(check_h_unambiguous(A, h, 4)) == h_verdict_key(expected)
+        statuses.append(expected.status)
+    assert set(statuses) == {"ok", "witness"}
+
+
+def test_h_unambiguous_zero_weight_divergence_keeps_the_full_search():
+    # Over z6, g(a) and g(b) diverge at height 1 with run weights 2 * 3 = 0;
+    # the first violation with nonzero runs is at height 2.
+    z6 = get_semiring("z6")
+    sigma = RankedAlphabet([("a", 0), ("b", 0), ("g", 1)])
+    delta = RankedAlphabet([("c", 0), ("g", 1)])
+    h = TreeHomomorphism(sigma, delta, {
+        "a": parse_term("c", delta), "b": parse_term("c", delta),
+        "g": parse_term("g(x1)", delta, ext={"x1"})})
+    rules = [("a", "q0", 2), ("b", "q1", 3), ("g(q0)", "f", 3), ("g(q1)", "f", 2),
+             ("a", "r0", 1), ("b", "r1", 1), ("g(r0)", "s0", 1), ("g(r1)", "s1", 1),
+             ("g(s0)", "f", 1), ("g(s1)", "f", 1)]
+    states = ["q0", "q1", "r0", "r1", "s0", "s1", "f"]
+    A = Automaton(z6, sigma, states, ["f"], [
+        (parse_term(lhs, None, ext=set(states)), q, z6.weight(w), ()) for lhs, q, w in rules])
+    verdict = check_h_unambiguous(A, h, 3)
+    assert h_verdict_key(verdict) == h_verdict_key(naive_h_unambiguous(A, h, 3))
+    assert (verdict.witness[0].text, verdict.witness[1].text) == ("g(g(a))", "g(g(b))")

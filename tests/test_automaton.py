@@ -13,6 +13,7 @@ from treehom import (
     accepting_runs,
     check_run,
     check_unambiguous,
+    eliminate_zero_divisors,
     enumerate_trees,
     eq_restriction_violation,
     evaluate,
@@ -29,12 +30,16 @@ from treehom import (
     support_up_to,
     tree_key,
 )
+from treehom.cli import load_automaton, load_hom
 from oracles import (
     naive_accepting_runs,
     naive_evaluate,
     naive_run_weight,
     naive_runs,
     naive_state_value,
+    naive_unambiguous,
+    random_branching_hom,
+    random_modular_pair,
     random_pair,
     random_wta,
 )
@@ -229,6 +234,63 @@ def test_check_unambiguous(doubling_chain, counting_chain):
     assert witness_tree.text == "a" and len(runs) == 2
 
 
+def unambiguity_key(v):
+    """Everything a check_unambiguous verdict reports, runs as text."""
+    if v.witness is None:
+        return (v.status, v.bound, v.detail, None)
+    t, runs = v.witness
+    return (v.status, v.bound, v.detail, t.text, tuple(format_run(run) for run in runs))
+
+
+def colliding_when_relaxed():
+    """Eq-restricted automaton whose two k rules differ only in their
+    constraint, so they would merge once the constraints are dropped."""
+    return build("natural", [("a", 0), ("g", 1), ("k", 2)], ["q", "qf", "bot"], ["qf"],
+                 ["a -> q @ 1", "g(q) -> q @ 1", "k(q,bot) -> qf @ 1 | 1 = 2",
+                  "k(q,bot) -> qf @ 2", "a -> bot @ 1", "g(bot) -> bot @ 1",
+                  "k(bot,bot) -> bot @ 1"], sink="bot")
+
+
+def unambiguity_instances(data_dir):
+    """(automaton, largest bound) for the unambiguity differential test."""
+    for path in sorted(data_dir.glob("*.aut")):
+        yield load_automaton(path), 4
+    # The two shared images of acceptance check C09: both are ambiguous.
+    for aut, hom in (("arctic_chain", "full_duplication"),
+                     ("counting_chain", "shifted_duplication")):
+        yield hom_image(load_automaton(data_dir / f"{aut}.aut"),
+                        load_hom(data_dir / f"{hom}.hom")), 4
+    yield colliding_when_relaxed(), 4
+    rng = random.Random(2309)
+    for i in range(150):
+        if i % 5 == 4:
+            A, h = random_modular_pair(rng)
+        else:
+            h = random_branching_hom(rng)
+            sr = ("natural", "arctic", "tropical", "boolean", "integer")[i % 5]
+            A = random_wta(rng, h.source, sr, rng.randint(1, 3))
+        image = hom_image(A, h)
+        fixed = eliminate_zero_divisors(image)
+        for B in (image, fixed, linearize(fixed, 1)):
+            yield B, 3
+
+
+def test_check_unambiguous_matches_naive(data_dir):
+    statuses = set()
+    for A, top in unambiguity_instances(data_dir):
+        for bound in range(top + 1):
+            expected = naive_unambiguous(A, bound)
+            assert unambiguity_key(check_unambiguous(A, bound)) == unambiguity_key(expected)
+            statuses.add(expected.status)
+    assert statuses == {"ok", "witness"}
+
+
+def test_check_unambiguous_rules_colliding_when_relaxed():
+    verdict = check_unambiguous(colliding_when_relaxed(), 3)
+    t, runs = verdict.witness
+    assert t.text == "k(a,a)" and [run.weight.value for run in runs] == [1, 2]
+
+
 def test_check_run_accepts_and_rejects(doubling_chain):
     t = parse_term("f(g(a))", doubling_chain.alphabet)
     (run,) = accepting_runs(doubling_chain, t)
@@ -350,6 +412,18 @@ def test_evaluate_tall_chain(doubling_chain):
     for _ in range(5000):
         t = Tree("g", (t,))
     assert evaluate(doubling_chain, Tree("f", (t,))).value == 2**5000
+
+
+def test_evaluate_tall_constrained_pair(doubling_image):
+    # The constraint compares two equal but distinct chains of 3,000 g nodes.
+    def chain(n):
+        t = Tree("a")
+        for _ in range(n):
+            t = Tree("g", (t,))
+        return t
+
+    n = 3000
+    assert evaluate(doubling_image, Tree("k", (chain(n), chain(n + 1)))).value == 2**n
 
 
 def test_evaluator_memoization_is_persistent(doubling_chain):

@@ -4,7 +4,15 @@ import sys
 
 import pytest
 
-from treehom import RankedAlphabet, automata_equal
+from treehom import (
+    RankedAlphabet,
+    automata_equal,
+    bounded_equivalence,
+    eliminate_zero_divisors,
+    hom_image,
+    linearize,
+    wtg_to_wta,
+)
 from treehom.cli import (
     FileFormatError,
     _warn_enumeration,
@@ -16,7 +24,10 @@ from treehom.cli import (
     main,
     parse_automaton,
     parse_hom,
+    verdict_to_dict,
 )
+from oracles import naive_h_unambiguous, naive_unambiguous
+from test_hom import BRANCHING, BRANCHING_SHAPES
 
 AUT_FILES = [
     "doubling_chain.aut",
@@ -448,6 +459,67 @@ def test_cli_check_tetris_free_warns_only_before_a_walk(tmp_path, capsys, memory
         assert err == ""
         assert run_cli("check", "tetris-free", "--hom", str(tetris), "--height", "6") == 2
         assert "warning: enumerating" in capsys.readouterr().err
+
+
+# Deterministic, so unambiguous; g(a) and g(b) reach q0 from different states.
+BRANCHING_AUT = (
+    "semiring: natural\nstates: q0 q1\nfinal: q0\nrules:\n"
+    "a -> q0 @ 1\nb -> q1 @ 1\nf(q0) -> q0 @ 2\nf(q1) -> q1 @ 1\n"
+    "g(q0) -> q0 @ 1\ng(q1) -> q0 @ 3\nm(q0,q0) -> q0 @ 1\nm(q1,q0) -> q1 @ 1\n")
+
+
+def write_branching_shape(tmp_path, kind):
+    """Files for BRANCHING_AUT and the hom of the given BRANCHING_SHAPES kind."""
+    images, target = BRANCHING_SHAPES[kind]
+    aut = tmp_path / "branching.aut"
+    aut.write_text(BRANCHING_AUT)
+    hom = tmp_path / f"{kind}.hom"
+    hom.write_text(
+        "from: " + " ".join(f"{n}/{k}" for n, k in BRANCHING.items()) + "\n"
+        + "to: " + " ".join(f"{n}/{k}" for n, k in target) + "\n"
+        + "".join(f"{n}/{BRANCHING.rank(n)} -> {text}\n" for n, text in images.items()))
+    return aut, hom
+
+
+@pytest.mark.parametrize("kind", ["dup", "merge"])
+def test_cli_decide_check_bound_4_on_branching_shapes(kind, tmp_path, capsys, memory_cap):
+    # About 2.3e8 source trees up to height 4; the enumerating checks need
+    # more memory than the cap allows.
+    aut, hom = write_branching_shape(tmp_path, kind)
+    with memory_cap():
+        code = run_cli("decide", "--automaton", str(aut), "--hom", str(hom),
+                       "--check-bound", "4", "--lin-height", "1", "--eq-bound", "3",
+                       "--format", "machine")
+    payload = json.loads(capsys.readouterr().out)
+    A, h = load_automaton(aut), load_hom(hom)
+    expected = verdict_to_dict(naive_h_unambiguous(A, h, 3))
+    assert payload["h_unambiguous"] == {**expected, "bound": 4}
+    if kind == "merge":
+        assert expected["witness"][:2] == ["g(a)", "g(b)"]
+        assert (code, payload["verdict"]) == (2, "PRECONDITION_VIOLATED")
+        return
+    assert expected["status"] == "ok"
+    fixed = eliminate_zero_divisors(hom_image(A, h))
+    expected = verdict_to_dict(naive_unambiguous(fixed, 3))
+    assert expected["status"] == "ok"
+    assert payload["image_unambiguous"] == {**expected, "bound": 4}
+    equal = bounded_equivalence(fixed, wtg_to_wta(linearize(fixed, 1)), 3).is_ok
+    assert (code, payload["verdict"]) == ((0, "EVIDENCE_REGULAR") if equal
+                                          else (2, "LINEARIZATION_MISMATCH"))
+
+
+def test_cli_decide_warns_only_when_it_will_enumerate(tmp_path, capsys, memory_cap):
+    # Only a hom whose class images do not all clash makes decide walk the
+    # source trees up to the check bound.
+    for kind, warns in (("dup", False), ("tetris", True)):
+        aut, hom = write_branching_shape(tmp_path, kind)
+        with memory_cap():
+            run_cli("decide", "--automaton", str(aut), "--hom", str(hom),
+                    "--check-bound", "6", "--lin-height", "1", "--eq-bound", "3")
+        err = capsys.readouterr().err
+        assert ("warning: enumerating" in err) == warns
+        if not warns:
+            assert err == ""
 
 
 def test_enumeration_warning(capsys):
