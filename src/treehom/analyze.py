@@ -1,4 +1,4 @@
-"""Bounded semantic analyses: equivalence, h-unambiguity, run-count bounds.
+"""Bounded semantic analyses: equivalence and h-unambiguity.
 
 All checks are exhaustive up to an explicit height bound and return a
 Verdict: either clean-up-to-bound or the first concrete witness in the
@@ -17,7 +17,6 @@ from .automaton import (
     first_diverging_height,
     run_state_map,
 )
-from .construct import linearize
 from .hom import TreeHomomorphism, images_clash
 from .term import Tree, format_position, tree_key
 from .verdict import Verdict, verified, violated
@@ -104,24 +103,4 @@ def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) ->
                             f"runs on {ref_tree.text} and {s.text} disagree at "
                             f"position {format_position(p)}: {ref_map[p]} vs {cur[p]}",
                         )
-    return verified(height_bound)
-
-
-def run_count_compare(A: Automaton, lin_height: int, height_bound: int) -> Verdict:
-    """Check that linearization never creates accepting runs: on every tree of
-    height <= bound, the linearized automaton has at most as many accepting
-    runs as A.  Witness payload: (tree, lin count, original count)."""
-    L = linearize(A, lin_height)
-    ta = RunsTable(A, height_bound)
-    tl = RunsTable(L, height_bound)
-    trees = sorted(set(ta.trees) | set(tl.trees), key=tree_key)
-    for t in trees:
-        ca = len(ta.accepting_runs(t))
-        cl = len(tl.accepting_runs(t))
-        if cl > ca:
-            return violated(
-                height_bound,
-                (t, cl, ca),
-                f"{cl} linearized vs {ca} original accepting runs on {t.text}",
-            )
     return verified(height_bound)

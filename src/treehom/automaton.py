@@ -346,10 +346,6 @@ def eq_restriction_violation(A: Automaton) -> str | None:
     return None
 
 
-def is_eq_restricted(A: Automaton) -> bool:
-    return eq_restriction_violation(A) is None
-
-
 def match_lhs(rule: Rule, t: Tree):
     """Subtrees captured at the rule's state positions, or None if no match."""
     out = []
@@ -431,36 +427,6 @@ def run_state_map(run: Run) -> dict[Position, str]:
         for sp, q in run_state_map(sub).items():
             out[p + sp] = q
     return out
-
-
-def check_run(A: Automaton, run: Run, expect_tree: Tree | None = None,
-              expect_state: str | None = None):
-    """Self-consistency of a run; raises AutomatonError on any violation."""
-    if run.rule.index < 0 or run.rule.index >= len(A.rules) or \
-            A.rules[run.rule.index] is not run.rule:
-        raise AutomatonError("run uses a rule not belonging to this automaton")
-    rule = run.rule
-    if len(run.subruns) != len(rule.state_positions):
-        raise AutomatonError("run arity does not match the rule's state positions")
-    for lbl, sub in zip(rule.state_labels, run.subruns):
-        if sub.target != lbl:
-            raise AutomatonError(
-                f"child run targets {sub.target}, rule expects {lbl}"
-            )
-        check_run(A, sub)
-    subs = [sub.subject for sub in run.subruns]
-    if not constraints_ok(rule, subs):
-        raise AutomatonError(f"constraint violated by run on {run.subject.text}")
-    sr = A.semiring
-    val = rule.weight.value
-    for sub in run.subruns:
-        val = sr.mul(val, sub.weight.value)
-    if val != run.weight.value:
-        raise AutomatonError("run weight does not equal rule weight times child weights")
-    if expect_tree is not None and run.subject != expect_tree:
-        raise AutomatonError(f"run subject {run.subject.text} != {expect_tree.text}")
-    if expect_state is not None and run.target != expect_state:
-        raise AutomatonError(f"run target {run.target} != {expect_state}")
 
 
 def _check_ground(A: Automaton, t: Tree):
@@ -614,14 +580,6 @@ def evaluate(A: Automaton, t: Tree) -> Weight:
     return Evaluator(A).evaluate(t)
 
 
-def state_weight(A: Automaton, t: Tree, q: str) -> Weight:
-    """wt_q(t): sum of the weights of all runs for t to state q."""
-    _check_ground(A, t)
-    if q not in A.states:
-        raise AutomatonError(f"undeclared state: {q}")
-    return Weight(A.semiring, Evaluator(A).state_value(t, q))
-
-
 def runs_to_state(A: Automaton, t: Tree, q: str) -> tuple[Run, ...]:
     """All runs for t to q, ordered by (rule index, child-run order)."""
     _check_ground(A, t)
@@ -723,16 +681,6 @@ def support_up_to(A: Automaton, height_bound: int):
     """All (tree, weight) with nonzero series value and height <= bound, in
     (height, size, text) order."""
     return RunsTable(A, height_bound).support()
-
-
-def state_language_up_to(A: Automaton, q: str, height_bound: int):
-    """All (tree, wt_q(tree)) with nonzero value and height <= bound."""
-    if q not in A.states:
-        raise AutomatonError(f"undeclared state: {q}")
-    if q == A.pure_sink:
-        one = A.semiring.one_weight
-        return [(t, one) for t in enumerate_trees(A.alphabet, height_bound)]
-    return RunsTable(A, height_bound).state_trees(q)
 
 
 def first_diverging_height(rules, finals, height_bound: int):

@@ -682,6 +682,12 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input nests too deeply for the recursion limit", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""Automaton constructions: WTG-to-WTA normalization, homomorphic images,
-zero-divisor elimination, boolean projection, and linearization.
+"""Automaton constructions: homomorphic images, zero-divisor elimination,
+boolean projection, linearization, and the canonical rule order.
 
 All constructions are deterministic: fresh-state naming, rule merging, and
 emission orders depend only on the input automaton's canonical data.
@@ -15,9 +15,6 @@ from itertools import product
 from .automaton import (
     Automaton,
     AutomatonError,
-    Evaluator,
-    Rule,
-    Run,
     RunsTable,
     eq_restriction_violation,
 )
@@ -26,7 +23,6 @@ from .semiring import Weight, get_semiring, power_index_period
 from .term import (
     RankedAlphabet,
     Tree,
-    format_position,
     positions,
     replace_at,
     subtree_at,
@@ -39,55 +35,6 @@ def _fresh_name(base: str, taken) -> str:
     while name in taken:
         name += "_"
     return name
-
-
-def wtg_to_wta(G: Automaton) -> Automaton:
-    """Flatten deep left-hand sides of a WTG by introducing fresh weight-one
-    intermediate states, one per proper symbol position of each deep rule.
-
-    Returns the input unchanged when it is already a WTA.
-    """
-    if not G.is_wtg:
-        raise AutomatonError("input has nontrivial constraints, not a WTG")
-    if G.is_wta:
-        return G
-    taken = set(G.states) | set(G.alphabet.names())
-    states = list(G.states)
-    one = G.semiring.one_weight
-    out_rules = []
-
-    def fresh(rule_index, p):
-        name = _fresh_name(
-            f"n{rule_index}p{format_position(p).replace('.', '_')}", taken
-        )
-        taken.add(name)
-        states.append(name)
-        return name
-
-    for rule in G.rules:
-        state_set = rule._states
-
-        def flatten(node: Tree, p, rule_index) -> str:
-            """Emit rules grounding node; return the state recognizing it."""
-            if node.label in state_set:
-                return node.label
-            child_states = [
-                flatten(c, p + (i,), rule_index)
-                for i, c in enumerate(node.children, start=1)
-            ]
-            q = fresh(rule_index, p)
-            out_rules.append((Tree(node.label, [Tree(s) for s in child_states]), q, one))
-            return q
-
-        lhs = rule.lhs
-        child_states = [
-            flatten(c, (i,), rule.index) for i, c in enumerate(lhs.children, start=1)
-        ]
-        out_rules.append(
-            (Tree(lhs.label, [Tree(s) for s in child_states]), rule.target, rule.weight)
-        )
-
-    return Automaton(G.semiring, G.alphabet, states, G.finals, out_rules, sink=G.sink)
 
 
 def _merge_rules(semiring, rule_specs):
@@ -163,42 +110,6 @@ def hom_image(A: Automaton, h: TreeHomomorphism) -> Automaton:
     rules.extend(_sink_rule_specs(h.target, A.semiring, sink))
     states = list(A.states) + [sink]
     return Automaton(A.semiring, h.target, states, A.finals, rules, sink=sink)
-
-
-def run_image(A: Automaton, h: TreeHomomorphism, run: Run, image: Automaton) -> Run:
-    """Map a run of the WTA A to the corresponding run of image = hom_image(A, h):
-    child runs land on the lex-least variable occurrences, sink runs fill the
-    remaining copies of the (constraint-equal) subtrees."""
-    sink = image.sink
-    # An image rule's pairs tie each variable's first occurrence to its other
-    # occurrences, so as a set they equal the pairs of its constraint classes.
-    by_key = {(r.lhs, frozenset(r.pairs), r.target): r for r in image.rules}
-    image_rule_of = {}
-    for rule, (lhs, target, _, pairs) in zip(A.rules, _image_rule_specs(A, h, sink)):
-        img_rule = by_key.get((lhs, frozenset(pairs), target))
-        if img_rule is None:
-            raise AutomatonError(
-                f"no image rule for source rule '{rule.text}' "
-                f"(merged away by weight cancellation)"
-            )
-        image_rule_of[rule.index] = img_rule
-    sink_runs = Evaluator(image)
-
-    def convert(run: Run) -> Run:
-        img_rule = image_rule_of[run.rule.index]
-        occ = _variable_occurrences(
-            h.image_of(run.rule.lhs.label), len(run.rule.state_labels)
-        )
-        sub_at: dict = {}
-        for i, sub in enumerate(run.subruns, start=1):
-            ps = occ[i]
-            sub_at[ps[0]] = convert(sub)
-            for p in ps[1:]:
-                (sub_at[p],) = sink_runs.runs(h.apply(sub.subject), sink)
-        subruns = [sub_at[p] for p in img_rule.state_positions]
-        return Run(img_rule, subruns, img_rule.plug([sub.subject for sub in subruns]))
-
-    return convert(run)
 
 
 def _non_one_weights(A: Automaton):
@@ -439,81 +350,3 @@ def canonical_form(A: Automaton) -> Automaton:
     )
     return Automaton(A.semiring, A.alphabet, sorted(A.states), A.finals, rules,
                      sink=A.sink)
-
-
-def _erased_rule_key(A: Automaton, rule: Rule):
-    sink = A.sink
-    final_set = set(A.finals)
-
-    def erase(t: Tree) -> Tree:
-        if t.label in rule._states:
-            return Tree("_" if t.label != sink else "__sink__")
-        return Tree(t.label, [erase(c) for c in t.children])
-
-    return (
-        erase(rule.lhs).text,
-        rule.constraint_text(),
-        str(rule.weight),
-        rule.target == sink,
-        rule.target in final_set,
-        tuple(lbl == sink for lbl in rule.state_labels),
-        tuple(lbl in final_set for lbl in rule.state_labels),
-    )
-
-
-def canonical_rename(A: Automaton) -> Automaton:
-    """Rename states by first use: the sink becomes `bot`, other states s0,
-    s1, ... in the order they appear scanning rules sorted by a name-erased
-    key.  Canonicalizes away state naming for isomorphism-style comparison."""
-    mapping: dict[str, str] = {}
-    if A.sink is not None:
-        mapping[A.sink] = "bot"
-
-    def assign(q):
-        if q not in mapping:
-            mapping[q] = f"s{len(mapping) - (1 if A.sink is not None else 0)}"
-
-    order = sorted(A.rules, key=lambda r: (_erased_rule_key(A, r), r.text))
-    for rule in order:
-        for lbl in rule.state_labels:
-            assign(lbl)
-        assign(rule.target)
-    for q in sorted(A.finals):
-        assign(q)
-    for q in sorted(A.states):
-        assign(q)
-
-    def rename_tree(t: Tree) -> Tree:
-        if t.label in mapping and not t.children:
-            return Tree(mapping[t.label])
-        return Tree(t.label, [rename_tree(c) for c in t.children])
-
-    rules = [
-        (rename_tree(r.lhs), mapping[r.target], r.weight, r.pairs)
-        for r in A.rules
-    ]
-    return canonical_form(
-        Automaton(
-            A.semiring,
-            A.alphabet,
-            [mapping[q] for q in A.states],
-            [mapping[q] for q in A.finals],
-            rules,
-            sink=None if A.sink is None else "bot",
-        )
-    )
-
-
-def automata_equal(A: Automaton, B: Automaton, rename: bool = False) -> bool:
-    """Equality of canonical forms; with rename=True, compare after
-    first-use state renaming (isomorphism up to the documented tiebreak)."""
-    if rename:
-        A, B = canonical_rename(A), canonical_rename(B)
-    else:
-        A, B = canonical_form(A), canonical_form(B)
-    if A.semiring != B.semiring or A.alphabet != B.alphabet:
-        return False
-    if A.states != B.states or A.finals != B.finals or A.sink != B.sink:
-        return False
-    key = lambda r: (r.lhs, r.classes, r.target, r.weight.value)
-    return [key(r) for r in A.rules] == [key(r) for r in B.rules]

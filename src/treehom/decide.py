@@ -26,7 +26,6 @@ from .construct import (
     hom_image,
     linearize,
     project_boolean,
-    wtg_to_wta,
 )
 from .hom import TreeHomomorphism, check_tetris_free
 from .verdict import Verdict
@@ -175,8 +174,9 @@ def decide_hom_regularity(A: Automaton, h: TreeHomomorphism, *, check_bound: int
             report.warnings.append(diagnostic)
     else:
         report.linearized = linearize(report.fixed_image, lin_height)
-        normalized = wtg_to_wta(report.linearized)
-        report.equivalence = bounded_equivalence(report.fixed_image, normalized, eq_bound)
+        report.equivalence = bounded_equivalence(
+            report.fixed_image, report.linearized, eq_bound
+        )
         if report.equivalence.is_ok:
             report.verdict = EVIDENCE_REGULAR
         else:

@@ -55,9 +55,6 @@ class Semiring:
         """Deterministic sample of carrier values for law checking."""
         return self.elements()
 
-    def weight(self, v) -> "Weight":
-        return Weight(self, v)
-
     def parse(self, text: str) -> "Weight":
         return Weight(self, self.parse_value(text))
 
@@ -315,12 +312,6 @@ def get_semiring(name: str) -> Semiring:
             raise SemiringError(f"unknown semiring: {name!r}")
         _CACHE[key] = ModularSemiring(int(m.group(1)))
     return _CACHE[key]
-
-
-def parse_weight(semiring, text: str) -> Weight:
-    """Parse a weight literal in the given semiring (id string or instance)."""
-    sr = get_semiring(semiring) if isinstance(semiring, str) else semiring
-    return sr.parse(text)
 
 
 def power_index_period(w: Weight) -> tuple[int, int]:

@@ -1,36 +1,46 @@
 """Independent brute-force reference implementations and random instance
 generators used by the test suite.  Everything here recomputes results from
 first principles so the package code has something honest to be compared
-against."""
+against.  The constructions and run checks at the end serve only the tests;
+``wtg_to_wta``, the WTA normalization of a WTG, is the reference that
+``bounded_equivalence`` on a WTG must agree with."""
 
 from itertools import product
 
 from treehom import (
     Automaton,
     AutomatonError,
+    Evaluator,
     RunsTable,
+    canonical_form,
     dickson_cap,
     eq_restriction_violation,
     RankedAlphabet,
+    Rule,
     Run,
     Tree,
     TreeHomomorphism,
+    Verdict,
     Weight,
     enumerate_trees,
     format_position,
     get_semiring,
     hom_image,
+    linearize,
     positions,
     replace_at,
     run_state_map,
     subtree_at,
+    tree_key,
 )
+from treehom.automaton import constraints_ok
 from treehom.construct import (
     _fresh_name,
     _image_rule_specs,
     _merge_rules,
     _non_one_weights,
     _sink_rule_specs,
+    _variable_occurrences,
 )
 from treehom.verdict import verified, violated
 
@@ -485,7 +495,7 @@ def random_modular_pair(rng):
             continue
         weights = pool + [rng.choice(pool + [1, 1]) for _ in lhss[n:]]
         rng.shuffle(weights)
-        rules = [(lhs, rng.choice(states), sr.weight(w), ()) for lhs, w in zip(lhss, weights)]
+        rules = [(lhs, rng.choice(states), Weight(sr, w), ()) for lhs, w in zip(lhss, weights)]
         finals = sorted(rng.sample(states, rng.randint(1, 2)))
         A = Automaton(sr, h.source, states, finals, rules)
         if all(_universe_size(B) <= 81 for B in (with_sink(A), hom_image(A, h))):
@@ -497,3 +507,226 @@ def with_sink(A, sink="bot"):
     return Automaton(A.semiring, A.alphabet, list(A.states) + [sink], A.finals,
                      list(A.rules) + _sink_rule_specs(A.alphabet, A.semiring, sink),
                      sink=sink)
+
+
+# Reference constructions and run checks that only the tests use.
+
+
+def check_run(A: Automaton, run: Run, expect_tree: Tree | None = None,
+              expect_state: str | None = None):
+    """Self-consistency of a run; raises AutomatonError on any violation."""
+    if run.rule.index < 0 or run.rule.index >= len(A.rules) or \
+            A.rules[run.rule.index] is not run.rule:
+        raise AutomatonError("run uses a rule not belonging to this automaton")
+    rule = run.rule
+    if len(run.subruns) != len(rule.state_positions):
+        raise AutomatonError("run arity does not match the rule's state positions")
+    for lbl, sub in zip(rule.state_labels, run.subruns):
+        if sub.target != lbl:
+            raise AutomatonError(
+                f"child run targets {sub.target}, rule expects {lbl}"
+            )
+        check_run(A, sub)
+    subs = [sub.subject for sub in run.subruns]
+    if not constraints_ok(rule, subs):
+        raise AutomatonError(f"constraint violated by run on {run.subject.text}")
+    sr = A.semiring
+    val = rule.weight.value
+    for sub in run.subruns:
+        val = sr.mul(val, sub.weight.value)
+    if val != run.weight.value:
+        raise AutomatonError("run weight does not equal rule weight times child weights")
+    if expect_tree is not None and run.subject != expect_tree:
+        raise AutomatonError(f"run subject {run.subject.text} != {expect_tree.text}")
+    if expect_state is not None and run.target != expect_state:
+        raise AutomatonError(f"run target {run.target} != {expect_state}")
+
+
+def state_language_up_to(A: Automaton, q: str, height_bound: int):
+    """All (tree, wt_q(tree)) with nonzero value and height <= bound."""
+    if q not in A.states:
+        raise AutomatonError(f"undeclared state: {q}")
+    if q == A.pure_sink:
+        one = A.semiring.one_weight
+        return [(t, one) for t in enumerate_trees(A.alphabet, height_bound)]
+    return RunsTable(A, height_bound).state_trees(q)
+
+
+def wtg_to_wta(G: Automaton) -> Automaton:
+    """Flatten deep left-hand sides of a WTG by introducing fresh weight-one
+    intermediate states, one per proper symbol position of each deep rule.
+
+    Returns the input unchanged when it is already a WTA.
+    """
+    if not G.is_wtg:
+        raise AutomatonError("input has nontrivial constraints, not a WTG")
+    if G.is_wta:
+        return G
+    taken = set(G.states) | set(G.alphabet.names())
+    states = list(G.states)
+    one = G.semiring.one_weight
+    out_rules = []
+
+    def fresh(rule_index, p):
+        name = _fresh_name(
+            f"n{rule_index}p{format_position(p).replace('.', '_')}", taken
+        )
+        taken.add(name)
+        states.append(name)
+        return name
+
+    for rule in G.rules:
+        state_set = rule._states
+
+        def flatten(node: Tree, p, rule_index) -> str:
+            """Emit rules grounding node; return the state recognizing it."""
+            if node.label in state_set:
+                return node.label
+            child_states = [
+                flatten(c, p + (i,), rule_index)
+                for i, c in enumerate(node.children, start=1)
+            ]
+            q = fresh(rule_index, p)
+            out_rules.append((Tree(node.label, [Tree(s) for s in child_states]), q, one))
+            return q
+
+        lhs = rule.lhs
+        child_states = [
+            flatten(c, (i,), rule.index) for i, c in enumerate(lhs.children, start=1)
+        ]
+        out_rules.append(
+            (Tree(lhs.label, [Tree(s) for s in child_states]), rule.target, rule.weight)
+        )
+
+    return Automaton(G.semiring, G.alphabet, states, G.finals, out_rules, sink=G.sink)
+
+
+def run_image(A: Automaton, h: TreeHomomorphism, run: Run, image: Automaton) -> Run:
+    """Map a run of the WTA A to the corresponding run of image = hom_image(A, h):
+    child runs land on the lex-least variable occurrences, sink runs fill the
+    remaining copies of the (constraint-equal) subtrees."""
+    sink = image.sink
+    # An image rule's pairs tie each variable's first occurrence to its other
+    # occurrences, so as a set they equal the pairs of its constraint classes.
+    by_key = {(r.lhs, frozenset(r.pairs), r.target): r for r in image.rules}
+    image_rule_of = {}
+    for rule, (lhs, target, _, pairs) in zip(A.rules, _image_rule_specs(A, h, sink)):
+        img_rule = by_key.get((lhs, frozenset(pairs), target))
+        if img_rule is None:
+            raise AutomatonError(
+                f"no image rule for source rule '{rule.text}' "
+                f"(merged away by weight cancellation)"
+            )
+        image_rule_of[rule.index] = img_rule
+    sink_runs = Evaluator(image)
+
+    def convert(run: Run) -> Run:
+        img_rule = image_rule_of[run.rule.index]
+        occ = _variable_occurrences(
+            h.image_of(run.rule.lhs.label), len(run.rule.state_labels)
+        )
+        sub_at: dict = {}
+        for i, sub in enumerate(run.subruns, start=1):
+            ps = occ[i]
+            sub_at[ps[0]] = convert(sub)
+            for p in ps[1:]:
+                (sub_at[p],) = sink_runs.runs(h.apply(sub.subject), sink)
+        subruns = [sub_at[p] for p in img_rule.state_positions]
+        return Run(img_rule, subruns, img_rule.plug([sub.subject for sub in subruns]))
+
+    return convert(run)
+
+
+def _erased_rule_key(A: Automaton, rule: Rule):
+    sink = A.sink
+    final_set = set(A.finals)
+
+    def erase(t: Tree) -> Tree:
+        if t.label in rule._states:
+            return Tree("_" if t.label != sink else "__sink__")
+        return Tree(t.label, [erase(c) for c in t.children])
+
+    return (
+        erase(rule.lhs).text,
+        rule.constraint_text(),
+        str(rule.weight),
+        rule.target == sink,
+        rule.target in final_set,
+        tuple(lbl == sink for lbl in rule.state_labels),
+        tuple(lbl in final_set for lbl in rule.state_labels),
+    )
+
+
+def canonical_rename(A: Automaton) -> Automaton:
+    """Rename states by first use: the sink becomes `bot`, other states s0,
+    s1, ... in the order they appear scanning rules sorted by a name-erased
+    key.  Canonicalizes away state naming for isomorphism-style comparison."""
+    mapping: dict[str, str] = {}
+    if A.sink is not None:
+        mapping[A.sink] = "bot"
+
+    def assign(q):
+        if q not in mapping:
+            mapping[q] = f"s{len(mapping) - (1 if A.sink is not None else 0)}"
+
+    order = sorted(A.rules, key=lambda r: (_erased_rule_key(A, r), r.text))
+    for rule in order:
+        for lbl in rule.state_labels:
+            assign(lbl)
+        assign(rule.target)
+    for q in sorted(A.finals):
+        assign(q)
+    for q in sorted(A.states):
+        assign(q)
+
+    def rename_tree(t: Tree) -> Tree:
+        if t.label in mapping and not t.children:
+            return Tree(mapping[t.label])
+        return Tree(t.label, [rename_tree(c) for c in t.children])
+
+    rules = [
+        (rename_tree(r.lhs), mapping[r.target], r.weight, r.pairs)
+        for r in A.rules
+    ]
+    return canonical_form(
+        Automaton(
+            A.semiring,
+            A.alphabet,
+            [mapping[q] for q in A.states],
+            [mapping[q] for q in A.finals],
+            rules,
+            sink=None if A.sink is None else "bot",
+        )
+    )
+
+
+def automata_equal(A: Automaton, B: Automaton) -> bool:
+    """Equality of canonical forms.  Compare the `canonical_rename` of both
+    sides for isomorphism up to the documented tiebreak."""
+    A, B = canonical_form(A), canonical_form(B)
+    if A.semiring != B.semiring or A.alphabet != B.alphabet:
+        return False
+    if A.states != B.states or A.finals != B.finals or A.sink != B.sink:
+        return False
+    key = lambda r: (r.lhs, r.classes, r.target, r.weight.value)
+    return [key(r) for r in A.rules] == [key(r) for r in B.rules]
+
+
+def run_count_compare(A: Automaton, lin_height: int, height_bound: int) -> Verdict:
+    """Check that linearization never creates accepting runs: on every tree of
+    height <= bound, the linearized automaton has at most as many accepting
+    runs as A.  Witness payload: (tree, lin count, original count)."""
+    L = linearize(A, lin_height)
+    ta = RunsTable(A, height_bound)
+    tl = RunsTable(L, height_bound)
+    trees = sorted(set(ta.trees) | set(tl.trees), key=tree_key)
+    for t in trees:
+        ca = len(ta.accepting_runs(t))
+        cl = len(tl.accepting_runs(t))
+        if cl > ca:
+            return violated(
+                height_bound,
+                (t, cl, ca),
+                f"{cl} linearized vs {ca} original accepting runs on {t.text}",
+            )
+    return verified(height_bound)

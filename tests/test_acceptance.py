@@ -16,9 +16,7 @@ from treehom import (
     RunsTable,
     TreeHomomorphism,
     accepting_runs,
-    automata_equal,
     bounded_equivalence,
-    canonical_rename,
     check_h_unambiguous,
     check_tetris_free,
     check_unambiguous,
@@ -30,11 +28,10 @@ from treehom import (
     linearize,
     parse_term,
     project_boolean,
-    run_count_compare,
     support_up_to,
 )
 
-from oracles import random_pair
+from oracles import automata_equal, canonical_rename, random_pair, run_count_compare
 
 
 @contextmanager
@@ -59,7 +56,7 @@ def test_c02_image_construction_golden(doubling_chain, duplicating_hom,
                                         doubling_image):
     with accept("C02", "homomorphic image equals the bundled constrained automaton"):
         img = hom_image(doubling_chain, duplicating_hom)
-        assert automata_equal(img, doubling_image, rename=True)
+        assert automata_equal(canonical_rename(img), canonical_rename(doubling_image))
         renamed = canonical_rename(img)
         reference = canonical_rename(doubling_image)
         assert [r.text for r in renamed.rules] == [r.text for r in reference.rules]
@@ -136,7 +133,7 @@ def test_c08_projection_commutes_with_linearization(doubling_image):
         for lin_height in (0, 1, 2):
             left = project_boolean(linearize(doubling_image, lin_height))
             right = linearize(project_boolean(doubling_image), lin_height)
-            assert automata_equal(left, right, rename=True)
+            assert automata_equal(canonical_rename(left), canonical_rename(right))
 
 
 def test_c09_shared_image_ambiguity(arctic_chain, full_duplication,

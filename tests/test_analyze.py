@@ -8,9 +8,11 @@ from treehom import (
     RankedAlphabet,
     Tree,
     TreeHomomorphism,
+    Weight,
     bounded_equivalence,
     check_h_unambiguous,
     check_tetris_free,
+    eliminate_zero_divisors,
     enumerate_trees,
     evaluate,
     format_run,
@@ -18,17 +20,19 @@ from treehom import (
     hom_image,
     linearize,
     parse_term,
-    run_count_compare,
-    wtg_to_wta,
 )
+from treehom.cli import load_automaton, load_hom, verdict_to_dict
 from treehom.hom import images_clash
 from oracles import (
     BRANCHING_SOURCES,
     naive_evaluate,
     naive_h_unambiguous,
     random_branching_hom,
+    random_modular_pair,
     random_pair,
     random_wta,
+    run_count_compare,
+    wtg_to_wta,
 )
 
 NAT = get_semiring("natural")
@@ -60,9 +64,9 @@ def test_bounded_equivalence_reports_first_witness_in_order():
     # Two single-rule automata differing everywhere: the smallest tree wins.
     alphabet = RankedAlphabet([("a", 0), ("g", 1)])
     one = Automaton(NAT, alphabet, ["q"], ["q"],
-                    [(Tree("a", ()), "q", NAT.weight(1), ())])
+                    [(Tree("a", ()), "q", Weight(NAT, 1), ())])
     two = Automaton(NAT, alphabet, ["q"], ["q"],
-                    [(Tree("a", ()), "q", NAT.weight(2), ())])
+                    [(Tree("a", ()), "q", Weight(NAT, 2), ())])
     verdict = bounded_equivalence(one, two, 3)
     t, va, vb = verdict.witness
     assert t.text == "a" and (va.value, vb.value) == (1, 2)
@@ -90,6 +94,38 @@ def test_bounded_equivalence_matches_brute_force():
                     assert verdict.witness[0] == diffs[0]
 
 
+def _equivalence_instances(data_dir):
+    """Zero-divisor-fixed images: every bundled WTA and hom over one
+    alphabet, then seeded random pairs over six semirings and modular pairs."""
+    for aut in sorted(data_dir.glob("*.aut")):
+        for hom in sorted(data_dir.glob("*.hom")):
+            A, h = load_automaton(aut), load_hom(hom)
+            if A.is_wta and A.alphabet == h.source:
+                yield f"{aut.name} x {hom.name}", A, h
+    rng = random.Random(47)
+    for sr_id in ("boolean", "natural", "integer", "tropical", "arctic", "z6"):
+        for i in range(4):
+            yield f"{sr_id} #{i}", *random_pair(rng, sr_id)
+    for i in range(4):
+        yield f"modular #{i}", *random_modular_pair(rng)
+
+
+def test_bounded_equivalence_on_a_wtg_matches_its_wta_normalization(data_dir):
+    # decide compares the image with its linearization, a WTG, directly; the
+    # WTA normalization recognizes the same series, so every verdict, its
+    # detail and its witness texts must be the same on both.
+    outcomes = set()
+    for name, A, h in _equivalence_instances(data_dir):
+        fixed = eliminate_zero_divisors(hom_image(A, h))
+        for lin_height in (0, 1, 2):
+            L = linearize(fixed, lin_height)
+            direct = verdict_to_dict(bounded_equivalence(fixed, L, 4))
+            flat = verdict_to_dict(bounded_equivalence(fixed, wtg_to_wta(L), 4))
+            assert direct == flat, (name, lin_height)
+            outcomes.add(direct["status"])
+    assert outcomes == {"ok", "witness"}
+
+
 def test_h_unambiguous_ok(doubling_chain, duplicating_hom, identity_hom):
     assert check_h_unambiguous(doubling_chain, duplicating_hom, 4).is_ok
     assert check_h_unambiguous(doubling_chain, identity_hom, 4).is_ok
@@ -114,10 +150,10 @@ def test_h_unambiguous_detects_injective_instances():
     alphabet = RankedAlphabet([("a", 0), ("g", 1)])
     ambiguous = Automaton(
         NAT, alphabet, ["q", "p"], ["q", "p"],
-        [(Tree("a", ()), "q", NAT.weight(1), ()),
-         (Tree("a", ()), "p", NAT.weight(1), ()),
-         (Tree("g", (Tree("q", ()),)), "q", NAT.weight(1), ()),
-         (Tree("g", (Tree("p", ()),)), "p", NAT.weight(1), ())])
+        [(Tree("a", ()), "q", Weight(NAT, 1), ()),
+         (Tree("a", ()), "p", Weight(NAT, 1), ()),
+         (Tree("g", (Tree("q", ()),)), "q", Weight(NAT, 1), ()),
+         (Tree("g", (Tree("p", ()),)), "p", Weight(NAT, 1), ())])
     from treehom import TreeHomomorphism
     ident = TreeHomomorphism(alphabet, alphabet, {
         "a": parse_term("a", alphabet),
@@ -223,7 +259,7 @@ def test_h_unambiguous_zero_weight_divergence_keeps_the_full_search():
              ("g(s0)", "f", 1), ("g(s1)", "f", 1)]
     states = ["q0", "q1", "r0", "r1", "s0", "s1", "f"]
     A = Automaton(z6, sigma, states, ["f"], [
-        (parse_term(lhs, None, ext=set(states)), q, z6.weight(w), ()) for lhs, q, w in rules])
+        (parse_term(lhs, None, ext=set(states)), q, Weight(z6, w), ()) for lhs, q, w in rules])
     verdict = check_h_unambiguous(A, h, 3)
     assert h_verdict_key(verdict) == h_verdict_key(naive_h_unambiguous(A, h, 3))
     assert (verdict.witness[0].text, verdict.witness[1].text) == ("g(g(a))", "g(g(b))")

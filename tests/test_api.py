@@ -1,0 +1,54 @@
+"""The public API holds only what the package itself or the README uses."""
+
+import ast
+import re
+from pathlib import Path
+
+import treehom
+
+PACKAGE = Path(treehom.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class _Loads(ast.NodeVisitor):
+    """Names a module loads, each outside the function or class that
+    defines a name of that spelling (so recursion is no use)."""
+
+    def __init__(self):
+        self.names = set()
+        self.enclosing = []
+
+    def _scope(self, node):
+        self.enclosing.append(node.name)
+        self.generic_visit(node)
+        self.enclosing.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scope
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and node.id not in self.enclosing:
+            self.names.add(node.id)
+
+
+def package_uses():
+    loads = _Loads()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            loads.visit(ast.parse(path.read_text(encoding="utf-8")))
+    return loads.names
+
+
+def readme_tour_names():
+    """Identifiers in the code of the README's library tour: its table, its
+    quick session and the paragraphs up to the command-line section."""
+    text = README.read_text(encoding="utf-8")
+    tour = text[text.index("## Library tour"):text.index("## Command line")]
+    code = re.findall(r"```python\n(.*?)```", tour, re.S) + re.findall(r"`([^`\n]+)`", tour)
+    return {name for span in code for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def test_every_exported_name_has_a_use():
+    used = package_uses() | readme_tour_names()
+    unused = [name for name in treehom.__all__ if name not in used]
+    assert unused == []
+

@@ -11,7 +11,6 @@ from treehom import (
     Tree,
     Weight,
     accepting_runs,
-    check_run,
     check_unambiguous,
     eliminate_zero_divisors,
     enumerate_trees,
@@ -20,18 +19,16 @@ from treehom import (
     format_run,
     get_semiring,
     hom_image,
-    is_eq_restricted,
     linearize,
     parse_term,
     run_state_map,
     runs_to_state,
-    state_language_up_to,
-    state_weight,
     support_up_to,
     tree_key,
 )
 from treehom.cli import load_automaton, load_hom
 from oracles import (
+    check_run,
     naive_accepting_runs,
     naive_evaluate,
     naive_run_weight,
@@ -42,6 +39,7 @@ from oracles import (
     random_modular_pair,
     random_pair,
     random_wta,
+    state_language_up_to,
 )
 
 NAT = get_semiring("natural")
@@ -125,8 +123,9 @@ def test_runs_to_state(doubling_chain):
 
 def test_state_weight(doubling_chain):
     t = parse_term("g(g(a))", doubling_chain.alphabet)
-    assert state_weight(doubling_chain, t, "q").value == 4
-    assert state_weight(doubling_chain, t, "qf").is_zero
+    chart = Evaluator(doubling_chain)
+    assert chart.state_value(t, "q") == 4
+    assert chart.state_value(t, "qf") == doubling_chain.semiring.zero
 
 
 def test_nondeterminism_sums_run_weights(counting_chain):
@@ -171,8 +170,8 @@ def test_classification(doubling_chain, doubling_image, constrained_pair):
 
 
 def test_eq_restriction_verdicts(doubling_image, constrained_pair, z6_chain):
-    assert is_eq_restricted(doubling_image)
-    assert is_eq_restricted(z6_chain)
+    assert eq_restriction_violation(doubling_image) is None
+    assert eq_restriction_violation(z6_chain) is None
     reason = eq_restriction_violation(constrained_pair)
     assert reason is not None and "sink" in reason
 
