@@ -27,7 +27,6 @@ from .automaton import (
     support_up_to,
 )
 from .construct import (
-    canonical_form,
     dickson_cap,
     eliminate_zero_divisors,
     hom_image,
@@ -121,7 +120,6 @@ __all__ = [
     "Weight",
     "accepting_runs",
     "bounded_equivalence",
-    "canonical_form",
     "check_h_unambiguous",
     "check_tetris_free",
     "check_unambiguous",

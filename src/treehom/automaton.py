@@ -23,11 +23,14 @@ prove it) use `RunsTable`, which fills it by height layers instead: layer h
 instantiates the rules over the trees of the layers below, since each rule
 application adds height, and records the applications it builds, so it never
 matches.  Trees without a run to a real state evaluate to zero and carry no
-accepting runs, so nothing is missed.
+accepting runs, so nothing is missed.  Neither fill needs a reachability
+pre-pass: a rule whose states no tree reaches finds no child runs in a cell
+and no trees in a layer, so it adds nothing.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 
 from .semiring import Semiring, Weight
@@ -230,8 +233,6 @@ class Automaton:
         self.rules = tuple(prepared)
         for i, rule in enumerate(self.rules):
             rule.index = i
-        self._pure_sink_cache = -1  # not computed yet
-        self._chart_rules = None
 
     @property
     def is_wtg(self) -> bool:
@@ -246,26 +247,33 @@ class Automaton:
                 return False
         return True
 
-    @property
+    @cached_property
     def pure_sink(self) -> str | None:
         """The sink name if it has exactly the weight-one sink rules, else None."""
-        if self._pure_sink_cache == -1:
-            self._pure_sink_cache = None
-            if self.sink is not None and _sink_shape_violation(self) is None:
-                self._pure_sink_cache = self.sink
-        return self._pure_sink_cache
+        if self.sink is not None and _sink_shape_violation(self) is None:
+            return self.sink
+        return None
+
+    @cached_property
+    def chart_rules(self):
+        """(index, sink_rules) for the run chart.  index maps each root symbol
+        to its rules in rule-index order, leaving out the rules to a pure
+        sink, which the chart keeps implicit; sink_rules maps each symbol to
+        its pure-sink rule.  A rule whose states no tree reaches stays in:
+        it finds no child runs, so it adds nothing to a cell."""
+        sink = self.pure_sink
+        index: dict[str, list[Rule]] = {}
+        sink_rules = {}
+        for rule in self.rules:
+            if rule.target == sink:
+                sink_rules[rule.lhs.label] = rule
+            else:
+                index.setdefault(rule.lhs.label, []).append(rule)
+        return index, sink_rules
 
     @property
-    def chart_rules(self):
-        """(index, reached, sink_rules), computed once for the run chart.
-        index maps each root symbol to the rules that can apply, in rule-index
-        order: those whose state labels all have runs on some tree, leaving out
-        the rules to a pure sink, which the chart keeps implicit.  reached is
-        the set of states with a run on some tree; sink_rules maps each symbol
-        to its pure-sink rule."""
-        if self._chart_rules is None:
-            self._chart_rules = _productive_rules(self)
-        return self._chart_rules
+    def kind(self) -> str:
+        return "WTA" if self.is_wta else "WTG" if self.is_wtg else "WTAh"
 
     @property
     def real_states(self):
@@ -273,35 +281,8 @@ class Automaton:
         return tuple(q for q in self.states if q != sink)
 
     def __repr__(self):
-        kind = "WTA" if self.is_wta else "WTG" if self.is_wtg else "WTAh"
-        return (f"<{kind} over {self.semiring.id}: {len(self.states)} states, "
+        return (f"<{self.kind} over {self.semiring.id}: {len(self.states)} states, "
                 f"{len(self.rules)} rules>")
-
-
-def _productive_rules(A: Automaton):
-    sink = A.pure_sink
-    rules = [rule for rule in A.rules if rule.target != sink]
-    need = [{lbl for lbl in rule.state_labels if lbl != sink} for rule in rules]
-    waiting: dict[str, list[int]] = {}
-    for i, labels in enumerate(need):
-        for lbl in labels:
-            waiting.setdefault(lbl, []).append(i)
-    # Worklist over states some tree reaches; a rule fires once it needs none.
-    agenda = [rule.target for rule, labels in zip(rules, need) if not labels]
-    reached = set()
-    while agenda:
-        q = agenda.pop()
-        if q not in reached:
-            reached.add(q)
-            for i in waiting.get(q, ()):
-                need[i].discard(q)
-                if not need[i]:
-                    agenda.append(rules[i].target)
-    index: dict[str, list[Rule]] = {}
-    for rule, labels in zip(rules, need):
-        if not labels:
-            index.setdefault(rule.lhs.label, []).append(rule)
-    return index, reached, {r.lhs.label: r for r in A.rules if r.target == sink}
 
 
 def _sink_shape_violation(A: Automaton) -> str | None:
@@ -452,13 +433,15 @@ class Evaluator:
     [value, applications]: the semiring sum of the runs' weights and the
     (rule, captured subtrees) pairs that derive them, in rule-index order.
     Runs exist only as these applications until `runs` expands them.  The
-    pure sink stays implicit: every tree has one weight-one run to it.
+    pure sink stays implicit: every tree has one weight-one run to it.  A
+    rule may match a tree and still add nothing, when a captured subtree has
+    no run to the state at its position.
     """
 
     def __init__(self, A: Automaton):
         self.automaton = A
         self._sink = A.pure_sink
-        self._rules, self._reached, self._sink_rules = A.chart_rules
+        self._rules, self._sink_rules = A.chart_rules
         self._chart: dict[Tree, dict] = {}
         self._runs: dict[tuple, tuple[Run, ...]] = {}
 
@@ -524,7 +507,7 @@ class Evaluator:
         """[value, applications] of the runs for t to q, or None if none exist."""
         if q == self._sink:
             return (self.automaton.semiring.one, ((self._sink_rules[t.label], t.children),))
-        return self._cell(t).get(q) if q in self._reached else None
+        return self._cell(t).get(q)
 
     def state_value(self, t: Tree, q: str):
         entry = self._entry(t, q)
@@ -635,6 +618,8 @@ class RunsTable(Evaluator):
         for cls, labels in zip(rule.classes, rule.class_labels):
             k = h - max(len(p) for p in cls)
             pool = self._class_trees(labels, k, langs)
+            if not pool:
+                return  # e.g. a class state that no tree reaches
             below.append([t for t in pool if t.height < k])
             at.append([t for t in pool if t.height == k])
         upto = [b + a for b, a in zip(below, at)]

@@ -40,7 +40,6 @@ from .automaton import (
     support_up_to,
 )
 from .construct import (
-    canonical_form,
     eliminate_zero_divisors,
     hom_image,
     linearize,
@@ -60,6 +59,7 @@ from .term import (
     TermError,
     Tree,
     count_trees,
+    format_position,
     parse_position,
     parse_term,
 )
@@ -192,13 +192,18 @@ def parse_automaton(text: str) -> Automaton:
 
 
 def format_automaton(A: Automaton) -> str:
-    B = canonical_form(A)
-    lines = [f"semiring: {B.semiring.id}", f"states: {' '.join(B.states)}"]
-    if B.sink is not None:
-        lines.append(f"sink: {B.sink}")
-    lines.append(f"final: {' '.join(B.finals)}")
+    """A in the file format, states sorted by name and rules by (lhs text,
+    target, constraint text, weight text)."""
+    lines = [f"semiring: {A.semiring.id}", f"states: {' '.join(sorted(A.states))}"]
+    if A.sink is not None:
+        lines.append(f"sink: {A.sink}")
+    lines.append(f"final: {' '.join(A.finals)}")
     lines.append("rules:")
-    lines.extend(rule.text for rule in B.rules)
+    rules = sorted(
+        A.rules,
+        key=lambda r: (r.lhs.text, r.target, r.constraint_text(), str(r.weight)),
+    )
+    lines.extend(rule.text for rule in rules)
     return "\n".join(lines) + "\n"
 
 
@@ -287,7 +292,7 @@ def _render_witness(obj):
         return format_run(obj)
     if isinstance(obj, tuple):
         if all(isinstance(i, int) for i in obj):  # a position
-            return ".".join(str(i) for i in obj) if obj else "e"
+            return format_position(obj)
         return [_render_witness(i) for i in obj]
     return obj
 
@@ -436,11 +441,10 @@ def _cmd_validate(args) -> int:
         return 1
     if args.automaton is not None:
         A = load_automaton(args.automaton)
-        kind = "WTA" if A.is_wta else "WTG" if A.is_wtg else "WTAh"
         reason = eq_restriction_violation(A)
         eq = "yes" if reason is None else f"no ({reason})"
         print(
-            f"{args.automaton}: valid {kind} over {A.semiring.id}, "
+            f"{args.automaton}: valid {A.kind} over {A.semiring.id}, "
             f"{len(A.states)} states, {len(A.rules)} rules, eq-restricted: {eq}"
         )
     if args.hom is not None:
@@ -673,13 +677,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (AutomatonError, HomError, SemiringError, TermError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (FileFormatError, AutomatonError, HomError, SemiringError, TermError,
+            OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except RecursionError:

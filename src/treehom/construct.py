@@ -1,5 +1,5 @@
 """Automaton constructions: homomorphic images, zero-divisor elimination,
-boolean projection, linearization, and the canonical rule order.
+boolean projection and linearization.
 
 All constructions are deterministic: fresh-state naming, rule merging, and
 emission orders depend only on the input automaton's canonical data.
@@ -340,13 +340,3 @@ def linearize(A: Automaton, lin_height: int) -> Automaton:
     states = [q for q in A.states if q != sink]
     return Automaton(sr, A.alphabet, states, A.finals, merged, sink=None)
 
-
-def canonical_form(A: Automaton) -> Automaton:
-    """Same automaton with states sorted by name and rules sorted by
-    (lhs text, target, constraint text, weight text)."""
-    rules = sorted(
-        A.rules,
-        key=lambda r: (r.lhs.text, r.target, r.constraint_text(), str(r.weight)),
-    )
-    return Automaton(A.semiring, A.alphabet, sorted(A.states), A.finals, rules,
-                     sink=A.sink)

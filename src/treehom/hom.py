@@ -175,6 +175,8 @@ def check_tetris_free(h: TreeHomomorphism, height_bound: int) -> Verdict:
     of the group, up to the height bound, is compared against it, and the walk
     stops at the first violation.
     """
+    if height_bound < 0:
+        raise HomError("height bound must be nonnegative")
     if images_clash(h):
         return verified(height_bound)
     for first in iter_trees(h.source, height_bound):

@@ -29,7 +29,6 @@ class Semiring:
     """Base class; instances are stateless and compared by id."""
 
     id: str
-    carrier: str
     zero: object
     one: object
     zero_sum_free: bool
@@ -84,7 +83,6 @@ def _parse_uint(text: str, what: str):
 
 class BooleanSemiring(Semiring):
     id = "boolean"
-    carrier = "{0, 1} with or/and"
     zero = 0
     one = 1
     zero_sum_free = True
@@ -108,7 +106,6 @@ class BooleanSemiring(Semiring):
 
 class NaturalSemiring(Semiring):
     id = "natural"
-    carrier = "N with + and *"
     zero = 0
     one = 1
     zero_sum_free = True
@@ -130,7 +127,6 @@ class NaturalSemiring(Semiring):
 
 class IntegerSemiring(Semiring):
     id = "integer"
-    carrier = "Z with + and *"
     zero = 0
     one = 1
     zero_sum_free = False
@@ -156,7 +152,6 @@ class TropicalSemiring(Semiring):
     """min/plus over N plus infinity; inf is the additive zero."""
 
     id = "tropical"
-    carrier = "N + {inf} with min and +"
     zero = math.inf
     one = 0
     zero_sum_free = True
@@ -167,8 +162,6 @@ class TropicalSemiring(Semiring):
         return min(a, b)
 
     def mul(self, a, b):
-        if a == math.inf or b == math.inf:
-            return math.inf
         return a + b
 
     def parse_value(self, text):
@@ -187,7 +180,6 @@ class ArcticSemiring(Semiring):
     """max/plus over N plus minus-infinity; -inf is the additive zero."""
 
     id = "arctic"
-    carrier = "N + {-inf} with max and +"
     zero = -math.inf
     one = 0
     zero_sum_free = True
@@ -198,8 +190,6 @@ class ArcticSemiring(Semiring):
         return max(a, b)
 
     def mul(self, a, b):
-        if a == -math.inf or b == -math.inf:
-            return -math.inf
         return a + b
 
     def parse_value(self, text):
@@ -238,7 +228,6 @@ class ModularSemiring(Semiring):
             raise SemiringError(f"modulus must be at least 2, got {k}")
         self.k = k
         self.id = f"z{k}"
-        self.carrier = f"Z/{k}Z"
         self.zero_divisor_free = _is_prime(k)
 
     def add(self, a, b):

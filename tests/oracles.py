@@ -12,7 +12,6 @@ from treehom import (
     AutomatonError,
     Evaluator,
     RunsTable,
-    canonical_form,
     dickson_cap,
     eq_restriction_violation,
     RankedAlphabet,
@@ -635,6 +634,17 @@ def run_image(A: Automaton, h: TreeHomomorphism, run: Run, image: Automaton) -> 
         return Run(img_rule, subruns, img_rule.plug([sub.subject for sub in subruns]))
 
     return convert(run)
+
+
+def canonical_form(A: Automaton) -> Automaton:
+    """Same automaton with states sorted by name and rules sorted by
+    (lhs text, target, constraint text, weight text)."""
+    rules = sorted(
+        A.rules,
+        key=lambda r: (r.lhs.text, r.target, r.constraint_text(), str(r.weight)),
+    )
+    return Automaton(A.semiring, A.alphabet, sorted(A.states), A.finals, rules,
+                     sink=A.sink)
 
 
 def _erased_rule_key(A: Automaton, rule: Rule):

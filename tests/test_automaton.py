@@ -373,8 +373,9 @@ def chart_instances():
     """Automata the instance generators of the other tests never make:
     3-state WTAs over a branching alphabet, images and linearized images of
     random pairs, a pure sink at an unconstrained position and in a sink-only
-    class, and a class joining two real states, each with the height bound
-    to check it at."""
+    class, a class joining two real states, and a final state u that no tree
+    reaches, alone, next to a live state and in constraint classes, each with
+    the height bound to check it at."""
     abc = [("a", 0), ("g", 1), ("k", 2)]
     sink_rules = ["a -> bot @ 1", "g(bot) -> bot @ 1", "k(bot,bot) -> bot @ 1"]
     yield build("natural", abc, ["q", "qf", "bot"], ["qf"], [
@@ -385,6 +386,12 @@ def chart_instances():
         "a -> q @ 2", "a -> p @ 1", "g(q) -> q @ 1", "g(p) -> p @ 3",
         "k(q,g(p)) -> qf @ 1 | 1 = 2.1", "k(q,p) -> qf @ 4",
     ]), 3
+    yield build("natural", abc, ["q", "qf", "u", "bot"], ["qf", "u"], [
+        "a -> q @ 1", "g(q) -> q @ 2", "k(q,q) -> qf @ 1", "g(q) -> qf @ 3",
+        "g(u) -> u @ 2", "g(u) -> qf @ 5", "k(q,u) -> qf @ 2",
+        "k(u,g(q)) -> qf @ 1 | 1 = 2.1", "k(q,g(u)) -> qf @ 7 | 1 = 2.1",
+        "k(g(u),k(bot,bot)) -> qf @ 1 | 2.1 = 2.2", *sink_rules,
+    ], sink="bot"), 3
     rng = random.Random(29)
     for sr_id in ("natural", "tropical", "z6", "integer"):
         yield random_wta(rng, BRANCHING, sr_id, n_states=3), 2

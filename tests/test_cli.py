@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from treehom import (
     eliminate_zero_divisors,
     hom_image,
     linearize,
+    project_boolean,
 )
 from treehom.cli import (
     FileFormatError,
@@ -26,9 +28,12 @@ from treehom.cli import (
 )
 from oracles import (
     automata_equal,
+    canonical_form,
     canonical_rename,
     naive_h_unambiguous,
     naive_unambiguous,
+    random_modular_pair,
+    random_pair,
     wtg_to_wta,
 )
 from test_hom import BRANCHING, BRANCHING_SHAPES
@@ -55,6 +60,30 @@ def test_automaton_round_trip(data_dir, name):
     B = parse_automaton(text)
     assert automata_equal(A, B)
     assert format_automaton(B) == text
+
+
+def canonical_text(A):
+    """The file text of the rebuilt canonical form of A."""
+    C = canonical_form(A)
+    lines = [f"semiring: {C.semiring.id}", f"states: {' '.join(C.states)}"]
+    if C.sink is not None:
+        lines.append(f"sink: {C.sink}")
+    lines += [f"final: {' '.join(C.finals)}", "rules:"]
+    lines += [rule.text for rule in C.rules]
+    return "\n".join(lines) + "\n"
+
+
+def test_format_automaton_prints_the_canonical_form(data_dir):
+    automata = [load_automaton(data_dir / name) for name in AUT_FILES]
+    rng = random.Random(17)
+    pairs = [random_pair(rng, sr_id) for sr_id in ("natural", "arctic", "z6", "integer") * 2]
+    pairs += [random_modular_pair(rng) for _ in range(4)]
+    for A, h in pairs:
+        image = hom_image(A, h)
+        fixed = eliminate_zero_divisors(image)
+        automata += [image, fixed, project_boolean(fixed), linearize(fixed, 1)]
+    for A in automata:
+        assert format_automaton(A) == canonical_text(A)
 
 
 @pytest.mark.parametrize("name", HOM_FILES)
@@ -287,6 +316,15 @@ def test_cli_check_exit_codes(data_dir, capsys):
                     "--automaton", str(data_dir / "counting_chain.aut"),
                     "--height", "4")
     assert unamb == 0
+
+
+@pytest.mark.parametrize("name", HOM_FILES)
+def test_cli_check_tetris_free_rejects_a_negative_height(data_dir, capsys, name):
+    code = run_cli("check", "tetris-free", "--hom", str(data_dir / name), "--height", "-1")
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: height bound must be nonnegative\n"
 
 
 def test_cli_check_requires_matching_inputs(data_dir, capsys):

@@ -13,7 +13,6 @@ from treehom import (
     Weight,
     accepting_runs,
     bounded_equivalence,
-    canonical_form,
     dickson_cap,
     eliminate_zero_divisors,
     enumerate_trees,
@@ -30,6 +29,7 @@ from treehom import (
 from treehom.construct import _non_one_weights
 from oracles import (
     automata_equal,
+    canonical_form,
     canonical_rename,
     check_run,
     full_zero_divisor_elimination,

@@ -184,6 +184,23 @@ def test_tetris_free_rejects_label_mismatch():
     assert {s1.label, s2.label} == {"g", "f"}
 
 
+def test_tetris_free_rejects_a_negative_bound(dup):
+    # One hom proved by clashing images, one that needs the walk.
+    overlap = TreeHomomorphism(
+        RankedAlphabet([("a", 0), ("g", 1), ("f", 1)]),
+        RankedAlphabet([("c", 0), ("k", 2)]),
+        {
+            "a": parse_term("c", None),
+            "g": parse_term("k(x1,c)", None, ext={"x1"}),
+            "f": parse_term("k(c,x1)", None, ext={"x1"}),
+        },
+    )
+    assert images_clash(dup) and not images_clash(overlap)
+    for h in (dup, overlap):
+        with pytest.raises(HomError, match="height bound must be nonnegative"):
+            check_tetris_free(h, -1)
+
+
 def test_identity_is_tetris_free():
     ident = TreeHomomorphism(SIGMA, SIGMA, {
         "a": parse_term("a", SIGMA),
