@@ -71,7 +71,6 @@ from .term import (
     count_trees,
     enumerate_trees,
     format_position,
-    format_term,
     is_variable,
     parse_position,
     parse_term,
@@ -132,7 +131,6 @@ __all__ = [
     "evaluate",
     "format_position",
     "format_run",
-    "format_term",
     "get_semiring",
     "hom_image",
     "is_variable",

@@ -32,12 +32,14 @@ def bounded_equivalence(A: Automaton, B: Automaton, height_bound: int) -> Verdic
         raise AutomatonError("equivalence needs automata over one semiring")
     ta = RunsTable(A, height_bound)
     tb = RunsTable(B, height_bound)
-    for t in sorted(set(ta.trees) | set(tb.trees), key=tree_key):
-        if ta.evaluate_value(t) != tb.evaluate_value(t):
-            wa, wb = ta.evaluate(t), tb.evaluate(t)
-            return violated(height_bound, (t, wa, wb),
-                            f"series differ on {t.text}: {wa} vs {wb}")
-    return verified(height_bound)
+    # Unordered: only the least differing tree needs its text for the order.
+    differing = [t for t in ta._chart.keys() | tb._chart.keys()
+                 if ta.evaluate_value(t) != tb.evaluate_value(t)]
+    if not differing:
+        return verified(height_bound)
+    t = min(differing, key=tree_key)
+    wa, wb = ta.evaluate(t), tb.evaluate(t)
+    return violated(height_bound, (t, wa, wb), f"series differ on {t.text}: {wa} vs {wb}")
 
 
 def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) -> Verdict:

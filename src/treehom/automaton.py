@@ -61,6 +61,8 @@ class Rule:
         "state_labels",
         "class_labels",
         "class_indices",
+        "flat",
+        "constrained",
         "index",
         "_states",
         "_text",
@@ -79,6 +81,10 @@ class Rule:
         self.class_labels = tuple(
             tuple(state_labels[i] for i in idxs) for idxs in self.class_indices
         )
+        # Every lhs child is a state leaf: the children of a tree are its
+        # captured subtrees.
+        self.flat = state_positions == tuple((i,) for i in range(1, len(lhs.children) + 1))
+        self.constrained = any(len(cls) > 1 for cls in classes)
         self.index = -1
         self._text = None
 
@@ -89,6 +95,8 @@ class Rule:
     def plug(self, subs) -> Tree:
         """The lhs with subs[i] at its i-th state position.  It path-copies,
         so the ground parts of the lhs stay shared."""
+        if self.flat:
+            return Tree(self.lhs.label, subs)
         t = self.lhs
         for p, sub in zip(self.state_positions, subs):
             t = replace_at(t, p, sub)
@@ -236,16 +244,13 @@ class Automaton:
 
     @property
     def is_wtg(self) -> bool:
-        return all(len(cls) == 1 for rule in self.rules for cls in rule.classes)
+        return not any(rule.constrained for rule in self.rules)
 
     @property
     def is_wta(self) -> bool:
         if not self.is_wtg:
             return False
-        for rule in self.rules:
-            if rule.state_positions != tuple((i,) for i in range(1, len(rule.lhs.children) + 1)):
-                return False
-        return True
+        return all(rule.flat for rule in self.rules)
 
     @cached_property
     def pure_sink(self) -> str | None:
@@ -293,7 +298,7 @@ def _sink_shape_violation(A: Automaton) -> str | None:
             continue
         lhs = rule.lhs
         flat = all(not c.children and c.label == sink for c in lhs.children)
-        if not flat or not rule.weight.is_one or any(len(c) > 1 for c in rule.classes):
+        if not flat or not rule.weight.is_one or rule.constrained:
             return f"rule targeting the sink is not a weight-one sink rule: {rule.text}"
         if lhs.label in covered:
             return f"duplicate sink rule for symbol {lhs.label}"
@@ -411,10 +416,16 @@ def run_state_map(run: Run) -> dict[Position, str]:
 
 
 def _check_ground(A: Automaton, t: Tree):
+    """Raise on the first node, in preorder, that A's alphabet does not allow.
+    Each distinct node object is checked once."""
     ranks = dict(A.alphabet.items())
+    seen = set()
     stack = [t]
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         rank = ranks.get(node.label)
         if rank is None:
             raise AutomatonError(f"undeclared symbol {node.label} in input tree")
@@ -435,7 +446,10 @@ class Evaluator:
     Runs exist only as these applications until `runs` expands them.  The
     pure sink stays implicit: every tree has one weight-one run to it.  A
     rule may match a tree and still add nothing, when a captured subtree has
-    no run to the state at its position.
+    no run to the state at its position.  A flat rule (`Rule.flat`) needs no
+    lhs matching: it captures the tree's children, and is checked against its
+    constraint only when it has one.  Cells are keyed by tree, so a subtree
+    shared within or between inputs is evaluated once.
     """
 
     def __init__(self, A: Automaton):
@@ -449,22 +463,30 @@ class Evaluator:
         """The (rule, captured subtrees) pairs of the rules that apply at t."""
         out = []
         for rule in self._rules.get(t.label, ()):
-            subs = match_lhs(rule, t)
-            if subs is not None and constraints_ok(rule, subs):
-                out.append((rule, subs))
+            if rule.flat:
+                subs = t.children
+                if rule.constrained and not constraints_ok(rule, subs):
+                    continue
+            else:
+                subs = match_lhs(rule, t)
+                if subs is None or not constraints_ok(rule, subs):
+                    continue
+            out.append((rule, subs))
         return out
 
     def _fill(self, t: Tree, apps) -> dict:
         """Fill the cell of t from its applications and their subtrees' cells."""
         sr = self.automaton.semiring
         chart, sink = self._chart, self._sink
+        child_cells = [chart.get(c, _NO_RUNS) for c in t.children]  # what flat rules capture
         cell: dict = {}
         for rule, subs in apps:
             val = rule.weight.value
-            for sub, lbl in zip(subs, rule.state_labels):
+            cells = child_cells if rule.flat else [chart.get(sub, _NO_RUNS) for sub in subs]
+            for sub_cell, lbl in zip(cells, rule.state_labels):
                 if lbl == sink:
                     continue
-                entry = chart.get(sub, _NO_RUNS).get(lbl)
+                entry = sub_cell.get(lbl)
                 if entry is None:
                     break
                 val = sr.mul(val, entry[0])
@@ -485,17 +507,18 @@ class Evaluator:
         stack = [] if t in chart else [(t, None)]
         while stack:
             node, matches = stack[-1]
-            if node in chart:
-                stack.pop()
-                continue
             if matches is None:
+                if node in chart:
+                    stack.pop()
+                    continue
                 matches = self._matches(node)
                 stack[-1] = (node, matches)
-                pending = [
-                    (sub, None) for rule, subs in matches
-                    for sub, lbl in zip(subs, rule.state_labels)
-                    if lbl != sink and sub not in chart
-                ]
+                # Flat rules capture the children; each is pushed once.
+                pending = [(sub, None) for rule, subs in matches if not rule.flat
+                           for sub, lbl in zip(subs, rule.state_labels)
+                           if lbl != sink and sub not in chart]
+                if any(rule.flat for rule, _ in matches):
+                    pending += [(c, None) for c in node.children if c not in chart]
                 if pending:
                     stack.extend(pending)
                     continue
@@ -584,28 +607,42 @@ class RunsTable(Evaluator):
     fills each new tree once from the applications that built it.  A rule
     application strictly increases height, so the layers below h hold every
     tree that a tree of layer h captures.  Trees outside the chart have no
-    runs except the pure sink's.
+    runs except the pure sink's.  `add_layer` extends a table by one height.
     """
 
     def __init__(self, A: Automaton, height_bound: int):
         if height_bound < 0:
             raise AutomatonError("height bound must be nonnegative")
         super().__init__(A)
-        # state -> trees reaching it, by height
-        langs = {q: [] for q in A.real_states}
-        for h in range(height_bound + 1):
-            for lang in langs.values():
-                lang.append([])
-            for rules in self._rules.values():
-                # Rules in index order: a cell lists applications as matching would.
-                by_tree: dict[Tree, list] = {}
-                for rule in rules:
-                    for subs in self._instances(rule, h, langs):
-                        by_tree.setdefault(rule.plug(subs), []).append((rule, subs))
-                for t, apps in by_tree.items():
-                    for q in self._fill(t, apps):
-                        langs[q][h].append(t)
-        self.trees = sorted(self._chart, key=tree_key)
+        self.height = -1
+        self._langs = {q: [] for q in A.real_states}  # state -> trees reaching it, by height
+        for _ in range(height_bound + 1):
+            self.add_layer()
+
+    def add_layer(self) -> list[Tree]:
+        """Fill the layer one above the table's height and return its trees."""
+        h = self.height = self.height + 1
+        langs = self._langs
+        for lang in langs.values():
+            lang.append([])
+        layer = []
+        for rules in self._rules.values():
+            # Rules in index order: a cell lists applications as matching would.
+            by_tree: dict[Tree, list] = {}
+            for rule in rules:
+                for subs in self._instances(rule, h, langs):
+                    by_tree.setdefault(rule.plug(subs), []).append((rule, subs))
+            for t, apps in by_tree.items():
+                layer.append(t)
+                for q in self._fill(t, apps):
+                    langs[q][h].append(t)
+        self.__dict__.pop("trees", None)
+        return layer
+
+    @cached_property
+    def trees(self) -> list[Tree]:
+        """The trees of the chart in (height, size, text) order."""
+        return sorted(self._chart, key=tree_key)
 
     def _instances(self, rule: Rule, h: int, langs):
         """Instantiations of rule of height exactly h, as captured subtrees:
@@ -765,14 +802,21 @@ def check_unambiguous(A: Automaton, height_bound: int) -> Verdict:
     A only adds runs, so when the flattened relaxation (`_relaxed_rules`) has
     no two accepting runs on one tree of height <= bound
     (`first_diverging_height`), the verdict is ok without enumerating any
-    tree.  Otherwise every tree of height <= bound with a run is examined.
+    tree.  Otherwise the run chart is built and examined one height layer at
+    a time, and stops at the first layer that holds a witness.
     """
     relaxed = _relaxed_rules(A)
     if relaxed is not None and first_diverging_height(relaxed, A.finals, height_bound) is None:
         return verified(height_bound)
-    table = RunsTable(A, height_bound)
-    for t in table.trees:
-        acc = table.accepting_runs(t)
-        if len(acc) > 1:
-            return violated(height_bound, (t, acc), f"{len(acc)} accepting runs for {t.text}")
-    return verified(height_bound)
+    table = RunsTable(A, 0)
+    layer = table.trees
+    while True:
+        # Layers hold trees of one height each, so the first witness of the
+        # first layer that has one is the first in (height, size, text) order.
+        for t in sorted(layer, key=tree_key):
+            acc = table.accepting_runs(t)
+            if len(acc) > 1:
+                return violated(height_bound, (t, acc), f"{len(acc)} accepting runs for {t.text}")
+        if table.height == height_bound:
+            return verified(height_bound)
+        layer = table.add_layer()

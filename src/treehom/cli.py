@@ -23,6 +23,7 @@ Exit codes: 0 ok/positive, 1 input error, 2 witness/negative, 3 unknown.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -577,7 +578,11 @@ def _cmd_decide(args) -> int:
     return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each subcommand's func
+    looks up the package functions it calls when it runs, so a rebound
+    module name still takes effect."""
     parser = argparse.ArgumentParser(
         prog="treehom",
         description="weighted tree automata with hom-constraints",

@@ -45,7 +45,7 @@ class Semiring:
         raise NotImplementedError
 
     def format_value(self, v) -> str:
-        return str(v)
+        return _decimal_text(v)
 
     def elements(self):
         raise SemiringError(f"semiring {self.id} is infinite")
@@ -75,10 +75,34 @@ class Semiring:
         return f"<semiring {self.id}>"
 
 
+# int() and str() refuse numbers past the interpreter's digit limit (4300
+# digits by default); weights have no such bound.  Longer numbers are split in
+# halves until each piece fits in _DIGITS_PIECE digits.
+_DIGITS_PIECE = 1000
+
+
+def _decimal_text(n: int) -> str:
+    """The decimal digits of an int of any size."""
+    if n < 0:
+        return "-" + _decimal_text(-n)
+    if n.bit_length() <= 3 * _DIGITS_PIECE:  # so n < 10**_DIGITS_PIECE
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half its digits
+    high, low = divmod(n, 10**k)
+    return _decimal_text(high) + _decimal_text(low).zfill(k)
+
+
+def _parse_digits(digits: str) -> int:
+    if len(digits) <= _DIGITS_PIECE:
+        return int(digits)
+    k = len(digits) // 2
+    return _parse_digits(digits[:-k]) * 10**k + _parse_digits(digits[-k:])
+
+
 def _parse_uint(text: str, what: str):
     if not re.fullmatch(r"[0-9]+", text):
         raise WeightSyntaxError(f"invalid {what} weight literal: {text!r}")
-    return int(text)
+    return _parse_digits(text)
 
 
 class BooleanSemiring(Semiring):
@@ -142,7 +166,8 @@ class IntegerSemiring(Semiring):
     def parse_value(self, text):
         if not re.fullmatch(r"[+-]?[0-9]+", text):
             raise WeightSyntaxError(f"invalid integer weight literal: {text!r}")
-        return int(text)
+        value = _parse_digits(text.lstrip("+-"))
+        return -value if text[0] == "-" else value
 
     def sample(self):
         return [0, 1, -1, 2, -3, 7, -10, 64, -(2**30)]
@@ -170,7 +195,7 @@ class TropicalSemiring(Semiring):
         return _parse_uint(text, "tropical")
 
     def format_value(self, v):
-        return "inf" if v == math.inf else str(v)
+        return "inf" if v == math.inf else _decimal_text(v)
 
     def sample(self):
         return [math.inf, 0, 1, 2, 3, 5, 10, 100]
@@ -198,7 +223,7 @@ class ArcticSemiring(Semiring):
         return _parse_uint(text, "arctic")
 
     def format_value(self, v):
-        return "-inf" if v == -math.inf else str(v)
+        return "-inf" if v == -math.inf else _decimal_text(v)
 
     def sample(self):
         return [-math.inf, 0, 1, 2, 3, 5, 10, 100]

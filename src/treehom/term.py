@@ -3,14 +3,17 @@
 Positions are 1-based child-index tuples; the root is the empty tuple and
 prints as ``e``.  Python's tuple ordering is exactly the prefix-first
 lexicographic order used everywhere for determinism.  Trees are immutable
-with structural equality and cached hash/size/height, so they can key memo
-tables cheaply; leaf labels may be alphabet symbols, states, or variables
-x1, x2, ... depending on context.
+with structural equality and cached hash/size/height/text, so they can key
+memo tables cheaply; leaf labels may be alphabet symbols, states, or variables
+x1, x2, ... depending on context.  `parse_term` makes equal subterms of one
+parse a single shared object, so comparing them stops at identity, and each
+distinct subterm is evaluated once.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from itertools import product
 
 Position = tuple
@@ -88,9 +91,10 @@ class RankedAlphabet:
         return f"<alphabet {inner}>"
 
 
-# Trees at most this tall compare by native tuple comparison, which recurses
-# once per level; taller ones take an explicit stack down to this height.
-_NATIVE_EQ_HEIGHT = 64
+# Trees at most this tall compare by native tuple comparison and build their
+# text from their children's, both of which recurse once per level; taller
+# ones take an explicit stack down to this height.
+_NATIVE_HEIGHT = 64
 
 
 class Tree:
@@ -119,7 +123,7 @@ class Tree:
             return NotImplemented
         if self._hash != other._hash or self.size != other.size:
             return False
-        if self.height <= _NATIVE_EQ_HEIGHT:
+        if self.height <= _NATIVE_HEIGHT:
             return self.label == other.label and self.children == other.children
         # Equal but distinct subtrees may be arbitrarily tall: walk the tall
         # part with an explicit stack.
@@ -128,7 +132,7 @@ class Tree:
             a, b = stack.pop()
             if a is b:
                 continue
-            if a.height <= _NATIVE_EQ_HEIGHT:
+            if a.height <= _NATIVE_HEIGHT:
                 if a != b:
                     return False
             elif (a._hash != b._hash or a.size != b.size or a.label != b.label
@@ -143,12 +147,40 @@ class Tree:
 
     @property
     def text(self) -> str:
+        """The term syntax of the tree, cached.  Up to _NATIVE_HEIGHT it
+        joins the children's cached text; a taller tree is written out on an
+        explicit stack, which caches text only at its root and the subtrees
+        up to that height."""
         if self._text is None:
-            self._text = format_term(self)
+            if self.height > _NATIVE_HEIGHT:
+                self._text = _tall_text(self)
+            elif self.children:
+                self._text = f"{self.label}({','.join(c.text for c in self.children)})"
+            else:
+                self._text = self.label
         return self._text
 
     def __repr__(self):
         return f"Tree({self.text!r})"
+
+
+def _tall_text(t: Tree) -> str:
+    parts = []
+    stack = [t]  # trees still to write, and the ',' and ')' between them
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif node.height <= _NATIVE_HEIGHT:
+            parts.append(node.text)
+        else:
+            parts.append(node.label + "(")
+            stack.append(")")
+            for c in reversed(node.children[1:]):
+                stack.append(c)
+                stack.append(",")
+            stack.append(node.children[0])
+    return "".join(parts)
 
 
 def tree_key(t: Tree):
@@ -210,10 +242,18 @@ def substitute_vars(t: Tree, theta: dict[str, Tree]) -> Tree:
     return Tree(t.label, [substitute_vars(c, theta) for c in t.children])
 
 
-def format_term(t: Tree) -> str:
-    if not t.children:
-        return t.label
-    return f"{t.label}({','.join(format_term(c) for c in t.children)})"
+# One token per match: a name, a bracket or comma, or any other non-space
+# character (always a syntax error).  Whitespace is skipped between tokens.
+_TOKEN_RE = re.compile(NAME_RE.pattern + r"|[(),]|\S")
+_NAME_START = frozenset(string.ascii_letters + "_")  # as in NAME_RE
+
+
+def _token_column(text: str, i: int) -> int:
+    """The 1-based column of token i of text, or the end column past the last."""
+    for j, m in enumerate(_TOKEN_RE.finditer(text)):
+        if j == i:
+            return m.start() + 1
+    return len(text) + 1
 
 
 def parse_term(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset()) -> Tree:
@@ -223,63 +263,64 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset(
     arguments.  With an alphabet, all other names must be declared and used at
     their rank; ``a()`` is accepted for a nullary symbol.  Without an alphabet
     the parse is loose: any name, rank read off from usage.
+
+    The tree is built on an explicit stack, so any height parses, and equal
+    subterms come out as one shared object.
     """
     ext = frozenset(ext)
-    pos = 0
-    n = len(text)
+    ranks = None if alphabet is None else dict(alphabet.items())
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # end of input
 
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
+    def fail(message, i):
+        raise TermSyntaxError(message, _token_column(text, i))
 
-    def fail(msg):
-        raise TermSyntaxError(msg, pos + 1)
-
-    def parse_node() -> Tree:
-        nonlocal pos
-        skip_ws()
-        m = NAME_RE.match(text, pos)
-        if not m:
-            fail("expected a name")
-        name = m.group(0)
-        name_col = pos + 1
-        pos = m.end()
-        skip_ws()
-        children = []
-        if pos < n and text[pos] == "(":
-            if name in ext:
-                fail(f"leaf token {name} cannot take arguments")
-            pos += 1
-            skip_ws()
-            if pos < n and text[pos] == ")":
-                pos += 1
-            else:
-                children.append(parse_node())
-                skip_ws()
-                while pos < n and text[pos] == ",":
-                    pos += 1
-                    children.append(parse_node())
-                    skip_ws()
-                if pos >= n or text[pos] != ")":
-                    fail("expected ')' or ','")
-                pos += 1
-        if name not in ext and alphabet is not None:
-            if name not in alphabet:
-                raise TermSyntaxError(f"unknown symbol: {name}", name_col)
-            if alphabet.rank(name) != len(children):
-                raise TermSyntaxError(
-                    f"symbol {name} has rank {alphabet.rank(name)}, "
-                    f"used with {len(children)} arguments",
-                    name_col,
-                )
-        return Tree(name, children)
-
-    tree = parse_node()
-    skip_ws()
-    if pos != n:
-        fail("trailing input after term")
-    return tree
+    # Subterms of this parse by label and child identities: children are
+    # already shared, so equal subterms have equal keys.
+    shared: dict[tuple, Tree] = {}
+    open_nodes = []  # (name, its token index, children) of each node before its ')'
+    i = 0
+    while True:
+        name = tokens[i]
+        if name[:1] not in _NAME_START:
+            fail("expected a name", i)
+        at = i
+        if tokens[i + 1] != "(":
+            children = ()
+            i += 1
+        elif name in ext:
+            fail(f"leaf token {name} cannot take arguments", i + 1)
+        elif tokens[i + 2] == ")":
+            children = ()
+            i += 3
+        else:
+            open_nodes.append((name, i, []))
+            i += 2
+            continue
+        # name(children) is complete: build it, attach it to its parent, and
+        # do the same for every parent whose argument list ends here.
+        while True:
+            key = (name, *map(id, children))
+            tree = shared.get(key)
+            if tree is None:  # else name was checked at this number of children
+                if ranks is not None and ranks.get(name) != len(children) and name not in ext:
+                    if name not in ranks:
+                        fail(f"unknown symbol: {name}", at)
+                    fail(f"symbol {name} has rank {ranks[name]}, "
+                         f"used with {len(children)} arguments", at)
+                tree = shared[key] = Tree(name, children)
+            if not open_nodes:
+                if tokens[i]:
+                    fail("trailing input after term", i)
+                return tree
+            name, at, children = open_nodes[-1]
+            children.append(tree)
+            i += 1
+            if tokens[i - 1] == ",":
+                break
+            if tokens[i - 1] != ")":
+                fail("expected ')' or ','", i - 1)
+            open_nodes.pop()
 
 
 def iter_trees(alphabet: RankedAlphabet, max_height: int):

@@ -41,7 +41,76 @@ from treehom.construct import (
     _sink_rule_specs,
     _variable_occurrences,
 )
+from treehom.term import NAME_RE, TermSyntaxError
 from treehom.verdict import verified, violated
+
+
+def naive_parse_term(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset()) -> Tree:
+    """The recursive-descent reference for `parse_term`: one call per node,
+    a new object per subterm.  Parse ``name | name '(' tree (',' tree)* ')'``;
+    whitespace insignificant.
+
+    Names in ``ext`` are leaf tokens (states or variables) and may not take
+    arguments.  With an alphabet, all other names must be declared and used at
+    their rank; ``a()`` is accepted for a nullary symbol.  Without an alphabet
+    the parse is loose: any name, rank read off from usage.
+    """
+    ext = frozenset(ext)
+    pos = 0
+    n = len(text)
+
+    def skip_ws():
+        nonlocal pos
+        while pos < n and text[pos].isspace():
+            pos += 1
+
+    def fail(msg):
+        raise TermSyntaxError(msg, pos + 1)
+
+    def parse_node() -> Tree:
+        nonlocal pos
+        skip_ws()
+        m = NAME_RE.match(text, pos)
+        if not m:
+            fail("expected a name")
+        name = m.group(0)
+        name_col = pos + 1
+        pos = m.end()
+        skip_ws()
+        children = []
+        if pos < n and text[pos] == "(":
+            if name in ext:
+                fail(f"leaf token {name} cannot take arguments")
+            pos += 1
+            skip_ws()
+            if pos < n and text[pos] == ")":
+                pos += 1
+            else:
+                children.append(parse_node())
+                skip_ws()
+                while pos < n and text[pos] == ",":
+                    pos += 1
+                    children.append(parse_node())
+                    skip_ws()
+                if pos >= n or text[pos] != ")":
+                    fail("expected ')' or ','")
+                pos += 1
+        if name not in ext and alphabet is not None:
+            if name not in alphabet:
+                raise TermSyntaxError(f"unknown symbol: {name}", name_col)
+            if alphabet.rank(name) != len(children):
+                raise TermSyntaxError(
+                    f"symbol {name} has rank {alphabet.rank(name)}, "
+                    f"used with {len(children)} arguments",
+                    name_col,
+                )
+        return Tree(name, children)
+
+    tree = parse_node()
+    skip_ws()
+    if pos != n:
+        fail("trailing input after term")
+    return tree
 
 
 def _match_states(node, t, states, acc):

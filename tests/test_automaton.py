@@ -69,6 +69,23 @@ def build(semiring_id, alphabet_pairs, states, finals, rule_texts, sink=None):
     return Automaton(sr, alphabet, states, finals, rules, sink=sink)
 
 
+# Flat rules with and without a constraint between their children, plus a
+# constrained rule that is not flat: the chart captures a flat rule's subtrees
+# as the tree's children and compares them only for the constrained ones.
+FLAT_CONSTRAINED = build(
+    "natural", [("a", 0), ("b", 0), ("g", 1), ("k", 2)], ["q", "p", "r"], ["p", "r"],
+    [
+        "a -> q @ 2",
+        "b -> q @ 3",
+        "g(q) -> q @ 2",
+        "k(q,q) -> p @ 1 | 1 = 2",
+        "k(q,q) -> p @ 5",
+        "k(p,q) -> r @ 7 | 1 = 2",
+        "k(q,g(q)) -> r @ 3 | 1 = 2.1",
+    ],
+)
+
+
 def test_evaluate_doubling_chain(doubling_chain):
     t = parse_term("f(g(g(a)))", doubling_chain.alphabet)
     assert evaluate(doubling_chain, t).value == 4
@@ -222,6 +239,16 @@ def test_state_language_of_pure_sink(doubling_image):
     assert all(w.is_one for _, w in lang)
 
 
+def test_check_unambiguous_stops_at_the_first_ambiguous_height():
+    # a has two accepting runs; the trees over m/2 grow doubly exponentially
+    # with height, so the check must not build the layers above height 0.
+    A = build("natural", [("a", 0), ("m", 2)], ["q", "p"], ["q", "p"],
+              ["a -> q @ 1", "a -> p @ 1", "m(q,q) -> q @ 1"])
+    verdict = check_unambiguous(A, 40)
+    assert not verdict.is_ok and verdict.bound == 40
+    assert verdict.witness[0].text == "a"
+
+
 def test_check_unambiguous(doubling_chain, counting_chain):
     assert check_unambiguous(doubling_chain, 4).is_ok
     assert check_unambiguous(counting_chain, 4).is_ok
@@ -311,7 +338,7 @@ def test_check_run_verifies_constraints(doubling_image):
 
 
 def test_runs_match_naive_enumeration(doubling_image, constrained_pair, z6_chain):
-    for A in (doubling_image, constrained_pair, z6_chain):
+    for A in (doubling_image, constrained_pair, z6_chain, FLAT_CONSTRAINED):
         for t in enumerate_trees(A.alphabet, 3):
             for q in A.states:
                 got = runs_to_state(A, t, q)
@@ -322,9 +349,25 @@ def test_runs_match_naive_enumeration(doubling_image, constrained_pair, z6_chain
 
 
 def test_evaluate_matches_naive(doubling_image, constrained_pair, z6_chain, arctic_chain):
-    for A in (doubling_image, constrained_pair, z6_chain, arctic_chain):
+    for A in (doubling_image, constrained_pair, z6_chain, arctic_chain, FLAT_CONSTRAINED):
         for t in enumerate_trees(A.alphabet, 3):
             assert evaluate(A, t) == naive_evaluate(A, t)
+
+
+def test_evaluate_on_shared_subterms_matches_naive():
+    # Parsed terms share equal subterms, so the constrained rules compare
+    # one object with itself; enumerated trees hold distinct equal copies.
+    rng = random.Random(5)
+    A = FLAT_CONSTRAINED
+    trees = enumerate_trees(A.alphabet, 2)
+    for _ in range(200):
+        x, y = rng.choice(trees), rng.choice(trees)
+        for text in (f"k({x.text},{x.text})", f"k(k({x.text},{y.text}),k({x.text},{y.text}))",
+                     f"k({x.text},g({x.text}))", f"k(k({x.text},{x.text}),{x.text})"):
+            t = parse_term(text, A.alphabet)
+            assert evaluate(A, t) == naive_evaluate(A, t)
+            for q in A.states:
+                assert Evaluator(A).state_value(t, q) == naive_state_value(A, t, q)
 
 
 def test_random_wta_evaluate_matches_naive():
@@ -345,7 +388,7 @@ def test_run_weights_match_naive(doubling_image):
 
 
 def test_runs_table_agrees_with_direct_enumeration(doubling_image, z6_chain):
-    for A in (doubling_image, z6_chain):
+    for A in (doubling_image, z6_chain, FLAT_CONSTRAINED):
         table = RunsTable(A, 3)
         for t in enumerate_trees(A.alphabet, 3):
             for q in A.states:

@@ -1,3 +1,4 @@
+import decimal
 import json
 import random
 import subprocess
@@ -200,14 +201,56 @@ def test_cli_eval(data_dir, capsys):
     assert capsys.readouterr().out.strip() == "16"
 
 
-def test_cli_too_deep_tree_is_one_error_line(data_dir, capsys):
-    tree = "f(" + "g(" * 3000 + "a" + ")" * 3001
+def test_cli_too_deep_tree_is_one_error_line(data_dir, capsys, monkeypatch):
+    # A stand-in raise: parsing and evaluation no longer recurse once per level.
+    def too_deep(A, t):
+        raise RecursionError
+
+    monkeypatch.setattr("treehom.cli.evaluate", too_deep)
     code = run_cli("eval", "--automaton", str(data_dir / "doubling_chain.aut"),
-                   "--tree", tree)
+                   "--tree", "f(a)")
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_cli_eval_of_tall_chains(data_dir, capsys):
+    tree = "f(" + "g(" * 3000 + "a" + ")" * 3001
+    assert run_cli("eval", "--automaton", str(data_dir / "doubling_chain.aut"),
+                   "--tree", tree) == 0
+    assert capsys.readouterr().out == f"{2**3000}\n"
+    # counting_chain.aut: g^n(a) -> 2, g^n(b) -> 3
+    for leaf, value in (("a", "2"), ("b", "3")):
+        tree = "g(" * 100_000 + leaf + ")" * 100_000
+        assert run_cli("eval", "--automaton", str(data_dir / "counting_chain.aut"),
+                       "--tree", tree) == 0
+        assert capsys.readouterr().out == f"{value}\n"
+
+
+def test_cli_prints_exact_weights_of_any_size(data_dir, capsys):
+    n = 20_000  # 2**n has 6,021 digits, past the interpreter's int-to-str limit
+    tree = "f(" + "g(" * n + "a" + ")" * (n + 1)
+    assert run_cli("eval", "--automaton", str(data_dir / "doubling_chain.aut"),
+                   "--tree", tree) == 0
+    exact = decimal.Context(prec=n, traps=[decimal.Inexact])
+    assert capsys.readouterr().out == format(exact.power(2, n), "f") + "\n"
+
+
+@pytest.mark.parametrize("semiring,sign", [
+    ("natural", ""), ("integer", "-"), ("tropical", ""), ("arctic", ""),
+])
+def test_cli_reads_weight_literals_of_any_size(tmp_path, capsys, semiring, sign):
+    digits = "9" + "1234567890" * 600  # 6,001 digits
+    path = tmp_path / "long.aut"
+    path.write_text(f"semiring: {semiring}\nstates: q\nfinal: q\nrules:\n"
+                    f"a -> q @ {sign}{digits}\ng(q) -> q @ 1\n")
+    assert run_cli("eval", "--automaton", str(path), "--tree", "a") == 0
+    assert capsys.readouterr().out == f"{sign}{digits}\n"
+    assert run_cli("eval", "--automaton", str(path), "--tree", "g(a)") == 0
+    # times one over the naturals and integers, plus one over tropical and arctic
+    want = digits if semiring in ("natural", "integer") else digits[:-1] + "1"
+    assert capsys.readouterr().out == f"{sign}{want}\n"
 
 
 def test_cli_out_of_memory_is_one_error_line(data_dir, capsys, memory_cap, monkeypatch):

@@ -9,7 +9,6 @@ from treehom import (
     count_trees,
     enumerate_trees,
     format_position,
-    format_term,
     is_variable,
     parse_position,
     parse_term,
@@ -20,6 +19,7 @@ from treehom import (
     tree_key,
     variable,
 )
+from oracles import naive_parse_term
 
 SIGMA = RankedAlphabet([("a", 0), ("g", 1), ("k", 2)])
 
@@ -112,6 +112,49 @@ def test_parse_reports_column():
     assert err.value.column == 5
 
 
+def test_parse_shares_equal_subterms():
+    s = t("k(g(a),g(a))")
+    assert s.children[0] is s.children[1]
+    assert s.children[0] is not t("k(g(a),a)").children[0]  # the memo lives for one parse
+    assert s == Tree("k", (Tree("g", (Tree("a"),)), Tree("g", (Tree("a"),))))
+
+
+def test_parse_and_text_of_a_tall_term():
+    n = 100_000
+    text = "g(" * n + "k(a,a)" + ")" * n
+    s = t(text)
+    assert s.height == n + 1 and s.size == n + 3
+    assert s.text == text
+    assert s == t(" " + text)
+
+
+def parse_outcome(parse, text, alphabet, ext):
+    try:
+        return parse(text, alphabet, ext)
+    except TermSyntaxError as err:
+        return (str(err), err.column)
+
+
+PARSE_MODES = [(SIGMA, frozenset()), (SIGMA, {"x1"}), (None, frozenset()), (None, {"a"})]
+
+
+@given(tree_strategy(SIGMA), st.sampled_from(["", " ", "\t", "\n "]))
+def test_parse_matches_the_recursive_parser(s, gap):
+    spaced = s.text.replace(",", gap + "," + gap).replace("(", "(" + gap)
+    for text in (s.text, spaced, gap + spaced + gap):
+        for alphabet, ext in PARSE_MODES:
+            got = parse_outcome(parse_term, text, alphabet, ext)
+            assert got == parse_outcome(naive_parse_term, text, alphabet, ext)
+        assert parse_term(text, SIGMA) == s
+
+
+@given(st.text(alphabet="agkhx1(), \t", max_size=16))
+def test_parse_errors_match_the_recursive_parser(text):
+    for alphabet, ext in PARSE_MODES:
+        got = parse_outcome(parse_term, text, alphabet, ext)
+        assert got == parse_outcome(naive_parse_term, text, alphabet, ext)
+
+
 def test_alphabet_validation():
     assert RankedAlphabet({"a": 0, "g": 1}) == RankedAlphabet([("g", 1), ("a", 0)])
     with pytest.raises(TermError):
@@ -124,7 +167,7 @@ def test_alphabet_validation():
 
 @given(tree_strategy(SIGMA))
 def test_format_parse_round_trip(s):
-    assert parse_term(format_term(s), SIGMA) == s
+    assert parse_term(s.text, SIGMA) == s
 
 
 @given(tree_strategy(SIGMA))
