@@ -10,6 +10,8 @@ proved, or its least violating height found, by a fixpoint where it can.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .automaton import (
     Automaton,
     AutomatonError,
@@ -32,14 +34,18 @@ def bounded_equivalence(A: Automaton, B: Automaton, height_bound: int) -> Verdic
         raise AutomatonError("equivalence needs automata over one semiring")
     ta = RunsTable(A, height_bound)
     tb = RunsTable(B, height_bound)
-    # Unordered: only the least differing tree needs its text for the order.
-    differing = [t for t in ta._chart.keys() | tb._chart.keys()
-                 if ta.evaluate_value(t) != tb.evaluate_value(t)]
-    if not differing:
-        return verified(height_bound)
-    t = min(differing, key=tree_key)
-    wa, wb = ta.evaluate(t), tb.evaluate(t)
-    return violated(height_bound, (t, wa, wb), f"series differ on {t.text}: {wa} vs {wb}")
+    # The trees by (height, size): only the differing trees of the first
+    # group that has one are ordered by text, and no later group is evaluated.
+    groups: dict[tuple, list[Tree]] = {}
+    for t in {*chain(*ta.layers, *tb.layers)}:
+        groups.setdefault((t.height, t.size), []).append(t)
+    for shape in sorted(groups):
+        differing = [t for t in groups[shape] if ta.evaluate_value(t) != tb.evaluate_value(t)]
+        if differing:
+            t = min(differing, key=tree_key)
+            wa, wb = ta.evaluate(t), tb.evaluate(t)
+            return violated(height_bound, (t, wa, wb), f"series differ on {t.text}: {wa} vs {wb}")
+    return verified(height_bound)
 
 
 def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) -> Verdict:

@@ -94,8 +94,9 @@ class Rule:
 
     def plug(self, subs) -> Tree:
         """The lhs with subs[i] at its i-th state position.  It path-copies,
-        so the ground parts of the lhs stay shared."""
-        if self.flat:
+        so the ground parts of the lhs stay shared; a ground lhs is returned
+        itself."""
+        if self.flat and subs:
             return Tree(self.lhs.label, subs)
         t = self.lhs
         for p, sub in zip(self.state_positions, subs):
@@ -513,14 +514,13 @@ class Evaluator:
                     continue
                 matches = self._matches(node)
                 stack[-1] = (node, matches)
-                # Flat rules capture the children; each is pushed once.
-                pending = [(sub, None) for rule, subs in matches if not rule.flat
-                           for sub, lbl in zip(subs, rule.state_labels)
-                           if lbl != sink and sub not in chart]
-                if any(rule.flat for rule, _ in matches):
-                    pending += [(c, None) for c in node.children if c not in chart]
+                pending = dict.fromkeys(
+                    sub for rule, subs in matches
+                    for sub, lbl in zip(subs, rule.state_labels)
+                    if lbl != sink and sub not in chart
+                )
                 if pending:
-                    stack.extend(pending)
+                    stack.extend((sub, None) for sub in pending)
                     continue
             stack.pop()
             self._fill(node, matches)
@@ -607,42 +607,40 @@ class RunsTable(Evaluator):
     fills each new tree once from the applications that built it.  A rule
     application strictly increases height, so the layers below h hold every
     tree that a tree of layer h captures.  Trees outside the chart have no
-    runs except the pure sink's.  `add_layer` extends a table by one height.
+    runs except the pure sink's.
+
+    `until(table)`, if given, is called after each layer is filled; when it
+    returns true, no higher layer is filled.
     """
 
-    def __init__(self, A: Automaton, height_bound: int):
+    def __init__(self, A: Automaton, height_bound: int, until=None):
         if height_bound < 0:
             raise AutomatonError("height bound must be nonnegative")
         super().__init__(A)
-        self.height = -1
-        self._langs = {q: [] for q in A.real_states}  # state -> trees reaching it, by height
-        for _ in range(height_bound + 1):
-            self.add_layer()
-
-    def add_layer(self) -> list[Tree]:
-        """Fill the layer one above the table's height and return its trees."""
-        h = self.height = self.height + 1
-        langs = self._langs
-        for lang in langs.values():
-            lang.append([])
-        layer = []
-        for rules in self._rules.values():
-            # Rules in index order: a cell lists applications as matching would.
-            by_tree: dict[Tree, list] = {}
-            for rule in rules:
-                for subs in self._instances(rule, h, langs):
-                    by_tree.setdefault(rule.plug(subs), []).append((rule, subs))
-            for t, apps in by_tree.items():
-                layer.append(t)
-                for q in self._fill(t, apps):
-                    langs[q][h].append(t)
-        self.__dict__.pop("trees", None)
-        return layer
+        self.layers: list[list[Tree]] = []  # the trees of each height, in fill order
+        langs = {q: [] for q in A.real_states}  # state -> trees reaching it, by height
+        for h in range(height_bound + 1):
+            for lang in langs.values():
+                lang.append([])
+            layer = []
+            for rules in self._rules.values():
+                # Rules in index order: a cell lists applications as matching would.
+                by_tree: dict[Tree, list] = {}
+                for rule in rules:
+                    for subs in self._instances(rule, h, langs):
+                        by_tree.setdefault(rule.plug(subs), []).append((rule, subs))
+                for t, apps in by_tree.items():
+                    layer.append(t)
+                    for q in self._fill(t, apps):
+                        langs[q][h].append(t)
+            self.layers.append(layer)
+            if until is not None and until(self):
+                break
 
     @cached_property
     def trees(self) -> list[Tree]:
-        """The trees of the chart in (height, size, text) order."""
-        return sorted(self._chart, key=tree_key)
+        """The trees of the table in (height, size, text) order."""
+        return [t for layer in self.layers for t in sorted(layer, key=tree_key)]
 
     def _instances(self, rule: Rule, h: int, langs):
         """Instantiations of rule of height exactly h, as captured subtrees:
@@ -802,21 +800,27 @@ def check_unambiguous(A: Automaton, height_bound: int) -> Verdict:
     A only adds runs, so when the flattened relaxation (`_relaxed_rules`) has
     no two accepting runs on one tree of height <= bound
     (`first_diverging_height`), the verdict is ok without enumerating any
-    tree.  Otherwise the run chart is built and examined one height layer at
-    a time, and stops at the first layer that holds a witness.
+    tree.  Otherwise the run chart is built one height layer at a time, and
+    stops at the first layer that holds a witness.
     """
     relaxed = _relaxed_rules(A)
     if relaxed is not None and first_diverging_height(relaxed, A.finals, height_bound) is None:
         return verified(height_bound)
-    table = RunsTable(A, 0)
-    layer = table.trees
-    while True:
-        # Layers hold trees of one height each, so the first witness of the
+    witness = None
+
+    def layer_has_witness(table: RunsTable) -> bool:
+        nonlocal witness
+        # A layer holds the trees of one height, so the first witness of the
         # first layer that has one is the first in (height, size, text) order.
-        for t in sorted(layer, key=tree_key):
+        for t in sorted(table.layers[-1], key=tree_key):
             acc = table.accepting_runs(t)
             if len(acc) > 1:
-                return violated(height_bound, (t, acc), f"{len(acc)} accepting runs for {t.text}")
-        if table.height == height_bound:
-            return verified(height_bound)
-        layer = table.add_layer()
+                witness = (t, acc)
+                return True
+        return False
+
+    RunsTable(A, height_bound, until=layer_has_witness)
+    if witness is None:
+        return verified(height_bound)
+    t, acc = witness
+    return violated(height_bound, witness, f"{len(acc)} accepting runs for {t.text}")

@@ -13,7 +13,6 @@ distinct subterm is evaluated once.
 from __future__ import annotations
 
 import re
-import string
 from itertools import product
 
 Position = tuple
@@ -245,7 +244,6 @@ def substitute_vars(t: Tree, theta: dict[str, Tree]) -> Tree:
 # One token per match: a name, a bracket or comma, or any other non-space
 # character (always a syntax error).  Whitespace is skipped between tokens.
 _TOKEN_RE = re.compile(NAME_RE.pattern + r"|[(),]|\S")
-_NAME_START = frozenset(string.ascii_letters + "_")  # as in NAME_RE
 
 
 def _token_column(text: str, i: int) -> int:
@@ -282,7 +280,7 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset(
     i = 0
     while True:
         name = tokens[i]
-        if name[:1] not in _NAME_START:
+        if not NAME_RE.match(name):
             fail("expected a name", i)
         at = i
         if tokens[i + 1] != "(":

@@ -317,6 +317,14 @@ def test_check_unambiguous_rules_colliding_when_relaxed():
     assert t.text == "k(a,a)" and [run.weight.value for run in runs] == [1, 2]
 
 
+def test_check_unambiguous_rejects_a_negative_bound(doubling_chain):
+    # The first two have rules that merge when relaxed, so no fixpoint runs
+    # before the run chart; the last is decided by the fixpoint alone.
+    for A in (FLAT_CONSTRAINED, colliding_when_relaxed(), doubling_chain):
+        with pytest.raises(AutomatonError, match="height bound must be nonnegative"):
+            check_unambiguous(A, -1)
+
+
 def test_check_run_accepts_and_rejects(doubling_chain):
     t = parse_term("f(g(a))", doubling_chain.alphabet)
     (run,) = accepting_runs(doubling_chain, t)

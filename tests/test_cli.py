@@ -370,6 +370,19 @@ def test_cli_check_tetris_free_rejects_a_negative_height(data_dir, capsys, name)
     assert err == "error: height bound must be nonnegative\n"
 
 
+def test_cli_check_unambiguous_rejects_a_negative_height(tmp_path, capsys):
+    # Two rules share lhs and target, so the check goes straight to the run
+    # chart, whose layers would never reach a negative height.
+    path = tmp_path / "merging.aut"
+    path.write_text("semiring: natural\nstates: q p\nfinal: p\nrules:\n"
+                    "a -> q @ 2\nk(q,q) -> p @ 1 | 1 = 2\nk(q,q) -> p @ 5\n")
+    code = run_cli("check", "unambiguous", "--automaton", str(path), "--height", "-1")
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: height bound must be nonnegative\n"
+
+
 def test_cli_check_requires_matching_inputs(data_dir, capsys):
     code = run_cli("check", "tetris-free",
                    "--automaton", str(data_dir / "doubling_chain.aut"))
