@@ -74,9 +74,8 @@ from .term import (
     is_variable,
     parse_position,
     parse_term,
-    positions,
+    preorder,
     replace_at,
-    subtree_at,
     substitute_vars,
     tree_key,
     variable,
@@ -137,14 +136,13 @@ __all__ = [
     "linearize",
     "parse_position",
     "parse_term",
-    "positions",
     "power_index_period",
+    "preorder",
     "project_boolean",
     "replace_at",
     "run_state_map",
     "runs_to_state",
     "substitute_vars",
-    "subtree_at",
     "support_up_to",
     "tree_key",
     "variable",

@@ -41,6 +41,7 @@ from .term import (
     Tree,
     enumerate_trees,
     format_position,
+    preorder,
     replace_at,
     tree_key,
 )
@@ -127,29 +128,23 @@ class Rule:
 
 def _scan_lhs(lhs: Tree, alphabet: RankedAlphabet, states: frozenset):
     """Validate an lhs and collect state positions in prefix order."""
+    if lhs.label in states and not lhs.children:
+        raise AutomatonError(f"left-hand side must not be a bare state: {lhs.text}")
     state_positions = []
     state_labels = []
-
-    def walk(node, prefix):
+    for p, node in preorder(lhs):
         if node.label in states:
             if node.children:
                 raise AutomatonError(f"state {node.label} used with arguments in {lhs.text}")
-            state_positions.append(prefix)
+            state_positions.append(p)
             state_labels.append(node.label)
-            return
-        if node.label not in alphabet:
+        elif node.label not in alphabet:
             raise AutomatonError(f"undeclared symbol {node.label} in {lhs.text}")
-        if alphabet.rank(node.label) != len(node.children):
+        elif alphabet.rank(node.label) != len(node.children):
             raise AutomatonError(
                 f"symbol {node.label} has rank {alphabet.rank(node.label)}, "
                 f"used with {len(node.children)} arguments in {lhs.text}"
             )
-        for i, c in enumerate(node.children, start=1):
-            walk(c, prefix + (i,))
-
-    if lhs.label in states and not lhs.children:
-        raise AutomatonError(f"left-hand side must not be a bare state: {lhs.text}")
-    walk(lhs, ())
     return tuple(state_positions), tuple(state_labels)
 
 
@@ -225,14 +220,8 @@ class Automaton:
         self.sink = sink
 
         prepared = []
-        for r in rules:
-            if isinstance(r, Rule):
-                # Rebuild rather than share: the automaton owns its rules
-                # (it assigns their indices).
-                lhs, target, weight, pairs = r.lhs, r.target, r.weight, r.pairs
-            else:
-                lhs, target, weight, *rest = r
-                pairs = rest[0] if rest else ()
+        for lhs, target, weight, *rest in rules:
+            pairs = rest[0] if rest else ()
             prepared.append(make_rule(alphabet, state_set, semiring, lhs, target, weight, pairs))
         seen_keys = set()
         for rule in prepared:
@@ -401,18 +390,27 @@ class Run:
 
 
 def format_run(run: Run, indent: str = "") -> str:
-    lines = [f"{indent}{run.rule.text}"]
-    for sub in run.subruns:
-        lines.append(format_run(sub, indent + "  "))
+    """One line per rule application in preorder, each child run indented
+    two spaces past its parent."""
+    lines = []
+    stack = [(run, 0)]
+    while stack:
+        run, depth = stack.pop()
+        lines.append(f"{indent}{'  ' * depth}{run.rule.text}")
+        depth += 1
+        stack.extend((sub, depth) for sub in reversed(run.subruns))
     return "\n".join(lines)
 
 
 def run_state_map(run: Run) -> dict[Position, str]:
     """Position -> target state map of a WTA-shaped run."""
-    out = {(): run.rule.target}
-    for p, sub in zip(run.rule.state_positions, run.subruns):
-        for sp, q in run_state_map(sub).items():
-            out[p + sp] = q
+    out = {}
+    stack = [((), run)]
+    while stack:
+        p, run = stack.pop()
+        out[p] = run.rule.target
+        stack.extend(reversed([(p + sp, sub)
+                               for sp, sub in zip(run.rule.state_positions, run.subruns)]))
     return out
 
 

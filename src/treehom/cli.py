@@ -63,6 +63,7 @@ from .term import (
     format_position,
     parse_position,
     parse_term,
+    preorder,
 )
 from .verdict import Verdict
 
@@ -163,25 +164,18 @@ def parse_automaton(text: str) -> Automaton:
             raise FileFormatError(lineno, f"zero-weight rule: {line}")
         parsed.append((lineno, lhs, target, weight, tuple(pairs)))
 
+    # parse_term has already rejected a state with arguments.
     ranks: dict[str, int] = {}
-
-    def scan(node: Tree, lineno: int):
-        if node.label in state_set:
-            if node.children:
-                raise FileFormatError(lineno, f"state {node.label} used with arguments")
-            return
-        rank = len(node.children)
-        if node.label in ranks and ranks[node.label] != rank:
-            raise FileFormatError(
-                lineno,
-                f"symbol {node.label} used at ranks {ranks[node.label]} and {rank}",
-            )
-        ranks[node.label] = rank
-        for c in node.children:
-            scan(c, lineno)
-
     for lineno, lhs, _, _, _ in parsed:
-        scan(lhs, lineno)
+        for _, node in preorder(lhs):
+            if node.label in state_set:
+                continue
+            rank = len(node.children)
+            if ranks.setdefault(node.label, rank) != rank:
+                raise FileFormatError(
+                    lineno,
+                    f"symbol {node.label} used at ranks {ranks[node.label]} and {rank}",
+                )
     if not ranks:
         raise FileFormatError(None, "no alphabet symbols appear in any rule")
     alphabet = RankedAlphabet(sorted(ranks.items()))
@@ -212,9 +206,12 @@ def _parse_symbol_list(lineno: int, text: str):
     out = []
     for chunk in text.split():
         name, slash, rank = chunk.partition("/")
-        if not slash or not rank.isdigit():
+        if not slash or not rank.isdecimal():
             raise FileFormatError(lineno, f"expected name/rank, got {chunk!r}")
-        out.append((name, int(rank)))
+        try:
+            out.append((name, int(rank)))
+        except ValueError:  # past int()'s digit limit: no file holds that many arguments
+            raise FileFormatError(lineno, f"rank of {name} has too many digits") from None
     if not out:
         raise FileFormatError(lineno, "empty symbol list")
     return out
@@ -260,16 +257,6 @@ def parse_hom(text: str) -> TreeHomomorphism:
         return TreeHomomorphism(source, target, images)
     except HomError as err:
         raise FileFormatError(None, str(err)) from None
-
-
-def format_hom(h: TreeHomomorphism) -> str:
-    lines = [
-        "from: " + " ".join(f"{n}/{k}" for n, k in sorted(h.source.items())),
-        "to: " + " ".join(f"{n}/{k}" for n, k in sorted(h.target.items())),
-    ]
-    for name, rank in sorted(h.source.items()):
-        lines.append(f"{name}/{rank} -> {h.image_of(name).text}")
-    return "\n".join(lines) + "\n"
 
 
 def load_automaton(path: str) -> Automaton:

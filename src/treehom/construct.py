@@ -23,10 +23,9 @@ from .semiring import Weight, get_semiring, power_index_period
 from .term import (
     RankedAlphabet,
     Tree,
-    positions,
-    replace_at,
-    subtree_at,
     is_variable,
+    preorder,
+    replace_at,
 )
 
 
@@ -59,13 +58,12 @@ def _merge_rules(semiring, rule_specs):
 
 
 def _variable_occurrences(image: Tree, rank: int):
-    """Sorted occurrence positions of x1..xk in an image tree."""
+    """Occurrence positions of x1..xk in an image tree, in prefix order."""
     occ = {i: [] for i in range(1, rank + 1)}
-    for p in positions(image):
-        label = subtree_at(image, p).label
-        if is_variable(label):
-            occ[int(label[1:])].append(p)
-    return {i: tuple(sorted(ps)) for i, ps in occ.items()}
+    for p, node in preorder(image):
+        if is_variable(node.label):
+            occ[int(node.label[1:])].append(p)
+    return {i: tuple(ps) for i, ps in occ.items()}
 
 
 def _image_rule_specs(A: Automaton, h: TreeHomomorphism, sink: str):

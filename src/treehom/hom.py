@@ -16,8 +16,7 @@ from .term import (
     format_position,
     is_variable,
     iter_trees,
-    positions,
-    subtree_at,
+    preorder,
     substitute_vars,
     tree_key,
     variable,
@@ -51,8 +50,7 @@ class TreeHomomorphism:
             image = self.images[name]
             allowed = {variable(i) for i in range(1, rank + 1)}
             seen = set()
-            for p in positions(image):
-                node = subtree_at(image, p)
+            for _, node in preorder(image):
                 if is_variable(node.label):
                     if node.children:
                         raise HomError(f"variable {node.label} used with arguments in h({name})")
@@ -187,20 +185,21 @@ def check_tetris_free(h: TreeHomomorphism, height_bound: int) -> Verdict:
         rest = [other for other in group[1:] if other.height <= height_bound]
         if not rest:
             continue
-        first_pos = positions(first)
+        first_nodes = tuple(preorder(first))
+        first_pos = [p for p, _ in first_nodes]
         for other in rest:
             # Same-positions + pointwise-equal-images is an equivalence, so
             # comparing against the group's first member finds the first
             # violating pair.
-            if positions(other) != first_pos:
+            other_nodes = tuple(preorder(other))
+            if [p for p, _ in other_nodes] != first_pos:
                 return violated(
                     height_bound,
                     (first, other),
                     f"position sets differ for preimages of {image.text}",
                 )
-            for p in first_pos:
-                a = subtree_at(first, p).label
-                b = subtree_at(other, p).label
+            for (p, x), (_, y) in zip(first_nodes, other_nodes):
+                a, b = x.label, y.label
                 if h.image_of(a) != h.image_of(b):
                     return violated(
                         height_bound,

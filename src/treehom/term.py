@@ -15,6 +15,8 @@ from __future__ import annotations
 import re
 from itertools import product
 
+from .semiring import decimal_text, parse_digits
+
 Position = tuple
 
 
@@ -188,7 +190,7 @@ def tree_key(t: Tree):
 
 
 def format_position(p: Position) -> str:
-    return ".".join(str(i) for i in p) if p else "e"
+    return ".".join(decimal_text(i) for i in p) if p else "e"
 
 
 def parse_position(text: str) -> Position:
@@ -198,29 +200,20 @@ def parse_position(text: str) -> Position:
     parts = text.split(".")
     if not all(re.fullmatch(r"[1-9][0-9]*", part) for part in parts):
         raise PositionError(f"invalid position: {text!r}")
-    return tuple(int(part) for part in parts)
+    return tuple(parse_digits(part) for part in parts)
 
 
-def positions(t: Tree) -> tuple[Position, ...]:
-    """All positions of t in prefix-first lexicographic (preorder) order."""
-    out = []
-
-    def walk(node, prefix):
-        out.append(prefix)
-        for i, c in enumerate(node.children, start=1):
-            walk(c, prefix + (i,))
-
-    walk(t, ())
-    return tuple(out)
-
-
-def subtree_at(t: Tree, p: Position) -> Tree:
-    node = t
-    for i in p:
-        if i < 1 or i > len(node.children):
-            raise PositionError(f"position {format_position(p)} not in {t.text}")
-        node = node.children[i - 1]
-    return node
+def preorder(t: Tree):
+    """(position, node) for every node of t in prefix-first lexicographic
+    (preorder) order, walked on an explicit stack, so any height works."""
+    stack = [((), t)]
+    while stack:
+        p, node = stack.pop()
+        yield p, node
+        children = node.children
+        if children:
+            for i in range(len(children), 0, -1):
+                stack.append(((*p, i), children[i - 1]))
 
 
 def replace_at(t: Tree, p: Position, sub: Tree) -> Tree:

@@ -26,10 +26,7 @@ from treehom import (
     get_semiring,
     hom_image,
     linearize,
-    positions,
     replace_at,
-    run_state_map,
-    subtree_at,
     tree_key,
 )
 from treehom.automaton import constraints_ok
@@ -41,8 +38,50 @@ from treehom.construct import (
     _sink_rule_specs,
     _variable_occurrences,
 )
-from treehom.term import NAME_RE, TermSyntaxError
+from treehom.term import NAME_RE, PositionError, TermSyntaxError
 from treehom.verdict import verified, violated
+
+
+# Recursive reference walkers: `preorder`, `format_run` and `run_state_map`
+# walk on explicit stacks and must agree with these.
+
+
+def positions(t: Tree) -> tuple:
+    """All positions of t in prefix-first lexicographic (preorder) order."""
+    out = []
+
+    def walk(node, prefix):
+        out.append(prefix)
+        for i, c in enumerate(node.children, start=1):
+            walk(c, prefix + (i,))
+
+    walk(t, ())
+    return tuple(out)
+
+
+def subtree_at(t: Tree, p) -> Tree:
+    node = t
+    for i in p:
+        if i < 1 or i > len(node.children):
+            raise PositionError(f"position {format_position(p)} not in {t.text}")
+        node = node.children[i - 1]
+    return node
+
+
+def naive_format_run(run: Run, indent: str = "") -> str:
+    lines = [f"{indent}{run.rule.text}"]
+    for sub in run.subruns:
+        lines.append(naive_format_run(sub, indent + "  "))
+    return "\n".join(lines)
+
+
+def naive_run_state_map(run: Run) -> dict:
+    """Position -> target state map of a WTA-shaped run."""
+    out = {(): run.rule.target}
+    for p, sub in zip(run.rule.state_positions, run.subruns):
+        for sp, q in naive_run_state_map(sub).items():
+            out[p + sp] = q
+    return out
 
 
 def naive_parse_term(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset()) -> Tree:
@@ -317,7 +356,7 @@ def naive_reachable_part(A):
                 changed = True
     rules = [r for r in A.rules if all(q in reached for q in r.state_labels)]
     return Automaton(A.semiring, A.alphabet, [q for q in A.states if q in reached],
-                     [q for q in A.finals if q in reached], rules, sink=A.sink)
+                     [q for q in A.finals if q in reached], rule_specs(rules), sink=A.sink)
 
 
 def naive_tetris_free(h, height_bound):
@@ -366,13 +405,13 @@ def naive_h_unambiguous(A, h, height_bound):
             groups.setdefault(h.apply(s), []).append((s, acc))
     for members in groups.values():
         ref_tree, ref_runs = members[0]
-        ref_map = run_state_map(ref_runs[0])
+        ref_map = naive_run_state_map(ref_runs[0])
         ref_positions = sorted(ref_map)
         for s, runs in members:
             for run in runs:
                 if s is ref_tree and run is ref_runs[0]:
                     continue
-                cur = run_state_map(run)
+                cur = naive_run_state_map(run)
                 if sorted(cur) != ref_positions:
                     return violated(
                         height_bound,
@@ -570,10 +609,15 @@ def random_modular_pair(rng):
             return A, h
 
 
+def rule_specs(rules) -> list:
+    """Rules as the (lhs, target, weight, pairs) tuples `Automaton` takes."""
+    return [(r.lhs, r.target, r.weight, r.pairs) for r in rules]
+
+
 def with_sink(A, sink="bot"):
     """The WTA A plus a sink state and its weight-one rules: eq-restricted."""
     return Automaton(A.semiring, A.alphabet, list(A.states) + [sink], A.finals,
-                     list(A.rules) + _sink_rule_specs(A.alphabet, A.semiring, sink),
+                     rule_specs(A.rules) + _sink_rule_specs(A.alphabet, A.semiring, sink),
                      sink=sink)
 
 
@@ -712,8 +756,8 @@ def canonical_form(A: Automaton) -> Automaton:
         A.rules,
         key=lambda r: (r.lhs.text, r.target, r.constraint_text(), str(r.weight)),
     )
-    return Automaton(A.semiring, A.alphabet, sorted(A.states), A.finals, rules,
-                     sink=A.sink)
+    return Automaton(A.semiring, A.alphabet, sorted(A.states), A.finals,
+                     rule_specs(rules), sink=A.sink)
 
 
 def _erased_rule_key(A: Automaton, rule: Rule):

@@ -15,6 +15,7 @@ from treehom import (
     Evaluator,
     RunsTable,
     TreeHomomorphism,
+    Weight,
     accepting_runs,
     bounded_equivalence,
     check_h_unambiguous,
@@ -70,7 +71,7 @@ def test_c03_image_series_property(doubling_chain, duplicating_hom):
         source_eval = Evaluator(A)
         image_eval = Evaluator(img)
         for t in enumerate_trees(h.target, bound):
-            total = A.semiring.zero_weight
+            total = Weight(A.semiring, A.semiring.zero)
             for s in h.preimage(t):
                 total = total + source_eval.evaluate(s)
             assert image_eval.evaluate(t) == total

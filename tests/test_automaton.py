@@ -31,6 +31,8 @@ from oracles import (
     check_run,
     naive_accepting_runs,
     naive_evaluate,
+    naive_format_run,
+    naive_run_state_map,
     naive_run_weight,
     naive_runs,
     naive_state_value,
@@ -354,6 +356,18 @@ def test_runs_match_naive_enumeration(doubling_image, constrained_pair, z6_chain
                 assert sorted(map(repr, got)) == sorted(map(repr, want))
                 for run in got:
                     check_run(A, run, expect_tree=t, expect_state=q)
+
+
+def test_run_walkers_match_recursive_references(doubling_image, constrained_pair, z6_chain):
+    for A in (doubling_image, constrained_pair, z6_chain, FLAT_CONSTRAINED):
+        for t in enumerate_trees(A.alphabet, 3):
+            for q in A.states:
+                for run in runs_to_state(A, t, q):
+                    assert format_run(run) == naive_format_run(run)
+                    assert format_run(run, "  ") == naive_format_run(run, "  ")
+                    # same entries in the same order
+                    assert list(run_state_map(run).items()) == \
+                        list(naive_run_state_map(run).items())
 
 
 def test_evaluate_matches_naive(doubling_image, constrained_pair, z6_chain, arctic_chain):

@@ -19,7 +19,6 @@ from treehom.cli import (
     _warn_enumeration,
     emit_report,
     format_automaton,
-    format_hom,
     load_automaton,
     load_hom,
     main,
@@ -85,6 +84,16 @@ def test_format_automaton_prints_the_canonical_form(data_dir):
         automata += [image, fixed, project_boolean(fixed), linearize(fixed, 1)]
     for A in automata:
         assert format_automaton(A) == canonical_text(A)
+
+
+def format_hom(h):
+    lines = [
+        "from: " + " ".join(f"{n}/{k}" for n, k in sorted(h.source.items())),
+        "to: " + " ".join(f"{n}/{k}" for n, k in sorted(h.target.items())),
+    ]
+    for name, rank in sorted(h.source.items()):
+        lines.append(f"{name}/{rank} -> {h.image_of(name).text}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("name", HOM_FILES)
@@ -305,6 +314,49 @@ def test_cli_runs_accepting(data_dir, capsys):
                    "--tree", "f(g(a))")
     assert code == 0
     assert capsys.readouterr().out == "0 accepting run(s) for f(g(a))\n"
+
+
+def test_cli_runs_of_tall_chains(data_dir, capsys):
+    n = 3000
+    tree = "f(" + "g(" * n + "a" + ")" * (n + 1)
+    code = run_cli("runs", "--automaton", str(data_dir / "doubling_chain.aut"), "--tree", tree)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(lines) == n + 4
+    # run line i (from 0) is indented by 2 + 2 * i spaces
+    assert lines[-1] == " " * (2 * n + 4) + "a -> q @ 1"
+
+
+def test_cli_constraint_positions_of_any_length(tmp_path, capsys):
+    digits = "1" * 5000  # past the interpreter's int-to-str limit
+    path = tmp_path / "long.aut"
+    path.write_text("semiring: natural\nstates: q p\nfinal: p\nrules:\na -> q @ 1\n"
+                    f"k(q,q) -> p @ 1 | 1 = {digits}\n")
+    assert run_cli("eval", "--automaton", str(path), "--tree", "k(a,a)") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: constraint position {digits} is not a state position\n"
+
+
+def test_cli_hom_ranks_of_too_many_digits(tmp_path, capsys):
+    path = tmp_path / "long.hom"
+    path.write_text(f"from: a/0 f/{'1' * 5000}\nto: a/0\na/0 -> a\n")
+    assert run_cli("validate", "--hom", str(path)) == 1
+    assert capsys.readouterr().err == "error: line 1: rank of f has too many digits\n"
+
+
+def test_cli_moduli_of_any_length(tmp_path, capsys):
+    modulus = "2" * 5000
+    path = tmp_path / "long.aut"
+    path.write_text(f"semiring: z{modulus}\nstates: q\nfinal: q\nrules:\na -> q @ 7\n"
+                    f"g(q) -> q @ {'3' * 5000}\n")
+    assert run_cli("eval", "--automaton", str(path), "--tree", "a") == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: line 6: residue {'3' * 5000} out of range for z{modulus} "
+                   f"(expected 0..{modulus[:-1]}1)\n")
+    path.write_text(f"semiring: z{modulus}\nstates: q\nfinal: q\nrules:\na -> q @ 7\n"
+                    f"g(q) -> q @ {modulus[:-1]}1\n")
+    assert run_cli("eval", "--automaton", str(path), "--tree", "g(a)") == 0
+    assert capsys.readouterr().out == f"{modulus[:-2]}15\n"  # 7 * (k - 1) = k - 7
 
 
 def test_cli_image_writes_output(data_dir, tmp_path, capsys):

@@ -39,6 +39,7 @@ from oracles import (
     random_modular_pair,
     random_pair,
     relabel_symbols,
+    rule_specs,
     run_image,
     with_sink,
     wtg_to_wta,
@@ -493,9 +494,7 @@ def test_linearize_rejects_broken_sink_discipline(doubling_image):
     # A sink state fed into a real rule without a leading real position
     # breaks the eq-restriction, and such inputs are refused.
     ext = set(doubling_image.states)
-    rules = [(r.lhs, r.target, r.weight,
-              tuple((cls[0], p) for cls in r.classes for p in cls[1:]))
-             for r in doubling_image.rules]
+    rules = rule_specs(doubling_image.rules)
     rules.append((parse_term("g(bot)", None, ext=ext), "q",
                   Weight(NAT, 1), ()))
     broken = Automaton(doubling_image.semiring, doubling_image.alphabet,

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import product
 
 import pytest
@@ -11,21 +12,30 @@ from treehom import (
     get_semiring,
     power_index_period,
 )
+from treehom.semiring import _is_prime
 
 ALL_IDS = ["boolean", "natural", "integer", "tropical", "arctic", "z6", "z5"]
 
 
-def sample_values(sr, limit=6):
-    vals = list(sr.elements()) if sr.finite else list(sr.sample())
-    assert len(vals) >= 2
-    return vals[:limit] if len(vals) > limit else vals
+# Fixed carrier samples of the infinite semirings for law checking.
+SAMPLES = {
+    "natural": [0, 1, 2, 3, 5, 7, 32, 1024, 2**40],
+    "integer": [0, 1, -1, 2, -3, 7, -10, 64, -(2**30)],
+    "tropical": [math.inf, 0, 1, 2, 3, 5, 10, 100],
+    "arctic": [-math.inf, 0, 1, 2, 3, 5, 10, 100],
+}
+
+
+def elements(sr):
+    """Every carrier value of a finite semiring."""
+    return [0, 1] if sr.id == "boolean" else list(range(sr.k))
 
 
 @pytest.mark.parametrize("sr_id", ALL_IDS)
 def test_semiring_axioms(sr_id):
     # Exhaustive on finite carriers, a sampled grid of >= 100 triples otherwise.
     sr = get_semiring(sr_id)
-    vals = list(sr.elements()) if sr.finite else list(sr.sample())
+    vals = elements(sr) if sr.finite else SAMPLES[sr_id]
     if not sr.finite:
         assert len(vals) ** 3 >= 100
     for a, b in product(vals, repeat=2):
@@ -72,7 +82,7 @@ def test_zero_sum_free_flag_matches_carrier():
     # On every finite semiring the flag must agree with brute force.
     for sr_id in ("boolean", "z4", "z5", "z6", "z7"):
         sr = get_semiring(sr_id)
-        vals = list(sr.elements())
+        vals = elements(sr)
         has_zero_sum = any(
             sr.add(a, b) == sr.zero and (a != sr.zero or b != sr.zero)
             for a, b in product(vals, repeat=2)
@@ -83,7 +93,7 @@ def test_zero_sum_free_flag_matches_carrier():
 def test_zero_divisor_flag_matches_carrier():
     for sr_id in ("boolean", "z4", "z5", "z6", "z7"):
         sr = get_semiring(sr_id)
-        vals = [v for v in sr.elements() if v != sr.zero]
+        vals = [v for v in elements(sr) if v != sr.zero]
         has_divisor = any(sr.mul(a, b) == sr.zero for a, b in product(vals, repeat=2))
         assert sr.zero_divisor_free is (not has_divisor)
 
@@ -177,6 +187,25 @@ def test_parse_rejects_bad_literals():
         get_semiring("tropical").parse("x")
 
 
+def test_primality_of_large_moduli():
+    start = time.perf_counter()
+    assert get_semiring(f"z{2**61 - 1}").zero_divisor_free
+    assert time.perf_counter() - start < 0.5
+    assert not get_semiring("z561").zero_divisor_free  # a Carmichael number
+    assert not get_semiring(f"z{10**30}").zero_divisor_free
+    # A composite past the exact range of the bases still has a witness.
+    assert not get_semiring(f"z{(2**61 - 1) * (2**89 - 1)}").zero_divisor_free
+    # A prime past that range has none, and is not taken on trust.
+    with pytest.raises(SemiringError):
+        get_semiring(f"z{2**89 - 1}")
+
+
+def test_primality_matches_trial_division():
+    for k in range(5000):
+        prime = k >= 2 and all(k % d for d in range(2, math.isqrt(k) + 1))
+        assert _is_prime(k) is prime, k
+
+
 def test_get_semiring_registry():
     assert get_semiring("natural") is get_semiring("natural")
     assert get_semiring("z6").k == 6
@@ -200,7 +229,7 @@ def test_power_index_period_definition():
     # (i, p) really is the least lasso of the power sequence.
     for sr_id in ("boolean", "z4", "z5", "z6", "z7", "z8"):
         sr = get_semiring(sr_id)
-        for v in sr.elements():
+        for v in elements(sr):
             i, p = power_index_period(Weight(sr, v))
             powers = [sr.one]
             for _ in range(i + 2 * p + 2):

@@ -12,14 +12,13 @@ from treehom import (
     is_variable,
     parse_position,
     parse_term,
-    positions,
+    preorder,
     replace_at,
     substitute_vars,
-    subtree_at,
     tree_key,
     variable,
 )
-from oracles import naive_parse_term
+from oracles import naive_parse_term, positions, subtree_at
 
 SIGMA = RankedAlphabet([("a", 0), ("g", 1), ("k", 2)])
 
@@ -46,22 +45,42 @@ def test_tree_basics():
     assert s.label == "k"
     assert s.size == 8
     assert s.height == 4
-    assert len(positions(s)) == 8
+    assert len(list(preorder(s))) == 8
     assert s.text == "k(g(g(a)),g(g(g(a))))"
 
 
 def test_positions_are_preorder():
     s = t("k(g(a),a)")
-    assert positions(s) == ((), (1,), (1, 1), (2,))
+    assert [(p, node.text) for p, node in preorder(s)] == [
+        ((), "k(g(a),a)"), ((1,), "g(a)"), ((1, 1), "a"), ((2,), "a"),
+    ]
+
+
+@given(tree_strategy(SIGMA))
+def test_preorder_matches_recursive_positions(s):
+    walked = list(preorder(s))
+    assert [p for p, _ in walked] == list(positions(s))
+    assert all(node is subtree_at(s, p) for p, node in walked)
+
+
+def test_preorder_of_a_tall_tree():
+    # Past the recursion limit; positions of a chain sum to n**2 / 2 entries.
+    n = 3000
+    s = parse_term("g(" * n + "a" + ")" * n, SIGMA)
+    count = 0
+    for p, node in preorder(s):
+        count += 1
+    assert count == n + 1
+    assert p == (1,) * n and node.label == "a"
 
 
 def test_subtree_and_replace():
     s = t("k(g(a),g(g(a)))")
-    assert subtree_at(s, (2, 1)) == t("g(a)")
+    assert dict(preorder(s))[(2, 1)] == t("g(a)")
     assert replace_at(s, (1,), t("a")) == t("k(a,g(g(a)))")
     assert replace_at(s, (), t("a")) == t("a")
     with pytest.raises(TermError):
-        subtree_at(s, (3,))
+        replace_at(s, (3,), t("a"))
 
 
 def test_position_formatting():
@@ -172,15 +191,14 @@ def test_format_parse_round_trip(s):
 
 @given(tree_strategy(SIGMA))
 def test_every_position_resolves(s):
-    for p in positions(s):
-        sub = subtree_at(s, p)
+    for p, sub in preorder(s):
         assert replace_at(s, p, sub) == s
 
 
 @given(tree_strategy(SIGMA))
 def test_size_and_height_consistency(s):
-    assert s.size == len(positions(s))
-    assert s.height == max(len(p) for p in positions(s))
+    assert s.size == len(list(preorder(s)))
+    assert s.height == max(len(p) for p, _ in preorder(s))
 
 
 def test_enumerate_trees_small():
