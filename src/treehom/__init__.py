@@ -9,7 +9,7 @@ boolean support, and linearizing constraints away.  Everything is backed by
 bounded brute-force checkers so small instances can be verified exactly.
 """
 
-from .analyze import bounded_equivalence, check_h_unambiguous
+from .analyze import bounded_equivalence, check_h_unambiguous, linearization_equivalence
 from .automaton import (
     Automaton,
     AutomatonError,
@@ -133,6 +133,7 @@ __all__ = [
     "get_semiring",
     "hom_image",
     "is_variable",
+    "linearization_equivalence",
     "linearize",
     "parse_position",
     "parse_term",

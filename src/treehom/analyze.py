@@ -15,8 +15,11 @@ from itertools import chain
 from .automaton import (
     Automaton,
     AutomatonError,
+    Evaluator,
     RunsTable,
+    eq_restriction_violation,
     first_diverging_height,
+    relaxation_unambiguous,
     run_state_map,
 )
 from .hom import TreeHomomorphism, images_clash
@@ -46,6 +49,127 @@ def bounded_equivalence(A: Automaton, B: Automaton, height_bound: int) -> Verdic
             wa, wb = ta.evaluate(t), tb.evaluate(t)
             return violated(height_bound, (t, wa, wb), f"series differ on {t.text}: {wa} vs {wb}")
     return verified(height_bound)
+
+
+def linearization_equivalence(A: Automaton, B: Automaton, lin_height: int,
+                              height_bound: int) -> Verdict:
+    """The verdict of `bounded_equivalence(A, B, height_bound)` for
+    B = linearize(A, lin_height), found without enumerating trees where
+    possible.
+
+    B sums exactly the runs of A whose constrained classes hold subtrees of
+    height <= lin_height; call the other runs of A *tall*.  Three paths:
+
+    0. No rule of A other than the sink's is constrained: A and B have the
+       same runs, so the verdict is ok at any semiring.
+    1. A is eq-restricted, its semiring is zero-divisor-free (every run
+       weighs nonzero), and `relaxation_unambiguous` proves at most one
+       accepting run per tree of height <= bound.  Then a tree's values
+       differ exactly when its accepting run is tall, and `_least_tall_tree`
+       finds the least such tree by a fixpoint over (state, tall) cells.  If
+       there is none, the verdict is ok and no tree is built.  Otherwise both
+       automata are evaluated on that one tree.
+    2. Every other case, and a path-1 tree whose values agree (which the
+       argument above rules out), gets `bounded_equivalence`.
+    """
+    if height_bound < 0:
+        raise AutomatonError("height bound must be nonnegative")
+    if not any(r.constrained for r in A.rules if r.target != A.sink):
+        return verified(height_bound)
+    if (eq_restriction_violation(A) is None and A.semiring.zero_divisor_free
+            and relaxation_unambiguous(A, height_bound)):
+        t = _least_tall_tree(A, lin_height, height_bound)
+        if t is None:
+            return verified(height_bound)
+        wa, wb = Evaluator(A).evaluate(t), Evaluator(B).evaluate(t)
+        if wa != wb:
+            return violated(height_bound, (t, wa, wb), f"series differ on {t.text}: {wa} vs {wb}")
+    return bounded_equivalence(A, B, height_bound)
+
+
+def _least_tall_tree(A: Automaton, lin_height: int, height_bound: int):
+    """The least tree in (height, size, text) order of height <= bound on
+    which the eq-restricted A has a tall run to a final state, or None.
+
+    A sizes-only pass of `_tall_cells` finds the least height H of such a
+    tree; a second pass builds the least tree of every cell up to H."""
+    top = next((h for h, cells in enumerate(_tall_cells(A, lin_height, height_bound, False))
+                if any((q, True) in cells for q in A.finals)), None)
+    if top is None:
+        return None
+    *_, cells = _tall_cells(A, lin_height, top, True)
+    return min((cells[q, True][1] for q in A.finals if (q, True) in cells), key=tree_key)
+
+
+def _tall_cells(A: Automaton, lin_height: int, height_bound: int, build: bool):
+    """For h = 0..bound, the cells of height h of the eq-restricted A:
+    (state q, tall) -> (size, tree) for the least tree, in (size, text)
+    order, of height exactly h with a run to q of that tallness.  The tree
+    is None unless build.
+
+    A run applies a rule to one tree per constraint class, placed at each
+    of the class's positions: its real position needs a run to the class's
+    real state, and its sink positions take any tree.  The run is tall when
+    a child run is, or a constrained class holds a tree taller than
+    lin_height.  Each child tree of a least tree is the least of its own
+    cell (a smaller one would shrink the whole), and the lhs text fixes
+    where the class trees go, so a rule's least instance folds its classes
+    in position order keeping, per (height so far, tall so far), the least
+    (size, class tree texts).
+    """
+    sink = A.sink
+    shapes = []
+    for rule in A.rules:
+        if rule.target == sink:
+            continue
+        classes = [
+            (next(lbl for lbl in labels if lbl != sink), max(map(len, cls)), len(cls), len(cls) > 1)
+            for cls, labels in zip(rule.classes, rule.class_labels)
+        ]
+        shapes.append((rule, rule.lhs.size - len(rule.state_positions), classes))
+
+    def key(size, trees):
+        return (size, [t.text for t in trees]) if build else size
+
+    layers: list[dict] = []
+    for h in range(height_bound + 1):
+        cells: dict = {}
+        for rule, ground, classes in shapes:
+            if rule.lhs.height > h:
+                continue
+            # (height, tall) -> (size, class trees) of the least prefix
+            partial = {(rule.lhs.height, False): (ground, ())}
+            for q, depth, copies, constrained in classes:
+                grown: dict = {}
+                for (height, tall), (size, trees) in partial.items():
+                    for j in range(h - depth + 1):
+                        for tall_j in (False, True):
+                            cell = layers[j].get((q, tall_j))
+                            if cell is None:
+                                continue
+                            at = (max(height, depth + j),
+                                  tall or tall_j or (constrained and j > lin_height))
+                            entry = (size + copies * cell[0], trees + (cell[1],))
+                            if at not in grown or key(*entry) < key(*grown[at]):
+                                grown[at] = entry
+                partial = grown
+            for tall in (False, True):
+                entry = partial.get((h, tall))
+                if entry is None:
+                    continue
+                size, trees = entry
+                t = None
+                if build:
+                    subs = [None] * len(rule.state_positions)
+                    for idxs, tc in zip(rule.class_indices, trees):
+                        for i in idxs:
+                            subs[i] = tc
+                    t = rule.plug(subs)
+                old = cells.get((rule.target, tall))
+                if old is None or key(size, (t,)) < key(old[0], (old[1],)):
+                    cells[rule.target, tall] = (size, t)
+        layers.append(cells)
+        yield cells
 
 
 def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) -> Verdict:

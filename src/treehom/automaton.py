@@ -790,19 +790,25 @@ def _relaxed_rules(A: Automaton):
     return out
 
 
+def relaxation_unambiguous(A: Automaton, height_bound: int) -> bool:
+    """Whether A with its equality constraints dropped (`_relaxed_rules`)
+    has no tree of height <= bound with two accepting runs; then neither has
+    A, since dropping constraints only adds runs.  False when the relaxation
+    cannot be built."""
+    relaxed = _relaxed_rules(A)
+    return relaxed is not None and first_diverging_height(relaxed, A.finals, height_bound) is None
+
+
 def check_unambiguous(A: Automaton, height_bound: int) -> Verdict:
     """First tree of height <= bound carrying two accepting runs, if any.
 
     The witness is the first such tree in (height, size, text) order, with
-    its accepting (nonzero-weight) runs.  Dropping the equality constraints of
-    A only adds runs, so when the flattened relaxation (`_relaxed_rules`) has
-    no two accepting runs on one tree of height <= bound
-    (`first_diverging_height`), the verdict is ok without enumerating any
-    tree.  Otherwise the run chart is built one height layer at a time, and
-    stops at the first layer that holds a witness.
+    its accepting (nonzero-weight) runs.  When the relaxation proves A
+    unambiguous up to the bound (`relaxation_unambiguous`), the verdict is ok
+    without enumerating any tree.  Otherwise the run chart is built one
+    height layer at a time, and stops at the first layer that holds a witness.
     """
-    relaxed = _relaxed_rules(A)
-    if relaxed is not None and first_diverging_height(relaxed, A.finals, height_bound) is None:
+    if relaxation_unambiguous(A, height_bound):
         return verified(height_bound)
     witness = None
 

@@ -59,6 +59,7 @@ from .term import (
     RankedAlphabet,
     TermError,
     Tree,
+    Variables,
     count_trees,
     format_position,
     parse_position,
@@ -248,9 +249,8 @@ def parse_hom(text: str) -> TreeHomomorphism:
             raise FileFormatError(lineno, f"{name}/{rank} is not a source symbol")
         if name in images:
             raise FileFormatError(lineno, f"duplicate image for {name}")
-        ext = {f"x{i}" for i in range(1, rank + 1)}
         try:
-            images[name] = parse_term(term_text.strip(), target, ext=ext)
+            images[name] = parse_term(term_text.strip(), target, ext=Variables(rank))
         except TermError as err:
             raise FileFormatError(lineno, str(err)) from None
     try:

@@ -8,6 +8,19 @@ then either consults an external support-regularity oracle or falls back to
 the linearization surrogate: compare the image against its linearization up
 to a height bound.  A mismatch refutes that particular linearization height,
 it does not prove non-regularity; agreement is evidence, not proof.
+
+The comparison (`linearization_equivalence`) gives the verdict of
+`bounded_equivalence` by one of three paths:
+
+0. The fixed image has no constrained rule besides the sink's: the image and
+   its linearization have the same runs, and agree at every height.
+1. Over a zero-divisor-free semiring, when dropping the constraints leaves
+   at most one accepting run per tree up to the bound, a tree's values
+   differ exactly when its run puts a tree taller than the linearization
+   height into a constrained class.  A fixpoint over (state, tall) pairs by
+   height finds the least such tree, or proves there is none, without
+   enumerating trees; both automata are then evaluated on that one tree.
+2. Otherwise both automata are enumerated up to the bound.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass, field
 
-from .analyze import bounded_equivalence, check_h_unambiguous
+from .analyze import check_h_unambiguous, linearization_equivalence
 from .automaton import Automaton, AutomatonError, check_unambiguous
 from .construct import (
     dickson_cap,
@@ -174,8 +187,8 @@ def decide_hom_regularity(A: Automaton, h: TreeHomomorphism, *, check_bound: int
             report.warnings.append(diagnostic)
     else:
         report.linearized = linearize(report.fixed_image, lin_height)
-        report.equivalence = bounded_equivalence(
-            report.fixed_image, report.linearized, eq_bound
+        report.equivalence = linearization_equivalence(
+            report.fixed_image, report.linearized, lin_height, eq_bound
         )
         if report.equivalence.is_ok:
             report.verdict = EVIDENCE_REGULAR

@@ -13,6 +13,7 @@ from itertools import combinations, product
 from .term import (
     RankedAlphabet,
     Tree,
+    Variables,
     format_position,
     is_variable,
     iter_trees,
@@ -48,7 +49,7 @@ class TreeHomomorphism:
             if name not in self.images:
                 raise HomError(f"missing image for symbol {name}/{rank}")
             image = self.images[name]
-            allowed = {variable(i) for i in range(1, rank + 1)}
+            allowed = Variables(rank)
             seen = set()
             for _, node in preorder(image):
                 if is_variable(node.label):
@@ -64,9 +65,10 @@ class TreeHomomorphism:
                         raise HomError(
                             f"target symbol {node.label} used at wrong rank in h({name})"
                         )
-            if seen != allowed:
-                missing = ", ".join(sorted(allowed - seen))
-                raise HomError(f"deleting homomorphism: h({name}) drops {missing}")
+            if len(seen) < rank:
+                raise HomError(
+                    f"deleting homomorphism: h({name}) drops {_missing_variables(seen, rank)}"
+                )
             if is_variable(image.label):
                 raise HomError(f"erasing homomorphism: h({name}) is a bare variable")
 
@@ -77,41 +79,77 @@ class TreeHomomorphism:
             raise HomError(f"no image for symbol {name}") from None
 
     def apply(self, s: Tree) -> Tree:
-        """Homomorphic image of a ground source tree."""
-        hit = self._apply_memo.get(s)
-        if hit is not None:
-            return hit
-        if s.label not in self.source:
-            raise HomError(f"unknown source symbol {s.label}")
-        theta = {variable(i): self.apply(c) for i, c in enumerate(s.children, start=1)}
-        out = substitute_vars(self.image_of(s.label), theta)
-        self._apply_memo[s] = out
-        return out
+        """Homomorphic image of a ground source tree, built bottom-up on an
+        explicit stack, so any height works."""
+        memo = self._apply_memo
+        stack = [s]
+        while stack:
+            node = stack[-1]
+            if node in memo:
+                stack.pop()
+                continue
+            if node.label not in self.source:
+                raise HomError(f"unknown source symbol {node.label}")
+            # First children on top: an unknown symbol is found in preorder.
+            pending = [c for c in reversed(node.children) if c not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            theta = {variable(i): memo[c] for i, c in enumerate(node.children, start=1)}
+            memo[node] = substitute_vars(self.image_of(node.label), theta)
+        return memo[s]
 
     def preimage(self, t: Tree) -> tuple[Tree, ...]:
         """All ground source trees mapping onto t, sorted by (height, size, text).
 
         Finite because the homomorphism is nondeleting and nonerasing: any
-        preimage of t has at most size(t) nodes.
+        preimage of t has at most size(t) nodes.  The subtrees that the
+        symbol images bind are proper subtrees of t; their preimages are
+        found first, on an explicit stack, so any height works.
         """
-        hit = self._preimage_memo.get(t)
-        if hit is not None:
-            return hit
-        found = []
-        for name in sorted(self.source.names()):
-            rank = self.source.rank(name)
-            binding = _match_image(self.image_of(name), t)
-            if binding is None:
+        memo = self._preimage_memo
+        stack = [(t, None)]
+        while stack:
+            node, matches = stack[-1]
+            if node in memo:
+                stack.pop()
                 continue
-            child_sets = [self.preimage(binding[variable(i)]) for i in range(1, rank + 1)]
-            for combo in product(*child_sets):
-                found.append(Tree(name, combo))
-        out = tuple(sorted(found, key=tree_key))
-        self._preimage_memo[t] = out
-        return out
+            if matches is None:
+                matches = []
+                for name in sorted(self.source.names()):
+                    binding = _match_image(self.image_of(name), node)
+                    if binding is not None:
+                        rank = self.source.rank(name)
+                        matches.append((name, [binding[variable(i)] for i in range(1, rank + 1)]))
+                stack[-1] = (node, matches)
+                pending = [sub for _, subs in matches for sub in subs if sub not in memo]
+                if pending:
+                    stack.extend((sub, None) for sub in pending)
+                    continue
+            stack.pop()
+            found = [Tree(name, combo) for name, subs in matches
+                     for combo in product(*(memo[sub] for sub in subs))]
+            if len(found) > 1:
+                found.sort(key=tree_key)
+            memo[node] = tuple(found)
+        return memo[t]
 
     def __repr__(self):
         return f"<hom {self.source!r} -> {self.target!r}>"
+
+
+def _missing_variables(seen, rank: int, shown: int = 5) -> str:
+    """The first few of x1..x<rank> not in seen, and how many more there are."""
+    count = rank - len(seen)
+    names = []
+    i = 1
+    while len(names) < min(count, shown):
+        if variable(i) not in seen:
+            names.append(variable(i))
+        i += 1
+    more = count - len(names)
+    return ", ".join(names) + (f" and {more} more" if more else "")
 
 
 def _match_image(pattern: Tree, t: Tree, binding=None):

@@ -209,6 +209,10 @@ class ArcticSemiring(Semiring):
 # composite.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
+# One modular exponentiation per base costs about the cube of the modulus
+# length: all bases take about 60 ms at 1024 bits, 2.6 s at 4096.  A modulus
+# that needs them must be below this.
+_MR_MAX_BITS = 1024
 
 
 def _is_prime(k: int) -> bool:
@@ -217,6 +221,11 @@ def _is_prime(k: int) -> bool:
     for a in _MR_BASES:
         if k % a == 0:
             return k == a
+    if k.bit_length() > _MR_MAX_BITS:
+        raise SemiringError(
+            f"modulus of {len(decimal_text(k))} digits is too large to test for primality: "
+            f"a modulus without a factor up to {_MR_BASES[-1]} must be below 2^{_MR_MAX_BITS}"
+        )
     d, s = k - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -46,6 +46,21 @@ def variable(i: int) -> str:
     return f"x{i}"
 
 
+class Variables:
+    """The variable names x1..x<rank> as a container, without building them,
+    so a huge rank costs nothing."""
+
+    __slots__ = ("rank",)
+
+    def __init__(self, rank: int):
+        self.rank = rank
+
+    def __contains__(self, name) -> bool:
+        # x<i> has no leading zero, so more digits than the rank has means i > rank.
+        return (is_variable(name) and len(name) - 1 <= self.rank.bit_length() // 3 + 1
+                and parse_digits(name[1:]) <= self.rank)
+
+
 class RankedAlphabet:
     """Finite map from symbol names to ranks."""
 
@@ -250,15 +265,14 @@ def _token_column(text: str, i: int) -> int:
 def parse_term(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset()) -> Tree:
     """Parse ``name | name '(' tree (',' tree)* ')'``; whitespace insignificant.
 
-    Names in ``ext`` are leaf tokens (states or variables) and may not take
-    arguments.  With an alphabet, all other names must be declared and used at
+    Names in ``ext`` (any container) are leaf tokens (states or variables)
+    and may not take arguments.  With an alphabet, all other names must be declared and used at
     their rank; ``a()`` is accepted for a nullary symbol.  Without an alphabet
     the parse is loose: any name, rank read off from usage.
 
     The tree is built on an explicit stack, so any height parses, and equal
     subterms come out as one shared object.
     """
-    ext = frozenset(ext)
     ranks = None if alphabet is None else dict(alphabet.items())
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # end of input

@@ -18,16 +18,20 @@ from treehom import (
     format_run,
     get_semiring,
     hom_image,
+    linearization_equivalence,
     linearize,
     parse_term,
 )
-from treehom.cli import load_automaton, load_hom, verdict_to_dict
+import treehom.analyze as analyze
+from treehom.automaton import relaxation_unambiguous
+from treehom.cli import load_automaton, load_hom, parse_automaton, verdict_to_dict
 from treehom.hom import images_clash
 from oracles import (
     BRANCHING_SOURCES,
     naive_evaluate,
     naive_h_unambiguous,
     random_branching_hom,
+    random_hom,
     random_modular_pair,
     random_pair,
     random_wta,
@@ -263,3 +267,133 @@ def test_h_unambiguous_zero_weight_divergence_keeps_the_full_search():
     verdict = check_h_unambiguous(A, h, 3)
     assert h_verdict_key(verdict) == h_verdict_key(naive_h_unambiguous(A, h, 3))
     assert (verdict.witness[0].text, verdict.witness[1].text) == ("g(g(a))", "g(g(b))")
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The calls that linearization_equivalence makes to bounded_equivalence."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bounded_equivalence(*args)
+
+    monkeypatch.setattr(analyze, "bounded_equivalence", counted)
+    return calls
+
+
+def _check_linearizations(fixed, fallbacks, bounds=range(4)):
+    """Compare linearization_equivalence with the enumerator at lin heights
+    0-2; returns the statuses of the fixpoint path's verdicts.  Where the
+    fixpoint path applies, it must not enumerate."""
+    fast = []
+    constrained = any(r.constrained for r in fixed.rules if r.target != fixed.sink)
+    for k in range(3):
+        L = linearize(fixed, k)
+        for e in bounds:
+            fallbacks.clear()
+            verdict = linearization_equivalence(fixed, L, k, e)
+            assert verdict == bounded_equivalence(fixed, L, e), (k, e)
+            if not constrained:
+                assert verdict.is_ok and not fallbacks
+            elif fixed.semiring.zero_divisor_free and relaxation_unambiguous(fixed, e):
+                assert not fallbacks, (k, e)
+                fast.append(verdict.status)
+    return fast
+
+
+def _duplicating_image(rng, semiring_id):
+    """The image of a 3-4 state random WTA under a random hom that
+    duplicates some variable, so the image has a constrained rule."""
+    while True:
+        h = random_hom(rng) if rng.random() < 0.5 else random_branching_hom(rng)
+        A = random_wta(rng, h.source, semiring_id, rng.randint(3, 4))
+        image = hom_image(A, h)
+        if any(r.constrained for r in image.rules):
+            return image
+
+
+def test_linearization_equivalence_matches_the_enumerator_on_random_images(fallbacks):
+    rng = random.Random(2024)
+    fast = []
+    for sr_id in ("natural", "tropical", "arctic"):
+        for _ in range(30):
+            fast += _check_linearizations(_duplicating_image(rng, sr_id), fallbacks)
+    assert fast.count("witness") >= 30 and "ok" in fast
+
+
+def test_linearization_equivalence_matches_the_enumerator_on_the_bundled_data(
+        data_dir, fallbacks):
+    fast = []
+    for name, A, h in _equivalence_instances(data_dir):
+        if name.endswith(".hom"):
+            fixed = eliminate_zero_divisors(hom_image(A, h))
+            fast += _check_linearizations(fixed, fallbacks, range(5))
+    assert set(fast) == {"ok", "witness"}
+
+
+def test_linearization_equivalence_falls_back_over_zero_divisors(duplicating_hom, fallbacks):
+    # Over z6 a run may weigh zero, so a tall run need not make a difference.
+    z6 = get_semiring("z6")
+    A = Automaton(z6, duplicating_hom.source, ["q", "qf"], ["qf"], [
+        (parse_term(lhs, None, ext={"q"}), q, Weight(z6, w), ())
+        for lhs, q, w in [("a", "q", 2), ("g(q)", "q", 3), ("f(q)", "qf", 1), ("f(q)", "q", 5)]])
+    fixed = eliminate_zero_divisors(hom_image(A, duplicating_hom))
+    assert any(r.constrained for r in fixed.rules if r.target != fixed.sink)
+    _check_linearizations(fixed, fallbacks)
+    assert fallbacks
+
+
+def test_linearization_equivalence_falls_back_on_an_ambiguous_image(fallbacks):
+    # Two runs on every g-chain: their difference is no longer one run's weight.
+    sigma = RankedAlphabet([("a", 0), ("g", 1)])
+    delta = RankedAlphabet([("a", 0), ("k", 2)])
+    h = TreeHomomorphism(sigma, delta, {
+        "a": parse_term("a", delta), "g": parse_term("k(x1,x1)", delta, ext={"x1"})})
+    states = ["p", "q", "r"]
+    A = Automaton(NAT, sigma, states, ["r"], [
+        (parse_term(lhs, None, ext=set(states)), q, Weight(NAT, w), ())
+        for lhs, q, w in [("a", "p", 1), ("a", "q", 2), ("g(p)", "r", 1), ("g(q)", "r", 3),
+                          ("g(r)", "p", 1), ("g(r)", "q", 1)]])
+    fixed = hom_image(A, h)
+    assert not relaxation_unambiguous(fixed, 1)
+    _check_linearizations(fixed, fallbacks)
+    assert fallbacks
+
+
+def test_linearization_equivalence_falls_back_on_rules_sharing_lhs_and_target(fallbacks):
+    # One lhs and target under two constraints: the relaxation would merge
+    # the two rules, so it proves nothing.
+    fixed = parse_automaton("""semiring: natural
+states: q p bot
+sink: bot
+final: p
+rules:
+a -> q @ 1
+g(q) -> q @ 2
+m(q,k(q,bot)) -> p @ 1 | 1 = 2.2
+m(q,k(q,bot)) -> p @ 3 | 2.1 = 2.2
+a -> bot @ 1
+g(bot) -> bot @ 1
+k(bot,bot) -> bot @ 1
+m(bot,bot) -> bot @ 1
+""")
+    _check_linearizations(fixed, fallbacks)
+    assert fallbacks
+
+
+def test_linearization_equivalence_witness_is_least_in_text_among_equal_sizes(fallbacks):
+    # m(a,K) and m(K,a), K = k(k(a,a),k(a,a)), are the least tall trees by
+    # (height, size); the witness must be the one with the lesser text.
+    sigma = RankedAlphabet([("a", 0), ("g", 1), ("m", 2)])
+    delta = RankedAlphabet([("a", 0), ("k", 2), ("m", 2)])
+    h = TreeHomomorphism(sigma, delta, {
+        "a": parse_term("a", delta), "g": parse_term("k(x1,x1)", delta, ext={"x1"}),
+        "m": parse_term("m(x2,x1)", delta, ext={"x1", "x2"})})
+    A = Automaton(NAT, sigma, ["q", "f"], ["f"], [
+        (parse_term(lhs, None, ext={"q"}), q, Weight(NAT, w), ())
+        for lhs, q, w in [("a", "q", 1), ("g(q)", "q", 2), ("m(q,q)", "f", 3)]])
+    fixed = hom_image(A, h)
+    assert _check_linearizations(fixed, fallbacks) == ["ok"] * 3 + ["witness"] + ["ok"] * 8
+    verdict = linearization_equivalence(fixed, linearize(fixed, 0), 0, 3)
+    assert verdict.witness[0].text == "m(a,k(k(a,a),k(a,a)))"

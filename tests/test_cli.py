@@ -344,6 +344,26 @@ def test_cli_hom_ranks_of_too_many_digits(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 1: rank of f has too many digits\n"
 
 
+def test_cli_hom_of_a_huge_rank(tmp_path, capsys, memory_cap):
+    # Variables are checked by index: no set of a million names is built.
+    path = tmp_path / "wide.hom"
+    path.write_text("from: a/0 f/1000000\nto: a/0 k/2\na/0 -> a\nf/1000000 -> a\n")
+    with memory_cap(32 * 2**20):
+        assert run_cli("validate", "--hom", str(path)) == 1
+    assert capsys.readouterr().err == (
+        "error: deleting homomorphism: h(f) drops x1, x2, x3, x4, x5 and 999995 more\n")
+    path.write_text("from: a/0 f/1000000\nto: a/0 k/2\na/0 -> a\n"
+                    "f/1000000 -> k(x1000000,x1)\n")
+    with memory_cap(32 * 2**20):
+        assert run_cli("validate", "--hom", str(path)) == 1
+    assert capsys.readouterr().err == (
+        "error: deleting homomorphism: h(f) drops x2, x3, x4, x5, x6 and 999993 more\n")
+    path.write_text("from: a/0 f/1000000\nto: a/0 k/2\na/0 -> a\n"
+                    "f/1000000 -> k(x1000001,x1)\n")
+    assert run_cli("validate", "--hom", str(path)) == 1
+    assert capsys.readouterr().err == "error: line 4: column 3: unknown symbol: x1000001\n"
+
+
 def test_cli_moduli_of_any_length(tmp_path, capsys):
     modulus = "2" * 5000
     path = tmp_path / "long.aut"

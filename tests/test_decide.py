@@ -18,7 +18,8 @@ from treehom import (
     project_boolean,
     support_up_to,
 )
-from treehom.cli import report_to_dict
+from treehom.cli import parse_automaton, parse_hom, report_to_dict
+from oracles import naive_evaluate
 
 
 def write_script(tmp_path, name, body):
@@ -177,3 +178,46 @@ def test_reduce_to_support_detects_overapproximation(z6_chain):
     # Zero-divisor products inflate the projected language.
     assert [t for t, _ in support] != [t for t, _ in boolean_support]
     assert len(boolean_support) > len(support)
+
+
+# A 3-state WTA and a hom that duplicates the subtree below g.  Layer 4 of
+# its fixed image holds millions of trees, so enumerating both automata up
+# to the default eq bound ran out of memory.
+DUP_AUTOMATON = """semiring: natural
+states: q0 q1 q2
+final: q1 q2
+rules:
+a -> q1 @ 2
+b -> q2 @ 1
+f(q0) -> q1 @ 3
+f(q1) -> q2 @ 2
+f(q2) -> q0 @ 1
+g(q0) -> q1 @ 4
+g(q1) -> q2 @ 4
+g(q2) -> q1 @ 2
+m(q0,q2) -> q2 @ 3
+m(q1,q0) -> q0 @ 1
+m(q1,q1) -> q2 @ 3
+m(q2,q2) -> q2 @ 2
+"""
+DUP_HOM = """from: a/0 b/0 f/1 g/1 m/2
+to: a/0 b/0 f/1 g/1 k/2 m/2
+a/0 -> a
+b/0 -> b
+f/1 -> f(x1)
+g/1 -> k(x1,x1)
+m/2 -> m(x1,x2)
+"""
+
+
+def test_default_bounds_on_a_duplicating_instance(memory_cap):
+    A, h = parse_automaton(DUP_AUTOMATON), parse_hom(DUP_HOM)
+    with memory_cap(128 * 2**20):
+        reports = [decide_hom_regularity(A, h), decide_hom_regularity(A, h, eq_bound=10)]
+    for report in reports:
+        assert report.verdict == LINEARIZATION_MISMATCH
+        t, wa, wb = report.equivalence.witness
+        assert t.text == "k(f(f(f(a))),f(f(f(a))))"
+        assert (wa, wb) == (naive_evaluate(report.fixed_image, t),
+                            naive_evaluate(report.linearized, t))
+        assert wa != wb

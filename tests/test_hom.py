@@ -6,12 +6,14 @@ import pytest
 from treehom import (
     HomError,
     RankedAlphabet,
+    Tree,
     TreeHomomorphism,
     check_tetris_free,
     enumerate_trees,
     parse_term,
     tree_key,
 )
+from treehom.cli import load_hom
 from treehom.hom import images_clash
 from oracles import naive_preimage, naive_tetris_free, random_branching_hom, random_hom
 
@@ -270,3 +272,22 @@ def test_tetris_free_cost_does_not_follow_the_bound(kind, memory_cap):
             "position sets differ for preimages of g(g(a))")
     else:
         assert verdict_key(verdict) == ("ok", 6, None, "")
+
+
+def test_apply_and_preimage_of_tall_trees(data_dir):
+    h = load_hom(data_dir / "duplicating_hom.hom")  # g -> g(x1), f -> k(x1,g(x1))
+    s = Tree("a")
+    for _ in range(100_000):
+        s = Tree("g", (s,))
+    s = Tree("f", (Tree("f", (s,)),))
+    image = h.apply(s)
+    assert (image.height, image.size) == (100_004, 4 * 100_001 + 6)
+    assert image.label == "k" and image.children[1] == Tree("g", (image.children[0],))
+    assert h.preimage(image) == (s,)
+
+
+def test_apply_reports_the_first_unknown_symbol_in_preorder(dup):
+    with pytest.raises(HomError, match="unknown source symbol y"):
+        dup.apply(Tree("g", (Tree("f", (Tree("y"),)),)))
+    with pytest.raises(HomError, match="unknown source symbol z"):
+        dup.apply(Tree("z", (Tree("y"),)))

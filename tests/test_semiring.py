@@ -200,6 +200,15 @@ def test_primality_of_large_moduli():
         get_semiring(f"z{2**89 - 1}")
 
 
+def test_huge_moduli_without_a_small_factor_are_rejected_at_once():
+    start = time.perf_counter()
+    with pytest.raises(SemiringError, match=r"5000 digits .* below 2\^1024"):
+        get_semiring("z1" + "0" * 4998 + "7")  # 10^4999 + 7 has no factor up to 41
+    assert time.perf_counter() - start < 0.5
+    # A small factor still settles a modulus of any size.
+    assert not get_semiring(f"z{2**5000}").zero_divisor_free
+
+
 def test_primality_matches_trial_division():
     for k in range(5000):
         prime = k >= 2 and all(k % d for d in range(2, math.isqrt(k) + 1))
