@@ -62,22 +62,29 @@ def linearization_equivalence(A: Automaton, B: Automaton, lin_height: int,
 
     0. No rule of A other than the sink's is constrained: A and B have the
        same runs, so the verdict is ok at any semiring.
-    1. A is eq-restricted, its semiring is zero-divisor-free (every run
-       weighs nonzero), and `relaxation_unambiguous` proves at most one
-       accepting run per tree of height <= bound.  Then a tree's values
-       differ exactly when its accepting run is tall, and `_least_tall_tree`
-       finds the least such tree by a fixpoint over (state, tall) cells.  If
-       there is none, the verdict is ok and no tree is built.  Otherwise both
-       automata are evaluated on that one tree.
-    2. Every other case, and a path-1 tree whose values agree (which the
-       argument above rules out), gets `bounded_equivalence`.
+    1. A is eq-restricted and `relaxation_unambiguous` proves at most one
+       accepting run per tree of height <= bound.  Then A(t) is the weight
+       of t's one accepting run, and B(t) is that weight if the run is short
+       and zero if it is tall.  (A class subtree whose state weight is zero
+       leaves both sides at zero: its one run to the class's state is part
+       of the accepting run.)  So a tree's values differ exactly when its
+       run is tall and weighs nonzero, and `_least_tall_tree` finds the
+       least tall tree by a fixpoint over (state, tall) cells.  If there is
+       none, the verdict is ok and no tree is built.  Otherwise both
+       automata are evaluated on that one tree: if its values differ, it is
+       the least differing tree.  This holds over any semiring; after
+       `eliminate_zero_divisors` no run weighs zero, so a fixed image never
+       takes the fallback below.
+    2. Every other case, and a path-1 tree whose values agree (its run
+       weighs zero), gets `bounded_equivalence`.
     """
+    if lin_height < 0:
+        raise AutomatonError("linearization height must be nonnegative")
     if height_bound < 0:
         raise AutomatonError("height bound must be nonnegative")
     if not any(r.constrained for r in A.rules if r.target != A.sink):
         return verified(height_bound)
-    if (eq_restriction_violation(A) is None and A.semiring.zero_divisor_free
-            and relaxation_unambiguous(A, height_bound)):
+    if eq_restriction_violation(A) is None and relaxation_unambiguous(A, height_bound):
         t = _least_tall_tree(A, lin_height, height_bound)
         if t is None:
             return verified(height_bound)
@@ -89,23 +96,24 @@ def linearization_equivalence(A: Automaton, B: Automaton, lin_height: int,
 
 def _least_tall_tree(A: Automaton, lin_height: int, height_bound: int):
     """The least tree in (height, size, text) order of height <= bound on
-    which the eq-restricted A has a tall run to a final state, or None.
-
-    A sizes-only pass of `_tall_cells` finds the least height H of such a
-    tree; a second pass builds the least tree of every cell up to H."""
-    top = next((h for h, cells in enumerate(_tall_cells(A, lin_height, height_bound, False))
-                if any((q, True) in cells for q in A.finals)), None)
-    if top is None:
-        return None
-    *_, cells = _tall_cells(A, lin_height, top, True)
-    return min((cells[q, True][1] for q in A.finals if (q, True) in cells), key=tree_key)
+    which the eq-restricted A has a tall run to a final state, or None: the
+    least tall final cell of the first layer that has one."""
+    for cells in _tall_cells(A, lin_height, height_bound):
+        tall = [cells[q, True][1] for q in A.finals if (q, True) in cells]
+        if tall:
+            return min(tall, key=tree_key)
+    return None
 
 
-def _tall_cells(A: Automaton, lin_height: int, height_bound: int, build: bool):
+def _precedes(a, b) -> bool:
+    """(size, trees) pairs in (size, tree texts) order; texts break ties only."""
+    return a[0] < b[0] or (a[0] == b[0] and [t.text for t in a[1]] < [t.text for t in b[1]])
+
+
+def _tall_cells(A: Automaton, lin_height: int, height_bound: int):
     """For h = 0..bound, the cells of height h of the eq-restricted A:
     (state q, tall) -> (size, tree) for the least tree, in (size, text)
-    order, of height exactly h with a run to q of that tallness.  The tree
-    is None unless build.
+    order, of height exactly h with a run to q of that tallness.
 
     A run applies a rule to one tree per constraint class, placed at each
     of the class's positions: its real position needs a run to the class's
@@ -115,7 +123,7 @@ def _tall_cells(A: Automaton, lin_height: int, height_bound: int, build: bool):
     cell (a smaller one would shrink the whole), and the lhs text fixes
     where the class trees go, so a rule's least instance folds its classes
     in position order keeping, per (height so far, tall so far), the least
-    (size, class tree texts).
+    (size, class trees).
     """
     sink = A.sink
     shapes = []
@@ -127,9 +135,6 @@ def _tall_cells(A: Automaton, lin_height: int, height_bound: int, build: bool):
             for cls, labels in zip(rule.classes, rule.class_labels)
         ]
         shapes.append((rule, rule.lhs.size - len(rule.state_positions), classes))
-
-    def key(size, trees):
-        return (size, [t.text for t in trees]) if build else size
 
     layers: list[dict] = []
     for h in range(height_bound + 1):
@@ -150,7 +155,8 @@ def _tall_cells(A: Automaton, lin_height: int, height_bound: int, build: bool):
                             at = (max(height, depth + j),
                                   tall or tall_j or (constrained and j > lin_height))
                             entry = (size + copies * cell[0], trees + (cell[1],))
-                            if at not in grown or key(*entry) < key(*grown[at]):
+                            old = grown.get(at)
+                            if old is None or _precedes(entry, old):
                                 grown[at] = entry
                 partial = grown
             for tall in (False, True):
@@ -158,15 +164,9 @@ def _tall_cells(A: Automaton, lin_height: int, height_bound: int, build: bool):
                 if entry is None:
                     continue
                 size, trees = entry
-                t = None
-                if build:
-                    subs = [None] * len(rule.state_positions)
-                    for idxs, tc in zip(rule.class_indices, trees):
-                        for i in idxs:
-                            subs[i] = tc
-                    t = rule.plug(subs)
+                t = rule.plug(rule.spread(trees))
                 old = cells.get((rule.target, tall))
-                if old is None or key(size, (t,)) < key(old[0], (old[1],)):
+                if old is None or _precedes((size, (t,)), (old[0], (old[1],))):
                     cells[rule.target, tall] = (size, t)
         layers.append(cells)
         yield cells

@@ -93,6 +93,14 @@ class Rule:
     def key(self):
         return (self.lhs, self.classes, self.target)
 
+    def spread(self, class_trees) -> list:
+        """One capture per state position: the tree of its class."""
+        subs = [None] * len(self.state_positions)
+        for idxs, t in zip(self.class_indices, class_trees):
+            for i in idxs:
+                subs[i] = t
+        return subs
+
     def plug(self, subs) -> Tree:
         """The lhs with subs[i] at its i-th state position.  It path-copies,
         so the ground parts of the lhs stay shared; a ground lhs is returned
@@ -662,11 +670,7 @@ class RunsTable(Evaluator):
             splits = [below[:i] + [at[i]] + upto[i + 1:] for i in range(len(at))]
         for domains in splits:
             for combo in product(*domains):
-                subs = [None] * len(rule.state_positions)
-                for idxs, tc in zip(rule.class_indices, combo):
-                    for i in idxs:
-                        subs[i] = tc
-                yield subs
+                yield rule.spread(combo)
 
     def _class_trees(self, labels, k: int, langs):
         """Trees of height <= k that reach every real state in labels."""

@@ -264,12 +264,8 @@ def project_boolean(A: Automaton) -> Automaton:
         for rule in A.rules:
             if rule.target == sink:
                 continue
-            subs = [None] * len(rule.state_labels)
-            for idxs, labels in zip(rule.class_indices, rule.class_labels):
-                real = Tree(next(lbl for lbl in labels if lbl != sink))
-                for i in idxs:
-                    subs[i] = real
-            specs.append((rule.plug(subs), rule.target, 1, rule.pairs))
+            reals = [Tree(next(lbl for lbl in labels if lbl != sink)) for labels in rule.class_labels]
+            specs.append((rule.plug(rule.spread(reals)), rule.target, 1, rule.pairs))
         merged = _merge_rules(boolean, specs)
         states = [q for q in A.states if q != sink]
         return Automaton(boolean, A.alphabet, states, A.finals, merged, sink=None)

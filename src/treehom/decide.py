@@ -14,13 +14,13 @@ The comparison (`linearization_equivalence`) gives the verdict of
 
 0. The fixed image has no constrained rule besides the sink's: the image and
    its linearization have the same runs, and agree at every height.
-1. Over a zero-divisor-free semiring, when dropping the constraints leaves
-   at most one accepting run per tree up to the bound, a tree's values
-   differ exactly when its run puts a tree taller than the linearization
-   height into a constrained class.  A fixpoint over (state, tall) pairs by
-   height finds the least such tree, or proves there is none, without
-   enumerating trees; both automata are then evaluated on that one tree.
-2. Otherwise both automata are enumerated up to the bound.
+1. When dropping the constraints leaves at most one accepting run per tree
+   up to the bound, a tree's values differ exactly when its run weighs
+   nonzero and is tall: it puts a tree taller than the linearization height
+   into a constrained class.  A fixpoint over (state, tall) pairs by height
+   finds the least tall tree, or proves there is none, without enumerating
+   trees; both automata are then evaluated on that one tree.
+2. Otherwise, or if that tree's run weighs zero, both are enumerated.
 """
 
 from __future__ import annotations

@@ -575,10 +575,12 @@ def _universe_size(A):
     return (dickson_cap(A) + 1) ** len(_non_one_weights(A))
 
 
-def random_modular_pair(rng):
+def random_modular_pair(rng, duplicating=False):
     """(A, h) with h from random_branching_hom over a source that has a rank-2
     symbol and A a 3-state WTA over that source in z6, z12, z30 or z60.  A's
     rules carry 2-4 distinct non-one weights; the other rules weigh one.
+    With duplicating, some image of h copies a variable, so hom_image(A, h)
+    has a constrained rule.
 
     Pairs are drawn until {0..u}^n has at most 81 vectors both for
     A and for hom_image(A, h) (merged image rules can add weights), so that
@@ -587,6 +589,10 @@ def random_modular_pair(rng):
     while True:
         h = random_branching_hom(rng)
         if 2 not in dict(h.source.items()).values():
+            continue
+        if duplicating and not any(
+                len(ps) > 1 for name, rank in h.source.items()
+                for ps in _variable_occurrences(h.image_of(name), rank).values()):
             continue
         sr = get_semiring(rng.choice(MODULAR_SEMIRINGS))
         if sr.k - 2 < n:

@@ -282,10 +282,11 @@ def fallbacks(monkeypatch):
     return calls
 
 
-def _check_linearizations(fixed, fallbacks, bounds=range(4)):
+def _check_linearizations(fixed, fallbacks, bounds=range(4), falls_back=()):
     """Compare linearization_equivalence with the enumerator at lin heights
     0-2; returns the statuses of the fixpoint path's verdicts.  Where the
-    fixpoint path applies, it must not enumerate."""
+    fixpoint path applies, it must not enumerate, except at the (lin height,
+    bound) pairs in falls_back, where its least tall tree weighs zero."""
     fast = []
     constrained = any(r.constrained for r in fixed.rules if r.target != fixed.sink)
     for k in range(3):
@@ -296,8 +297,8 @@ def _check_linearizations(fixed, fallbacks, bounds=range(4)):
             assert verdict == bounded_equivalence(fixed, L, e), (k, e)
             if not constrained:
                 assert verdict.is_ok and not fallbacks
-            elif fixed.semiring.zero_divisor_free and relaxation_unambiguous(fixed, e):
-                assert not fallbacks, (k, e)
+            elif relaxation_unambiguous(fixed, e):
+                assert bool(fallbacks) == ((k, e) in falls_back), (k, e)
                 fast.append(verdict.status)
     return fast
 
@@ -333,15 +334,34 @@ def test_linearization_equivalence_matches_the_enumerator_on_the_bundled_data(
 
 
 def test_linearization_equivalence_falls_back_over_zero_divisors(duplicating_hom, fallbacks):
-    # Over z6 a run may weigh zero, so a tall run need not make a difference.
+    # Over z6 a run may weigh zero, so a tall run need not make a difference:
+    # in the image, g(a) weighs 2 * 3 = 0, and the least tall tree's values
+    # agree.  Once zero divisors are eliminated no run weighs zero.
     z6 = get_semiring("z6")
     A = Automaton(z6, duplicating_hom.source, ["q", "qf"], ["qf"], [
         (parse_term(lhs, None, ext={"q"}), q, Weight(z6, w), ())
         for lhs, q, w in [("a", "q", 2), ("g(q)", "q", 3), ("f(q)", "qf", 1), ("f(q)", "q", 5)]])
-    fixed = eliminate_zero_divisors(hom_image(A, duplicating_hom))
+    image = hom_image(A, duplicating_hom)
+    fixed = eliminate_zero_divisors(image)
     assert any(r.constrained for r in fixed.rules if r.target != fixed.sink)
-    _check_linearizations(fixed, fallbacks)
-    assert fallbacks
+    assert _check_linearizations(fixed, fallbacks, range(5))
+    assert _check_linearizations(image, fallbacks, range(5), {(0, 3), (0, 4), (1, 4)})
+
+
+def test_linearization_equivalence_matches_the_enumerator_on_eliminated_modular_images(
+        fallbacks):
+    rng = random.Random(12)
+    fast = []
+    for _ in range(15):
+        image = hom_image(*random_modular_pair(rng, duplicating=True))
+        assert any(r.constrained for r in image.rules if r.target != image.sink)
+        fast += _check_linearizations(eliminate_zero_divisors(image), fallbacks)
+    assert "witness" in fast and "ok" in fast
+
+
+def test_linearization_equivalence_rejects_a_negative_lin_height(doubling_image):
+    with pytest.raises(AutomatonError, match="linearization height must be nonnegative"):
+        linearization_equivalence(doubling_image, linearize(doubling_image, 0), -1, 3)
 
 
 def test_linearization_equivalence_falls_back_on_an_ambiguous_image(fallbacks):
