@@ -172,6 +172,24 @@ def _tall_cells(A: Automaton, lin_height: int, height_bound: int):
         yield cells
 
 
+def h_unambiguity_search_height(A: Automaton, h: TreeHomomorphism, height_bound: int):
+    """The height up to which `check_h_unambiguous` enumerates the source
+    trees, or None when the fixpoint proves h-unambiguity up to the bound and
+    no tree is enumerated (see the paths there).  Raises, as the check does,
+    unless A is a WTA over h's source."""
+    if not A.is_wta:
+        raise AutomatonError("h-unambiguity is defined on WTA input only")
+    if A.alphabet != h.source:
+        raise AutomatonError("automaton alphabet differs from the homomorphism source")
+    if not images_clash(h):
+        return height_bound
+    rules = [(h.image_of(r.lhs.label), r.state_labels, r.target) for r in A.rules]
+    first = first_diverging_height(rules, A.finals, height_bound)
+    if first is not None and not A.semiring.zero_divisor_free:
+        return height_bound  # first may come from zero-weight runs
+    return first
+
+
 def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) -> Verdict:
     """Bounded h-unambiguity of a WTA: any two accepting runs on source trees
     with equal h-images must apply equally-targeted rules at every position.
@@ -194,18 +212,9 @@ def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) ->
     H may come from zero-weight runs, and the search covers the full bound.
     Every other hom gets that full search.
     """
-    if not A.is_wta:
-        raise AutomatonError("h-unambiguity is defined on WTA input only")
-    if A.alphabet != h.source:
-        raise AutomatonError("automaton alphabet differs from the homomorphism source")
-    search_height = height_bound
-    if images_clash(h):
-        rules = [(h.image_of(r.lhs.label), r.state_labels, r.target) for r in A.rules]
-        first = first_diverging_height(rules, A.finals, height_bound)
-        if first is None:
-            return verified(height_bound)
-        if A.semiring.zero_divisor_free:
-            search_height = first
+    search_height = h_unambiguity_search_height(A, h, height_bound)
+    if search_height is None:
+        return verified(height_bound)
     table = RunsTable(A, search_height)
     groups: dict[Tree, list] = {}
     for s in table.trees:

@@ -16,22 +16,25 @@ every other rule contains exactly one non-sink position.
 Weights and runs come from one chart: per tree, each state's summed run
 weight and the rule applications that derive its runs, filled bottom-up
 from the cells of the captured subtrees and expanded into Run objects only
-on request.  `Evaluator` fills it on demand for given trees, matching the
-rules at each node.  Bounded operations (support, state languages, and
-unambiguity when the pair-automaton fixpoint `first_diverging_height` cannot
-prove it) use `RunsTable`, which fills it by height layers instead: layer h
-instantiates the rules over the trees of the layers below, since each rule
-application adds height, and records the applications it builds, so it never
-matches.  Trees without a run to a real state evaluate to zero and carry no
-accepting runs, so nothing is missed.  Neither fill needs a reachability
-pre-pass: a rule whose states no tree reaches finds no child runs in a cell
-and no trees in a layer, so it adds nothing.
+on request.  `Evaluator` fills it for given trees in one bottom-up pass: it
+collects the distinct nodes without a cell, checking them against the
+alphabet, and fills them by increasing height, matching the rules at each
+node.  Bounded operations (support, state languages, and unambiguity when
+the pair-automaton fixpoint `first_diverging_height` cannot prove it) use
+`RunsTable`, which fills it by height layers instead: layer h instantiates
+the rules over the trees of the layers below, since each rule application
+adds height, and records the applications it builds, so it never matches.
+Trees without a run to a real state evaluate to zero and carry no accepting
+runs, so nothing is missed.  Neither fill needs a reachability pre-pass: a
+rule whose states no tree reaches finds no child runs in a cell and no trees
+in a layer, so it adds nothing.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
+from operator import attrgetter
 
 from .semiring import Semiring, Weight
 from .term import (
@@ -422,30 +425,13 @@ def run_state_map(run: Run) -> dict[Position, str]:
     return out
 
 
-def _check_ground(A: Automaton, t: Tree):
-    """Raise on the first node, in preorder, that A's alphabet does not allow.
-    Each distinct node object is checked once."""
-    ranks = dict(A.alphabet.items())
-    seen = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        rank = ranks.get(node.label)
-        if rank is None:
-            raise AutomatonError(f"undeclared symbol {node.label} in input tree")
-        if rank != len(node.children):
-            raise AutomatonError(f"symbol {node.label} used at wrong rank in input tree")
-        stack += node.children[::-1]
-
-
 _NO_RUNS: dict = {}
+_height = attrgetter("height")
 
 
 class Evaluator:
-    """The run chart of an automaton, filled on demand; it persists across calls.
+    """The run chart of an automaton, filled for given trees; it persists
+    across calls.
 
     Per tree, the chart maps each state with at least one run to
     [value, applications]: the semiring sum of the runs' weights and the
@@ -455,7 +441,8 @@ class Evaluator:
     rule may match a tree and still add nothing, when a captured subtree has
     no run to the state at its position.  A flat rule (`Rule.flat`) needs no
     lhs matching: it captures the tree's children, and is checked against its
-    constraint only when it has one.  Cells are keyed by tree, so a subtree
+    constraint only when it has one.  Every distinct node of an input gets a
+    cell, children before parents.  Cells are keyed by tree, so a subtree
     shared within or between inputs is evaluated once.
     """
 
@@ -508,28 +495,34 @@ class Evaluator:
         return cell
 
     def _cell(self, t: Tree) -> dict:
-        """The cell of t, filling first, in postorder, the cells of the
-        subtrees that the rules applying at t capture."""
-        chart, sink = self._chart, self._sink
-        stack = [] if t in chart else [(t, None)]
+        """The cell of t.  A preorder walk collects the distinct subtrees of
+        t without a cell, raising on the first node the alphabet does not
+        allow; they are then filled by increasing height, children first.
+        Subtrees are told apart by equality: equal copies that are different
+        objects get one cell, so no copy of a tall key is stored and
+        compared with it node by node at every level."""
+        chart = self._chart
+        cell = chart.get(t)
+        if cell is not None:
+            return cell
+        ranks = dict(self.automaton.alphabet.items())
+        seen, nodes = set(), []
+        stack = [t]
         while stack:
-            node, matches = stack[-1]
-            if matches is None:
-                if node in chart:
-                    stack.pop()
-                    continue
-                matches = self._matches(node)
-                stack[-1] = (node, matches)
-                pending = dict.fromkeys(
-                    sub for rule, subs in matches
-                    for sub, lbl in zip(subs, rule.state_labels)
-                    if lbl != sink and sub not in chart
-                )
-                if pending:
-                    stack.extend((sub, None) for sub in pending)
-                    continue
-            stack.pop()
-            self._fill(node, matches)
+            node = stack.pop()
+            if node in seen or node in chart:
+                continue
+            seen.add(node)
+            rank = ranks.get(node.label)
+            if rank is None:
+                raise AutomatonError(f"undeclared symbol {node.label} in input tree")
+            if rank != len(node.children):
+                raise AutomatonError(f"symbol {node.label} used at wrong rank in input tree")
+            nodes.append(node)
+            stack += node.children[::-1]
+        nodes.sort(key=_height)
+        for node in nodes:
+            self._fill(node, self._matches(node))
         return chart[t]
 
     def _entry(self, t: Tree, q: str):
@@ -550,7 +543,7 @@ class Evaluator:
         return total
 
     def evaluate(self, t: Tree) -> Weight:
-        _check_ground(self.automaton, t)
+        self._cell(t)  # raises on a node outside the alphabet
         return Weight(self.automaton.semiring, self.evaluate_value(t))
 
     def runs(self, t: Tree, q: str) -> tuple[Run, ...]:
@@ -581,6 +574,7 @@ class Evaluator:
 
     def accepting_runs(self, t: Tree) -> tuple[Run, ...]:
         """Valid (nonzero-weight) runs for t to a final state."""
+        self._cell(t)  # raises on a node outside the alphabet
         return tuple(
             run for q in self.automaton.finals for run in self.runs(t, q)
             if not run.weight.is_zero
@@ -594,15 +588,15 @@ def evaluate(A: Automaton, t: Tree) -> Weight:
 
 def runs_to_state(A: Automaton, t: Tree, q: str) -> tuple[Run, ...]:
     """All runs for t to q, ordered by (rule index, child-run order)."""
-    _check_ground(A, t)
+    ev = Evaluator(A)
+    ev._cell(t)  # a node outside the alphabet is reported before the state
     if q not in A.states:
         raise AutomatonError(f"undeclared state: {q}")
-    return Evaluator(A).runs(t, q)
+    return ev.runs(t, q)
 
 
 def accepting_runs(A: Automaton, t: Tree) -> tuple[Run, ...]:
     """Valid (nonzero-weight) runs for t to a final state."""
-    _check_ground(A, t)
     return Evaluator(A).accepting_runs(t)
 
 

@@ -27,7 +27,11 @@ import functools
 import json
 import sys
 
-from .analyze import bounded_equivalence, check_h_unambiguous
+from .analyze import (
+    bounded_equivalence,
+    check_h_unambiguous,
+    h_unambiguity_search_height,
+)
 from .automaton import (
     Automaton,
     AutomatonError,
@@ -545,10 +549,13 @@ def _cmd_equiv(args) -> int:
 def _cmd_decide(args) -> int:
     A = load_automaton(args.automaton)
     h = load_hom(args.hom)
-    # With clashing class images over a zero-divisor-free semiring, neither
-    # tetris-freeness nor h-unambiguity builds the source trees up to the bound.
-    if not (images_clash(h) and A.semiring.zero_divisor_free):
-        _warn_enumeration(h.source, args.check_bound)
+    # The precondition checks walk the source trees up to the height that
+    # `h_unambiguity_search_height` gives (tetris-freeness too, unless the
+    # class images clash), or not at all.  It raises the pipeline's own error
+    # on an input the pipeline rejects.
+    if (count_trees(h.source, args.check_bound) > ENUMERATION_WARN_LIMIT
+            and (height := h_unambiguity_search_height(A, h, args.check_bound)) is not None):
+        _warn_enumeration(h.source, height)
     report = decide_hom_regularity(
         A,
         h,

@@ -347,15 +347,57 @@ def test_check_run_verifies_constraints(doubling_image):
         check_run(doubling_image, run, expect_tree=bad_subject)
 
 
+# Two targets for some left-hand sides, and rules of one symbol into one
+# state from different child states, so trees carry several runs to a state.
+# k(q,q) comes before k(p,q) and k(q,p) in rule order but not in the order
+# of the child-state tuples.
+NONDETERMINISTIC = build(
+    "natural", [("a", 0), ("g", 1), ("k", 2)], ["p", "q", "r", "s"], ["r", "s"],
+    [
+        "a -> p @ 1",
+        "a -> q @ 2",
+        "g(q) -> p @ 3",
+        "g(p) -> q @ 1",
+        "g(q) -> q @ 2",
+        "g(r) -> s @ 1",
+        "k(q,q) -> r @ 2",
+        "k(p,q) -> r @ 1",
+        "k(q,p) -> r @ 1",
+        "k(r,p) -> s @ 1",
+        "k(p,p) -> q @ 3",
+    ],
+)
+
+
+def branching_image():
+    """An eq-restricted image whose constrained left-hand sides are not flat,
+    such as k(k(s0,bot),g(c)) | 1.1 = 1.2, with trees of several runs."""
+    rng = random.Random(233)
+    h = random_branching_hom(rng)
+    image = hom_image(random_wta(rng, h.source, "natural", 3), h)
+    assert eq_restriction_violation(image) is None
+    assert any(rule.constrained and not rule.flat for rule in image.rules)
+    return image
+
+
 def test_runs_match_naive_enumeration(doubling_image, constrained_pair, z6_chain):
-    for A in (doubling_image, constrained_pair, z6_chain, FLAT_CONSTRAINED):
-        for t in enumerate_trees(A.alphabet, 3):
+    # Runs come in (rule index, child-run order), as the naive recursion
+    # lists them, on enumerated trees and on parsed ones, which share equal
+    # subterms.
+    image = branching_image()
+    instances = [(A, enumerate_trees(A.alphabet, 3)) for A in
+                 (doubling_image, constrained_pair, z6_chain, FLAT_CONSTRAINED, NONDETERMINISTIC)]
+    instances.append((image, RunsTable(image, 3).trees + enumerate_trees(image.alphabet, 2)))
+    several = 0
+    for A, trees in instances:
+        for t in trees + [parse_term(t.text, A.alphabet) for t in trees]:
             for q in A.states:
                 got = runs_to_state(A, t, q)
-                want = naive_runs(A, t, q)
-                assert sorted(map(repr, got)) == sorted(map(repr, want))
+                assert list(got) == naive_runs(A, t, q)
+                several += len(got) > 1
                 for run in got:
                     check_run(A, run, expect_tree=t, expect_state=q)
+    assert several
 
 
 def test_run_walkers_match_recursive_references(doubling_image, constrained_pair, z6_chain):
@@ -516,6 +558,33 @@ def test_accepting_runs_filter_zero_weight(z6_chain):
 def test_ground_input_required(doubling_chain):
     with pytest.raises(AutomatonError):
         evaluate(doubling_chain, parse_term("f(q)", None, ext={"q"}))
+
+
+def test_ground_check_names_the_first_bad_node_in_preorder():
+    # Built directly, since parse_term rejects these trees.  The first fault
+    # in preorder sits in a subterm shared by both children; a wrong-rank
+    # node follows it in the second child.
+    A = FLAT_CONSTRAINED
+    a, b = Tree("a"), Tree("b")
+    shared = Tree("g", (Tree("k", (a, Tree("z"))),))
+    undeclared = Tree("k", (shared, Tree("k", (shared, Tree("g", (a, b))))))
+    wrong_rank = Tree("k", (Tree("k", (a, Tree("b", (a,)))), shared))
+    for t, message in ((undeclared, "undeclared symbol z in input tree"),
+                       (wrong_rank, "symbol b used at wrong rank in input tree")):
+        ev = Evaluator(A)
+        for call in (lambda: evaluate(A, t), lambda: accepting_runs(A, t),
+                     lambda: runs_to_state(A, t, "q"), lambda: runs_to_state(A, t, "nowhere"),
+                     lambda: ev.evaluate(t), lambda: ev.accepting_runs(t)):
+            with pytest.raises(AutomatonError) as err:
+                call()
+            assert str(err.value) == message
+        # The failed calls left no cell behind: the same evaluator still
+        # answers, on the good subtrees of t among others.
+        for text in ("a", "g(a)", "k(a,a)", "k(g(a),g(a))", "k(k(a,a),a)", "k(a,g(a))"):
+            good = parse_term(text, A.alphabet)
+            assert ev.evaluate(good) == naive_evaluate(A, good)
+            for q in A.states:
+                assert ev.state_value(good, q) == naive_state_value(A, good, q)
 
 
 def test_wta_run_count_equals_labeling_count():

@@ -9,11 +9,13 @@ import pytest
 from treehom import (
     RankedAlphabet,
     bounded_equivalence,
+    count_trees,
     eliminate_zero_divisors,
     hom_image,
     linearize,
     project_boolean,
 )
+from treehom.analyze import h_unambiguity_search_height
 from treehom.cli import (
     FileFormatError,
     _warn_enumeration,
@@ -36,6 +38,7 @@ from oracles import (
     random_pair,
     wtg_to_wta,
 )
+from test_decide import DUP_AUTOMATON, DUP_HOM
 from test_hom import BRANCHING, BRANCHING_SHAPES
 
 AUT_FILES = [
@@ -714,6 +717,54 @@ def test_cli_decide_warns_only_when_it_will_enumerate(tmp_path, capsys, memory_c
         assert ("warning: enumerating" in err) == warns
         if not warns:
             assert err == ""
+
+
+# f and g share the image f(x1), so the class images clash.  Over the
+# naturals the pair fixpoint first finds f(f(f(f(a)))) and g(f(f(f(a)))),
+# accepted at p4 and p5, so h-unambiguity enumerates the source trees up to
+# height 4 only, whatever the check bound.
+LATE_DIVERGENCE_AUTOMATON = """semiring: natural
+states: p0 p1 p2 p3 p4 p5
+final: p4 p5
+rules:
+a -> p0 @ 1
+b -> p0 @ 1
+f(p0) -> p1 @ 1
+f(p1) -> p2 @ 1
+f(p2) -> p3 @ 1
+f(p3) -> p4 @ 1
+g(p3) -> p5 @ 1
+m(p4,p4) -> p4 @ 1
+"""
+
+
+def test_cli_decide_warns_for_the_height_it_will_enumerate(tmp_path, capsys, memory_cap):
+    # Over z6 the dup hom's class images clash and the pair fixpoint finds no
+    # divergence, so no check enumerates any of the 228,947,162 source trees
+    # of height <= 4.  With g/1 -> g(x1) and f/1 -> g(g(x1)) the images no
+    # longer clash and tetris-freeness walks them, up to its first violation.
+    # With f/1 and g/1 -> f(x1) over the naturals the fixpoint's first
+    # diverging height, 4, is what gets enumerated at check bound 5.
+    dup_z6 = DUP_AUTOMATON.replace("natural", "z6")
+    tetris = DUP_HOM.replace("f(x1)", "g(g(x1))").replace("k(x1,x1)", "g(x1)")
+    merged = DUP_HOM.replace("k(x1,x1)", "f(x1)")
+    for name, aut_text, hom_text, bound, height in (
+        ("dup", dup_z6, DUP_HOM, 4, None),
+        ("tetris", dup_z6, tetris, 4, 4),
+        ("late", LATE_DIVERGENCE_AUTOMATON, merged, 5, 4),
+    ):
+        aut, hom = tmp_path / f"{name}.aut", tmp_path / f"{name}.hom"
+        aut.write_text(aut_text)
+        hom.write_text(hom_text)
+        A, h = load_automaton(aut), load_hom(hom)
+        assert h_unambiguity_search_height(A, h, bound) == height
+        with memory_cap():
+            run_cli("decide", "--automaton", str(aut), "--hom", str(hom),
+                    "--check-bound", str(bound))
+        err = capsys.readouterr().err
+        assert err == ("" if height is None else
+                       f"warning: enumerating {count_trees(h.source, height)} trees of "
+                       f"height <= {height}; this may take very long\n")
 
 
 def test_enumeration_warning(capsys):
