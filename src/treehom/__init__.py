@@ -72,6 +72,7 @@ from .term import (
     enumerate_trees,
     format_position,
     is_variable,
+    parse_nodes,
     parse_position,
     parse_term,
     preorder,
@@ -135,6 +136,7 @@ __all__ = [
     "is_variable",
     "linearization_equivalence",
     "linearize",
+    "parse_nodes",
     "parse_position",
     "parse_term",
     "power_index_period",

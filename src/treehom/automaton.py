@@ -14,16 +14,21 @@ weight-one rules sigma(sink,...,sink) -> sink, and every constraint class of
 every other rule contains exactly one non-sink position.
 
 Weights and runs come from one chart: per tree, each state's summed run
-weight and the rule applications that derive its runs, filled bottom-up
-from the cells of the captured subtrees and expanded into Run objects only
-on request.  `Evaluator` fills it for given trees in one bottom-up pass: it
-collects the distinct nodes without a cell, checking them against the
-alphabet, and fills them by increasing height, matching the rules at each
-node.  Bounded operations (support, state languages, and unambiguity when
-the pair-automaton fixpoint `first_diverging_height` cannot prove it) use
-`RunsTable`, which fills it by height layers instead: layer h instantiates
-the rules over the trees of the layers below, since each rule application
-adds height, and records the applications it builds, so it never matches.
+weight, filled bottom-up from the cells of the captured subtrees.  Cells
+hold values only.  The rule applications that derive the runs of a tree to a
+state are re-derived, by matching at the tree and filtering by the cells of
+its captured subtrees, only when those runs are expanded into Run objects on
+request.  `Evaluator` fills the chart for given trees in one bottom-up pass:
+for a text it parses (`Evaluator.parse`), from the parser's node list
+(`term.parse_nodes`: each distinct subterm once, children first, already
+checked against the alphabet), or for any other tree by collecting its
+distinct nodes without a cell, checking them against the alphabet, and
+taking them by increasing height.  Bounded operations
+(support, state languages, and unambiguity when the pair-automaton fixpoint
+`first_diverging_height` cannot prove it) use `RunsTable`, which fills it by
+height layers instead: layer h instantiates the rules over the trees of the
+layers below, since each rule application adds height, and sums the values
+of the instances that build each tree, without matching.
 Trees without a run to a real state evaluate to zero and carry no accepting
 runs, so nothing is missed.  Neither fill needs a reachability pre-pass: a
 rule whose states no tree reaches finds no child runs in a cell and no trees
@@ -44,6 +49,7 @@ from .term import (
     Tree,
     enumerate_trees,
     format_position,
+    parse_nodes,
     preorder,
     replace_at,
     tree_key,
@@ -263,18 +269,21 @@ class Automaton:
     @cached_property
     def chart_rules(self):
         """(index, sink_rules) for the run chart.  index maps each root symbol
-        to its rules in rule-index order, leaving out the rules to a pure
-        sink, which the chart keeps implicit; sink_rules maps each symbol to
-        its pure-sink rule.  A rule whose states no tree reaches stays in:
-        it finds no child runs, so it adds nothing to a cell."""
+        to (rule, real) pairs in rule-index order, where real lists the
+        (capture index, state) of each state position not at the pure sink;
+        it leaves out the rules to a pure sink, which the chart keeps
+        implicit.  sink_rules maps each symbol to its pure-sink rule.  A rule
+        whose states no tree reaches stays in: it finds no child runs, so it
+        adds nothing to a cell."""
         sink = self.pure_sink
-        index: dict[str, list[Rule]] = {}
+        index: dict[str, list[tuple[Rule, tuple]]] = {}
         sink_rules = {}
         for rule in self.rules:
             if rule.target == sink:
                 sink_rules[rule.lhs.label] = rule
             else:
-                index.setdefault(rule.lhs.label, []).append(rule)
+                real = tuple((i, q) for i, q in enumerate(rule.state_labels) if q != sink)
+                index.setdefault(rule.lhs.label, []).append((rule, real))
         return index, sink_rules
 
     @property
@@ -364,6 +373,17 @@ def constraints_ok(rule: Rule, subs) -> bool:
     return True
 
 
+def captures(rule: Rule, t: Tree):
+    """The subtrees rule captures at t, one per state position, or None if
+    the rule does not apply at t; t has the root symbol of the rule.  A flat
+    rule (`Rule.flat`) needs no lhs matching: it captures the children of t,
+    and is checked against its constraint only when it has one."""
+    subs = t.children if rule.flat else match_lhs(rule, t)
+    if subs is None or (rule.constrained and not constraints_ok(rule, subs)):
+        return None
+    return subs
+
+
 class Run:
     """A run per the constrained semantics: a rule plus one child run per
     state position (in prefix order), on the tree subject, which is
@@ -429,21 +449,37 @@ _NO_RUNS: dict = {}
 _height = attrgetter("height")
 
 
+def _apply(sr: Semiring, cell: dict, rule: Rule, real, cells) -> None:
+    """Add one application of rule to cell: the rule weight times, at each
+    real state position (i, q) (`Automaton.chart_rules`), the value of q in
+    cells[i], the cell of capture i.  Nothing is added when a captured
+    subtree has no run to its state."""
+    val = rule.weight.value
+    for i, q in real:
+        v = cells[i].get(q)
+        if v is None:
+            return
+        val = sr.mul(val, v)
+    q = rule.target
+    cell[q] = sr.add(cell[q], val) if q in cell else val
+
+
 class Evaluator:
     """The run chart of an automaton, filled for given trees; it persists
     across calls.
 
-    Per tree, the chart maps each state with at least one run to
-    [value, applications]: the semiring sum of the runs' weights and the
-    (rule, captured subtrees) pairs that derive them, in rule-index order.
-    Runs exist only as these applications until `runs` expands them.  The
-    pure sink stays implicit: every tree has one weight-one run to it.  A
-    rule may match a tree and still add nothing, when a captured subtree has
-    no run to the state at its position.  A flat rule (`Rule.flat`) needs no
-    lhs matching: it captures the tree's children, and is checked against its
-    constraint only when it has one.  Every distinct node of an input gets a
-    cell, children before parents.  Cells are keyed by tree, so a subtree
-    shared within or between inputs is evaluated once.
+    Per tree, the chart maps each state with at least one run to the
+    semiring sum of the runs' weights: cells hold values only.  The pure
+    sink stays implicit: every tree has one weight-one run to it.  A rule
+    may apply at a tree (`captures`) and still add nothing, when a captured
+    subtree has no run to the state at its position.  `parse` fills the
+    distinct subterms of a text in the order `term.parse_nodes` lists them,
+    children first; `_cell` walks any other tree for them.  Cells are keyed
+    by tree, so a subtree shared within or between inputs is evaluated once.
+
+    Runs are not stored: `runs` re-derives the rule applications of a
+    (tree, state) pair when it expands that pair, and only when the tree's
+    cell holds the state, so a tree outside a `RunsTable` has none.
     """
 
     def __init__(self, A: Automaton):
@@ -453,51 +489,40 @@ class Evaluator:
         self._chart: dict[Tree, dict] = {}
         self._runs: dict[tuple, tuple[Run, ...]] = {}
 
-    def _matches(self, t: Tree):
-        """The (rule, captured subtrees) pairs of the rules that apply at t."""
-        out = []
-        for rule in self._rules.get(t.label, ()):
-            if rule.flat:
-                subs = t.children
-                if rule.constrained and not constraints_ok(rule, subs):
-                    continue
-            else:
-                subs = match_lhs(rule, t)
-                if subs is None or not constraints_ok(rule, subs):
-                    continue
-            out.append((rule, subs))
-        return out
+    def parse(self, text: str) -> Tree:
+        """The tree of text over the automaton's alphabet, its cell and those
+        of its subterms filled straight from the parse: `term.parse_nodes`
+        has checked each distinct subterm and lists it once, children first."""
+        nodes = parse_nodes(text, self.automaton.alphabet)
+        self._fill(nodes)
+        return nodes[-1]
 
-    def _fill(self, t: Tree, apps) -> dict:
-        """Fill the cell of t from its applications and their subtrees' cells."""
+    def _fill(self, nodes) -> None:
+        """Fill the cells of nodes, in the given order: distinct trees over
+        the alphabet, each after its proper subtrees unless those have a cell
+        already.  Their symbols and ranks are not checked."""
         sr = self.automaton.semiring
-        chart, sink = self._chart, self._sink
-        child_cells = [chart.get(c, _NO_RUNS) for c in t.children]  # what flat rules capture
-        cell: dict = {}
-        for rule, subs in apps:
-            val = rule.weight.value
-            cells = child_cells if rule.flat else [chart.get(sub, _NO_RUNS) for sub in subs]
-            for sub_cell, lbl in zip(cells, rule.state_labels):
-                if lbl == sink:
-                    continue
-                entry = sub_cell.get(lbl)
-                if entry is None:
-                    break
-                val = sr.mul(val, entry[0])
-            else:
-                entry = cell.get(rule.target)
-                if entry is None:
-                    cell[rule.target] = [val, [(rule, subs)]]
+        chart, by_label = self._chart, self._rules
+        for t in nodes:
+            cell = {}
+            child_cells = None  # what flat rules capture, looked up once
+            for rule, real in by_label.get(t.label, ()):
+                if rule.flat and not rule.constrained:
+                    if child_cells is None:
+                        child_cells = [chart[c] for c in t.children]
+                    cells = child_cells
                 else:
-                    entry[0] = sr.add(entry[0], val)
-                    entry[1].append((rule, subs))
-        chart[t] = cell
-        return cell
+                    subs = captures(rule, t)
+                    if subs is None:
+                        continue
+                    cells = [chart[sub] for sub in subs]
+                _apply(sr, cell, rule, real, cells)
+            chart[t] = cell or _NO_RUNS
 
     def _cell(self, t: Tree) -> dict:
         """The cell of t.  A preorder walk collects the distinct subtrees of
         t without a cell, raising on the first node the alphabet does not
-        allow; they are then filled by increasing height, children first.
+        allow; `_fill` then takes them by increasing height, children first.
         Subtrees are told apart by equality: equal copies that are different
         objects get one cell, so no copy of a tall key is stored and
         compared with it node by node at every level."""
@@ -521,50 +546,82 @@ class Evaluator:
             nodes.append(node)
             stack += node.children[::-1]
         nodes.sort(key=_height)
-        for node in nodes:
-            self._fill(node, self._matches(node))
+        self._fill(nodes)
         return chart[t]
 
-    def _entry(self, t: Tree, q: str):
-        """[value, applications] of the runs for t to q, or None if none exist."""
-        if q == self._sink:
-            return (self.automaton.semiring.one, ((self._sink_rules[t.label], t.children),))
-        return self._cell(t).get(q)
-
     def state_value(self, t: Tree, q: str):
-        entry = self._entry(t, q)
-        return self.automaton.semiring.zero if entry is None else entry[0]
+        if q == self._sink:
+            return self.automaton.semiring.one
+        return self._cell(t).get(q, self.automaton.semiring.zero)
 
     def evaluate_value(self, t: Tree):
         sr = self.automaton.semiring
+        cell = self._cell(t)
         total = sr.zero
         for q in self.automaton.finals:
-            total = sr.add(total, self.state_value(t, q))
+            total = sr.add(total, cell.get(q, sr.zero))
         return total
 
     def evaluate(self, t: Tree) -> Weight:
-        self._cell(t)  # raises on a node outside the alphabet
         return Weight(self.automaton.semiring, self.evaluate_value(t))
+
+    def _applications(self, t: Tree, q: str):
+        """The (rule, captured subtrees) pairs that derive the runs for t to
+        q, in rule-index order: none unless the cell of t holds q, else the
+        rules to q that apply at t and whose captured subtrees all reach
+        their states."""
+        if q == self._sink:
+            return ((self._sink_rules[t.label], t.children),)
+        chart = self._chart  # t and, in an Evaluator, all its subtrees have cells
+        if q not in chart.get(t, _NO_RUNS):
+            return ()
+        out = []
+        child_cells = None  # what flat rules capture, looked up once
+        for rule, real in self._rules.get(t.label, ()):
+            if rule.target != q:
+                continue
+            subs = captures(rule, t)
+            if subs is None:
+                continue
+            if rule.flat:
+                if child_cells is None:
+                    child_cells = [chart.get(c, _NO_RUNS) for c in t.children]
+                cells = child_cells
+            else:
+                cells = [chart.get(sub, _NO_RUNS) for sub in subs]
+            for i, p in real:
+                if p not in cells[i]:
+                    break
+            else:
+                out.append((rule, subs))
+        return out
 
     def runs(self, t: Tree, q: str) -> tuple[Run, ...]:
         """All runs for t to q, ordered by (rule index, child-run order)."""
+        self._cell(t)  # a node outside the alphabet is reported before the state
+        if q not in self.automaton.states:
+            raise AutomatonError(f"undeclared state: {q}")
+        return self._expand(t, q)
+
+    def _expand(self, t: Tree, q: str) -> tuple[Run, ...]:
+        """`runs` without its checks, on an explicit stack: each pair is
+        expanded once its child pairs are, and memoized across calls."""
         memo = self._runs
-        stack = [(t, q)]
+        stack = [((t, q), None)]  # pairs, each with its applications once derived
         while stack:
-            key = stack[-1]
+            key, apps = stack.pop()
             if key in memo:
-                stack.pop()
                 continue
-            entry = self._entry(*key)
-            apps = () if entry is None else entry[1]
+            if apps is None:
+                apps = self._applications(*key)
             pending = [
                 k for rule, subs in apps
                 for k in zip(subs, rule.state_labels) if k not in memo
             ]
             if pending:
-                stack.extend(pending)
+                stack.append((key, apps))
+                stack.extend((k, None) for k in pending)
                 continue
-            stack.pop()
             memo[key] = tuple(
                 Run(rule, combo, key[0])
                 for rule, subs in apps
@@ -576,7 +633,7 @@ class Evaluator:
         """Valid (nonzero-weight) runs for t to a final state."""
         self._cell(t)  # raises on a node outside the alphabet
         return tuple(
-            run for q in self.automaton.finals for run in self.runs(t, q)
+            run for q in self.automaton.finals for run in self._expand(t, q)
             if not run.weight.is_zero
         )
 
@@ -588,11 +645,7 @@ def evaluate(A: Automaton, t: Tree) -> Weight:
 
 def runs_to_state(A: Automaton, t: Tree, q: str) -> tuple[Run, ...]:
     """All runs for t to q, ordered by (rule index, child-run order)."""
-    ev = Evaluator(A)
-    ev._cell(t)  # a node outside the alphabet is reported before the state
-    if q not in A.states:
-        raise AutomatonError(f"undeclared state: {q}")
-    return ev.runs(t, q)
+    return Evaluator(A).runs(t, q)
 
 
 def accepting_runs(A: Automaton, t: Tree) -> tuple[Run, ...]:
@@ -604,10 +657,10 @@ class RunsTable(Evaluator):
     """The chart of every tree of height <= bound that has a run to a real
     state, filled by height layers: layer h instantiates each rule with trees
     from the layers below h such that the result has height exactly h, and
-    fills each new tree once from the applications that built it.  A rule
-    application strictly increases height, so the layers below h hold every
-    tree that a tree of layer h captures.  Trees outside the chart have no
-    runs except the pure sink's.
+    fills each new tree once, summing the values of the instances that built
+    it.  A rule application strictly increases height, so the layers below h
+    hold every tree that a tree of layer h captures.  Trees outside the chart
+    have no runs except the pure sink's.
 
     `until(table)`, if given, is called after each layer is filled; when it
     returns true, no higher layer is filled.
@@ -617,6 +670,8 @@ class RunsTable(Evaluator):
         if height_bound < 0:
             raise AutomatonError("height bound must be nonnegative")
         super().__init__(A)
+        sr = A.semiring
+        chart = self._chart
         self.layers: list[list[Tree]] = []  # the trees of each height, in fill order
         langs = {q: [] for q in A.real_states}  # state -> trees reaching it, by height
         for h in range(height_bound + 1):
@@ -624,14 +679,16 @@ class RunsTable(Evaluator):
                 lang.append([])
             layer = []
             for rules in self._rules.values():
-                # Rules in index order: a cell lists applications as matching would.
-                by_tree: dict[Tree, list] = {}
-                for rule in rules:
+                cells: dict[Tree, dict] = {}
+                for rule, real in rules:
                     for subs in self._instances(rule, h, langs):
-                        by_tree.setdefault(rule.plug(subs), []).append((rule, subs))
-                for t, apps in by_tree.items():
+                        # Sink positions may capture trees outside the chart.
+                        _apply(sr, cells.setdefault(rule.plug(subs), {}), rule, real,
+                               [chart.get(sub, _NO_RUNS) for sub in subs])
+                for t, cell in cells.items():
                     layer.append(t)
-                    for q in self._fill(t, apps):
+                    chart[t] = cell
+                    for q in cell:
                         langs[q][h].append(t)
             self.layers.append(layer)
             if until is not None and until(self):
@@ -679,6 +736,10 @@ class RunsTable(Evaluator):
 
     def _cell(self, t: Tree) -> dict:
         return self._chart.get(t, _NO_RUNS)
+
+    def parse(self, text: str) -> Tree:
+        """The tree of text; the table's cells stay as they are."""
+        return parse_nodes(text, self.automaton.alphabet)[-1]
 
     def support(self):
         """(tree, series value) for each tree of the table with a nonzero value."""

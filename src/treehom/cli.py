@@ -35,13 +35,11 @@ from .analyze import (
 from .automaton import (
     Automaton,
     AutomatonError,
+    Evaluator,
     Run,
-    accepting_runs,
     check_unambiguous,
     eq_restriction_violation,
-    evaluate,
     format_run,
-    runs_to_state,
     support_up_to,
 )
 from .construct import (
@@ -450,8 +448,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_eval(args) -> int:
     A = load_automaton(args.automaton)
-    t = parse_term(args.tree, A.alphabet)
-    print(str(evaluate(A, t)))
+    ev = Evaluator(A)
+    print(str(ev.evaluate(ev.parse(args.tree))))
     return 0
 
 
@@ -464,12 +462,13 @@ def _cmd_support(args) -> int:
 
 def _cmd_runs(args) -> int:
     A = load_automaton(args.automaton)
-    t = parse_term(args.tree, A.alphabet)
+    ev = Evaluator(A)
+    t = ev.parse(args.tree)
     if args.state is not None:
-        runs = runs_to_state(A, t, args.state)
+        runs = ev.runs(t, args.state)
         where = f"to state {args.state}"
     else:
-        runs = accepting_runs(A, t)
+        runs = ev.accepting_runs(t)
         where = "accepting"
     print(f"{len(runs)} {where} run(s) for {t.text}")
     for i, run in enumerate(runs, start=1):

@@ -7,7 +7,9 @@ with structural equality and cached hash/size/height/text, so they can key
 memo tables cheaply; leaf labels may be alphabet symbols, states, or variables
 x1, x2, ... depending on context.  `parse_term` makes equal subterms of one
 parse a single shared object, so comparing them stops at identity, and each
-distinct subterm is evaluated once.
+distinct subterm is evaluated once.  `parse_nodes` lists those subterms,
+each once and children first, checked against the alphabet as they were
+built, so a run chart can fill them without walking the term again.
 """
 
 from __future__ import annotations
@@ -273,21 +275,32 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset(
     The tree is built on an explicit stack, so any height parses, and equal
     subterms come out as one shared object.
     """
+    return parse_nodes(text, alphabet, ext)[-1]
+
+
+def parse_nodes(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset()) -> list[Tree]:
+    """The distinct subterms of ``parse_term(text, alphabet, ext)``, each
+    once and after its children, with the whole term last.  Each was checked
+    against the alphabet as it was built, so a run chart can fill them in
+    this order without walking the term again."""
     ranks = None if alphabet is None else dict(alphabet.items())
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # end of input
+    names = set(filter(NAME_RE.match, set(tokens)))  # each distinct token classified once
 
     def fail(message, i):
         raise TermSyntaxError(message, _token_column(text, i))
 
-    # Subterms of this parse by label and child identities: children are
-    # already shared, so equal subterms have equal keys.
-    shared: dict[tuple, Tree] = {}
+    # Subterms of this parse by label (a leaf) or by label and child
+    # identities: children are already shared, so equal subterms have equal
+    # keys.  A subterm is added once its children are, so the values come
+    # children first.
+    shared: dict = {}
     open_nodes = []  # (name, its token index, children) of each node before its ')'
     i = 0
     while True:
         name = tokens[i]
-        if not NAME_RE.match(name):
+        if name not in names:
             fail("expected a name", i)
         at = i
         if tokens[i + 1] != "(":
@@ -304,8 +317,8 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset(
             continue
         # name(children) is complete: build it, attach it to its parent, and
         # do the same for every parent whose argument list ends here.
+        key = name
         while True:
-            key = (name, *map(id, children))
             tree = shared.get(key)
             if tree is None:  # else name was checked at this number of children
                 if ranks is not None and ranks.get(name) != len(children) and name not in ext:
@@ -317,15 +330,18 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset(
             if not open_nodes:
                 if tokens[i]:
                     fail("trailing input after term", i)
-                return tree
+                # The whole term is its largest subterm, so it came last.
+                return list(shared.values())
             name, at, children = open_nodes[-1]
             children.append(tree)
+            token = tokens[i]
             i += 1
-            if tokens[i - 1] == ",":
+            if token == ",":
                 break
-            if tokens[i - 1] != ")":
+            if token != ")":
                 fail("expected ')' or ','", i - 1)
             open_nodes.pop()
+            key = (name, *map(id, children))
 
 
 def iter_trees(alphabet: RankedAlphabet, max_height: int):

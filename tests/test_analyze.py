@@ -193,12 +193,13 @@ def test_run_count_compare_arctic(arctic_chain, full_duplication):
 
 def test_run_count_compare_counts_match_brute_force(doubling_image):
     # At most as many accepting runs in the linearization, per tree; on this
-    # unambiguous instance the counts are 1 wherever the heights fit.
-    from treehom import accepting_runs
-    lin = linearize(doubling_image, 2)
+    # unambiguous instance the counts are 1 wherever the heights fit.  One
+    # evaluator per automaton fills each distinct subtree once for all trees.
+    from treehom import Evaluator
+    lin, image = Evaluator(linearize(doubling_image, 2)), Evaluator(doubling_image)
     for t in enumerate_trees(doubling_image.alphabet, 4):
-        cl = len(accepting_runs(lin, t))
-        ca = len(accepting_runs(doubling_image, t))
+        cl = len(lin.accepting_runs(t))
+        ca = len(image.accepting_runs(t))
         assert cl <= ca
 
 

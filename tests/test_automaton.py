@@ -400,6 +400,47 @@ def test_runs_match_naive_enumeration(doubling_image, constrained_pair, z6_chain
     assert several
 
 
+def test_value_only_chart_matches_naive_runs():
+    # A cell maps each state with runs to its summed run weight, and nothing
+    # else, whether filled from a parse's node list (shared subterms), by
+    # walking an enumerated tree (distinct equal copies) or by a RunsTable;
+    # the runs re-derived from it come in the naive recursion's order.
+    image = branching_image()
+    for A, trees in ((NONDETERMINISTIC, enumerate_trees(NONDETERMINISTIC.alphabet, 3)),
+                     (image, RunsTable(image, 3).trees + enumerate_trees(image.alphabet, 2))):
+        table = RunsTable(A, 3)
+        for t in trees:
+            filled = Evaluator(A)
+            parsed = filled.parse(t.text)
+            want = {q: naive_runs(A, t, q) for q in A.states}
+            want_cell = {q: naive_state_value(A, t, q) for q in A.real_states if want[q]}
+            for ev, s in ((filled, parsed), (Evaluator(A), t), (table, t)):
+                assert ev._cell(s) == want_cell
+                for q in A.states:
+                    assert list(ev.runs(s, q)) == want[q]
+                    assert ev.state_value(s, q) == naive_state_value(A, t, q)
+                assert list(ev.accepting_runs(s)) == naive_accepting_runs(A, t)
+
+
+def test_runs_table_has_no_runs_outside_its_trees(doubling_chain, doubling_image):
+    # Each tall tree is one level taller than its table, whose trees hold its
+    # children, and a rule applies at it: it has runs, but not in the table.
+    for A, bound, inside, outside, tall in (
+        (doubling_chain, 2, "f(g(a))", "f(f(a))", "f(g(g(a)))"),
+        (doubling_image, 3, "k(g(a),g(g(a)))", "k(a,a)", "k(g(g(a)),g(g(g(a))))"),
+    ):
+        table = RunsTable(A, bound)
+        t = parse_term(tall, A.alphabet)
+        assert t.height == bound + 1 and naive_accepting_runs(A, t)
+        assert table.accepting_runs(parse_term(inside, A.alphabet))
+        for text in (outside, tall):
+            # Parsing through the table fills no cell.
+            for t in (parse_term(text, A.alphabet), table.parse(text)):
+                assert table.accepting_runs(t) == ()
+                for q in A.real_states:
+                    assert table.runs(t, q) == ()
+
+
 def test_run_walkers_match_recursive_references(doubling_image, constrained_pair, z6_chain):
     for A in (doubling_image, constrained_pair, z6_chain, FLAT_CONSTRAINED):
         for t in enumerate_trees(A.alphabet, 3):

@@ -215,10 +215,10 @@ def test_cli_eval(data_dir, capsys):
 
 def test_cli_too_deep_tree_is_one_error_line(data_dir, capsys, monkeypatch):
     # A stand-in raise: parsing and evaluation no longer recurse once per level.
-    def too_deep(A, t):
+    def too_deep(self, text):
         raise RecursionError
 
-    monkeypatch.setattr("treehom.cli.evaluate", too_deep)
+    monkeypatch.setattr("treehom.cli.Evaluator.parse", too_deep)
     code = run_cli("eval", "--automaton", str(data_dir / "doubling_chain.aut"),
                    "--tree", "f(a)")
     err = capsys.readouterr().err
@@ -267,10 +267,10 @@ def test_cli_reads_weight_literals_of_any_size(tmp_path, capsys, semiring, sign)
 
 def test_cli_out_of_memory_is_one_error_line(data_dir, capsys, memory_cap, monkeypatch):
     # A stand-in raise: the test never allocates the memory it reports.
-    def exhausted(A, t):
+    def exhausted(self, text):
         raise MemoryError
 
-    monkeypatch.setattr("treehom.cli.evaluate", exhausted)
+    monkeypatch.setattr("treehom.cli.Evaluator.parse", exhausted)
     with memory_cap():
         code = run_cli("eval", "--automaton", str(data_dir / "doubling_chain.aut"),
                        "--tree", "f(a)")

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +14,7 @@ from treehom import (
     enumerate_trees,
     format_position,
     is_variable,
+    parse_nodes,
     parse_position,
     parse_term,
     preorder,
@@ -19,6 +24,7 @@ from treehom import (
     variable,
 )
 from oracles import naive_parse_term, positions, subtree_at
+from treehom.cli import load_automaton, parse_automaton
 
 SIGMA = RankedAlphabet([("a", 0), ("g", 1), ("k", 2)])
 
@@ -157,7 +163,12 @@ def parse_outcome(parse, text, alphabet, ext):
 PARSE_MODES = [(SIGMA, frozenset()), (SIGMA, {"x1"}), (None, frozenset()), (None, {"a"})]
 
 
-@given(tree_strategy(SIGMA), st.sampled_from(["", " ", "\t", "\n "]))
+# Whitespace between tokens: ASCII, and the \x1c and Unicode spaces that
+# the tokenizer skips as well.
+GAPS = ["", " ", "\t", "\n ", "\r\n", "\x1c", "\xa0", "\u2003"]
+
+
+@given(tree_strategy(SIGMA), st.sampled_from(GAPS))
 def test_parse_matches_the_recursive_parser(s, gap):
     spaced = s.text.replace(",", gap + "," + gap).replace("(", "(" + gap)
     for text in (s.text, spaced, gap + spaced + gap):
@@ -172,6 +183,96 @@ def test_parse_errors_match_the_recursive_parser(text):
     for alphabet, ext in PARSE_MODES:
         got = parse_outcome(parse_term, text, alphabet, ext)
         assert got == parse_outcome(naive_parse_term, text, alphabet, ext)
+
+
+def subterm_ids(s):
+    """The ids of the subterm objects of s, on an explicit stack."""
+    out, stack = set(), [s]
+    while stack:
+        node = stack.pop()
+        if id(node) not in out:
+            out.add(id(node))
+            stack.extend(node.children)
+    return out
+
+
+def check_parse_nodes(text, alphabet, ext=frozenset()):
+    nodes = parse_nodes(text, alphabet, ext)
+    assert len(set(nodes)) == len(nodes)  # pairwise unequal
+    placed = set()
+    for node in nodes:
+        assert all(id(c) in placed for c in node.children)  # children first
+        placed.add(id(node))
+    assert placed == subterm_ids(nodes[-1])  # every subterm of the last
+    assert nodes[-1] == parse_term(text, alphabet, ext)
+
+
+@given(tree_strategy(SIGMA), st.sampled_from(GAPS))
+def test_parse_nodes_lists_each_subterm_once_children_first(s, gap):
+    spaced = s.text.replace(",", gap + "," + gap).replace("(", "(" + gap)
+    for text in (s.text, spaced, f"k({spaced},{s.text})"):
+        for alphabet, ext in PARSE_MODES:
+            check_parse_nodes(text, alphabet, ext)
+
+
+def test_parse_nodes_of_bundled_left_hand_sides(data_dir):
+    for path in sorted(data_dir.glob("*.aut")):
+        A = load_automaton(path)
+        for rule in A.rules:
+            check_parse_nodes(rule.lhs.text, A.alphabet, set(A.states))
+            check_parse_nodes(rule.lhs.text, None, set(A.states))
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_parse_nodes_of_the_deep_eval_trees(data_dir):
+    w = load_workloads().deep_eval(1, "in")
+    automata = {}
+    for op in w.ops:
+        path = op.argv[2]
+        if path not in automata:
+            automata[path] = (load_automaton(data_dir / Path(path).name)
+                              if path.startswith("data/") else parse_automaton(w.files[path]))
+        check_parse_nodes(op.argv[4], automata[path].alphabet)
+
+
+# Texts and the exact errors they get, the first ones with digits mixed into
+# names ("12ab" is the tokens "1", "2", "ab").
+PARSE_ERRORS = [
+    ("f(1a)", "column 3: expected a name"),
+    ("f(a 12)", "column 5: expected ')' or ','"),
+    ("12ab", "column 1: expected a name"),
+    ("f(a,)", "column 5: expected a name"),
+    ("k(a,\t12)", "column 6: expected a name"),
+    ("k(\na,\n1)", "column 7: expected a name"),
+    ("k(a,\tg(a)\n) 7", "column 13: trailing input after term"),
+    ("k(a,\x1c12)", "column 6: expected a name"),
+    ("k(a,\xa0\xa012)", "column 7: expected a name"),
+    ("g(\x1cg(\xa0a)) 9", "column 11: trailing input after term"),
+    ("k(a,\u00e9)", "column 5: expected a name"),
+    ("k(a\u00e9,a)", "column 4: expected ')' or ','"),
+    ("k(a,h(a))", "column 5: unknown symbol: h"),
+    ("k(a)", "column 1: symbol k has rank 2, used with 1 arguments"),
+    ("g(a,a)", "column 1: symbol g has rank 1, used with 2 arguments"),
+]
+LOOSE = {"f(1a)", "f(a 12)", "12ab", "f(a,)"}  # the same without an alphabet
+
+
+@pytest.mark.parametrize("text,message", PARSE_ERRORS)
+def test_parse_error_messages_and_columns(text, message):
+    alphabet = RankedAlphabet([("a", 0), ("f", 1), ("g", 1), ("k", 2)])
+    for alph in (alphabet, None) if text in LOOSE else (alphabet,):
+        for parse in (parse_term, parse_nodes):
+            with pytest.raises(TermSyntaxError) as err:
+                parse(text, alph)
+            assert str(err.value) == message
+            assert err.value.column == int(message.split(":")[0].split()[1])
 
 
 def test_alphabet_validation():
