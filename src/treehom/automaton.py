@@ -13,6 +13,14 @@ An automaton is eq-restricted when it has a non-final sink with exactly the
 weight-one rules sigma(sink,...,sink) -> sink, and every constraint class of
 every other rule contains exactly one non-sink position.
 
+Every automaton, read from a file or derived by a construction, is built by
+the one `Automaton` constructor from rule specs, and every rule goes
+through every check (`make_rule`): one walk of its lhs checks each node and
+collects the state positions, and only a rule with constraint pairs has
+them closed into classes.  An automaton never changes once built, so the
+verdicts on the whole of it (the sink's shape, eq-restriction) are worked
+out once, on first use, however many constructions ask.
+
 Weights and runs come from one chart: per tree, each state's summed run
 weight, filled bottom-up from the cells of the captured subtrees.  Cells
 hold values only.  The rule applications that derive the runs of a tree to a
@@ -37,6 +45,7 @@ in a layer, so it adds nothing.
 
 from __future__ import annotations
 
+from contextlib import closing
 from functools import cached_property
 from itertools import product
 from operator import attrgetter
@@ -50,7 +59,6 @@ from .term import (
     enumerate_trees,
     format_position,
     parse_nodes,
-    preorder,
     replace_at,
     tree_key,
 )
@@ -62,6 +70,13 @@ class AutomatonError(ValueError):
 
 
 class Rule:
+    """A validated rule; `make_rule` builds it.  Beside its parts it holds
+    what the run chart, the constructions and the printer read: the state
+    positions of the lhs in preorder and their states, each constraint class
+    as indices into them and as their states, the constraint as (class head,
+    other member) pairs and as text, and whether the rule is flat (every lhs
+    child is a state leaf) or constrained (some class has two members)."""
+
     __slots__ = (
         "lhs",
         "target",
@@ -71,6 +86,8 @@ class Rule:
         "state_labels",
         "class_labels",
         "class_indices",
+        "pairs",
+        "constraint_text",
         "flat",
         "constrained",
         "index",
@@ -86,21 +103,29 @@ class Rule:
         self.state_positions = state_positions
         self.state_labels = state_labels
         self._states = states
-        pos_index = {p: i for i, p in enumerate(state_positions)}
-        self.class_indices = tuple(tuple(pos_index[p] for p in cls) for cls in classes)
-        self.class_labels = tuple(
-            tuple(state_labels[i] for i in idxs) for idxs in self.class_indices
-        )
-        # Every lhs child is a state leaf: the children of a tree are its
-        # captured subtrees.
-        self.flat = state_positions == tuple((i,) for i in range(1, len(lhs.children) + 1))
-        self.constrained = any(len(cls) > 1 for cls in classes)
+        n = len(lhs.children)
+        # Flat: the lhs has n + 1 nodes, so its children are leaves, and n
+        # state positions, so they are all states.  A flat rule captures the
+        # children of a tree.
+        self.flat = lhs.size == n + 1 and len(state_positions) == n
+        self.constrained = len(classes) < len(state_positions)
+        if self.constrained:
+            pos_index = {p: i for i, p in enumerate(state_positions)}
+            self.class_indices = tuple(tuple(pos_index[p] for p in cls) for cls in classes)
+            self.class_labels = tuple(
+                tuple(state_labels[i] for i in idxs) for idxs in self.class_indices
+            )
+            self.pairs = tuple((cls[0], p) for cls in classes for p in cls[1:])
+            self.constraint_text = ", ".join(
+                f"{format_position(a)} = {format_position(b)}" for a, b in self.pairs
+            )
+        else:  # one class per state position
+            self.class_indices = tuple(zip(range(len(state_positions))))
+            self.class_labels = tuple(zip(state_labels))
+            self.pairs = ()
+            self.constraint_text = ""
         self.index = -1
         self._text = None
-
-    @property
-    def key(self):
-        return (self.lhs, self.classes, self.target)
 
     def spread(self, class_trees) -> list:
         """One capture per state position: the tree of its class."""
@@ -122,47 +147,16 @@ class Rule:
         return t
 
     @property
-    def pairs(self):
-        """The constraint as (class head, other member) position pairs."""
-        return tuple((cls[0], p) for cls in self.classes for p in cls[1:])
-
-    def constraint_text(self) -> str:
-        return ", ".join(f"{format_position(a)} = {format_position(b)}" for a, b in self.pairs)
-
-    @property
     def text(self) -> str:
         if self._text is None:
             s = f"{self.lhs.text} -> {self.target} @ {self.weight}"
-            constraint = self.constraint_text()
-            if constraint:
-                s += f" | {constraint}"
+            if self.constraint_text:
+                s += f" | {self.constraint_text}"
             self._text = s
         return self._text
 
     def __repr__(self):
         return f"Rule({self.text!r})"
-
-
-def _scan_lhs(lhs: Tree, alphabet: RankedAlphabet, states: frozenset):
-    """Validate an lhs and collect state positions in prefix order."""
-    if lhs.label in states and not lhs.children:
-        raise AutomatonError(f"left-hand side must not be a bare state: {lhs.text}")
-    state_positions = []
-    state_labels = []
-    for p, node in preorder(lhs):
-        if node.label in states:
-            if node.children:
-                raise AutomatonError(f"state {node.label} used with arguments in {lhs.text}")
-            state_positions.append(p)
-            state_labels.append(node.label)
-        elif node.label not in alphabet:
-            raise AutomatonError(f"undeclared symbol {node.label} in {lhs.text}")
-        elif alphabet.rank(node.label) != len(node.children):
-            raise AutomatonError(
-                f"symbol {node.label} has rank {alphabet.rank(node.label)}, "
-                f"used with {len(node.children)} arguments in {lhs.text}"
-            )
-    return tuple(state_positions), tuple(state_labels)
 
 
 def _close_partition(state_positions, pairs):
@@ -175,10 +169,9 @@ def _close_partition(state_positions, pairs):
             p = parent[p]
         return p
 
-    pos_set = set(state_positions)
     for a, b in pairs:
         for p in (a, b):
-            if p not in pos_set:
+            if p not in parent:
                 raise AutomatonError(
                     f"constraint position {format_position(p)} is not a state position"
                 )
@@ -194,23 +187,58 @@ def _close_partition(state_positions, pairs):
 
 
 def make_rule(alphabet, states, semiring, lhs, target, weight, pairs=()) -> Rule:
+    """The rule (lhs, pairs, target, weight), checked in this order: the
+    target is a state, the weight a nonzero `Weight` of the semiring, the lhs
+    not a bare state; then one preorder walk checks each lhs node (a state
+    leaf, or an alphabet symbol at its rank) and collects the state
+    positions; last, the constraint pairs are closed into classes over those
+    positions.  Without pairs each position is its own class."""
     states = frozenset(states)
     if target not in states:
         raise AutomatonError(f"undeclared target state: {target}")
     if not isinstance(weight, Weight):
         raise AutomatonError(f"rule weight must be a Weight, got {weight!r}")
-    if weight.semiring != semiring:
+    if weight.semiring is not semiring and weight.semiring != semiring:
         raise AutomatonError(
             f"rule weight lives in {weight.semiring.id}, automaton in {semiring.id}"
         )
     if weight.is_zero:
         raise AutomatonError(f"zero-weight rule: {lhs.text} -> {target}")
-    state_positions, state_labels = _scan_lhs(lhs, alphabet, states)
-    classes = _close_partition(state_positions, pairs)
-    return Rule(lhs, target, weight, classes, state_positions, state_labels, states)
+    if lhs.label in states and not lhs.children:
+        raise AutomatonError(f"left-hand side must not be a bare state: {lhs.text}")
+    ranks = alphabet.ranks
+    state_positions = []
+    state_labels = []
+    stack = [((), lhs)]
+    while stack:
+        p, node = stack.pop()
+        label, children = node.label, node.children
+        if label in states:
+            if children:
+                raise AutomatonError(f"state {label} used with arguments in {lhs.text}")
+            state_positions.append(p)
+            state_labels.append(label)
+        elif label not in ranks:
+            raise AutomatonError(f"undeclared symbol {label} in {lhs.text}")
+        elif ranks[label] != len(children):
+            raise AutomatonError(
+                f"symbol {label} has rank {ranks[label]}, "
+                f"used with {len(children)} arguments in {lhs.text}"
+            )
+        else:
+            for i in range(len(children), 0, -1):
+                stack.append(((*p, i), children[i - 1]))
+    state_positions = tuple(state_positions)
+    classes = _close_partition(state_positions, pairs) if pairs else tuple(zip(state_positions))
+    return Rule(lhs, target, weight, classes, state_positions, tuple(state_labels), states)
 
 
 class Automaton:
+    """A WTAh built from rule specs (lhs, target, weight[, constraint
+    pairs]), each checked by `make_rule`, with no two rules alike in lhs,
+    constraint classes and target.  The checks of the finished automaton
+    (the sink's shape, eq-restriction) are worked out once, on first use."""
+
     def __init__(self, semiring: Semiring, alphabet: RankedAlphabet, states, finals, rules,
                  sink: str | None = None):
         self.semiring = semiring
@@ -242,9 +270,10 @@ class Automaton:
             prepared.append(make_rule(alphabet, state_set, semiring, lhs, target, weight, pairs))
         seen_keys = set()
         for rule in prepared:
-            if rule.key in seen_keys:
+            key = (rule.lhs, rule.classes, rule.target)
+            if key in seen_keys:
                 raise AutomatonError(f"duplicate rule: {rule.text}")
-            seen_keys.add(rule.key)
+            seen_keys.add(key)
         self.rules = tuple(prepared)
         for i, rule in enumerate(self.rules):
             rule.index = i
@@ -262,8 +291,52 @@ class Automaton:
     @cached_property
     def pure_sink(self) -> str | None:
         """The sink name if it has exactly the weight-one sink rules, else None."""
-        if self.sink is not None and _sink_shape_violation(self) is None:
+        if self.sink is not None and self._sink_shape_violation is None:
             return self.sink
+        return None
+
+    @cached_property
+    def _sink_shape_violation(self) -> str | None:
+        """None if the rules to the sink are exactly one weight-one rule
+        sigma(sink,...,sink) -> sink per symbol, else the first fault."""
+        sink = self.sink
+        covered = set()
+        for rule in self.rules:
+            if rule.target != sink:
+                continue
+            labels = rule.state_labels
+            if (not rule.flat or labels.count(sink) != len(labels) or not rule.weight.is_one
+                    or rule.constrained):
+                return f"rule targeting the sink is not a weight-one sink rule: {rule.text}"
+            if rule.lhs.label in covered:
+                return f"duplicate sink rule for symbol {rule.lhs.label}"
+            covered.add(rule.lhs.label)
+        missing = [name for name in self.alphabet.names() if name not in covered]
+        if missing:
+            return f"missing sink rule for symbol {missing[0]}"
+        return None
+
+    @cached_property
+    def _eq_restriction_violation(self) -> str | None:
+        """`eq_restriction_violation`, worked out once per automaton."""
+        sink = self.sink
+        if sink is None:
+            return "no sink state declared"
+        reason = self._sink_shape_violation
+        if reason is not None:
+            return reason
+        for rule in self.rules:
+            if rule.target == sink:
+                continue
+            for cls, labels in zip(rule.classes, rule.class_labels):
+                real = len(labels) - labels.count(sink)
+                if real != 1:
+                    kind = "no" if not real else f"{real}"
+                    members = ", ".join(format_position(p) for p in cls)
+                    return (
+                        f"constraint class {{{members}}} of rule '{rule.text}' has "
+                        f"{kind} non-sink positions (expected exactly one)"
+                    )
         return None
 
     @cached_property
@@ -300,46 +373,11 @@ class Automaton:
                 f"{len(self.rules)} rules>")
 
 
-def _sink_shape_violation(A: Automaton) -> str | None:
-    sink = A.sink
-    covered = set()
-    for rule in A.rules:
-        if rule.target != sink:
-            continue
-        lhs = rule.lhs
-        flat = all(not c.children and c.label == sink for c in lhs.children)
-        if not flat or not rule.weight.is_one or rule.constrained:
-            return f"rule targeting the sink is not a weight-one sink rule: {rule.text}"
-        if lhs.label in covered:
-            return f"duplicate sink rule for symbol {lhs.label}"
-        covered.add(lhs.label)
-    missing = [name for name in A.alphabet.names() if name not in covered]
-    if missing:
-        return f"missing sink rule for symbol {missing[0]}"
-    return None
-
-
 def eq_restriction_violation(A: Automaton) -> str | None:
-    """None if A is eq-restricted, else a human-readable reason."""
-    if A.sink is None:
-        return "no sink state declared"
-    reason = _sink_shape_violation(A)
-    if reason is not None:
-        return reason
-    sink = A.sink
-    for rule in A.rules:
-        if rule.target == sink:
-            continue
-        for cls, labels in zip(rule.classes, rule.class_labels):
-            real = [lbl for lbl in labels if lbl != sink]
-            if len(real) != 1:
-                kind = "no" if not real else f"{len(real)}"
-                members = ", ".join(format_position(p) for p in cls)
-                return (
-                    f"constraint class {{{members}}} of rule '{rule.text}' has "
-                    f"{kind} non-sink positions (expected exactly one)"
-                )
-    return None
+    """None if A is eq-restricted, else a human-readable reason: the first
+    fault of the sink and its rules, or else the first constraint class,
+    in rule order, without exactly one non-sink position."""
+    return A._eq_restriction_violation
 
 
 def match_lhs(rule: Rule, t: Tree):
@@ -681,10 +719,14 @@ class RunsTable(Evaluator):
             for rules in self._rules.values():
                 cells: dict[Tree, dict] = {}
                 for rule, real in rules:
-                    for subs in self._instances(rule, h, langs):
-                        # Sink positions may capture trees outside the chart.
-                        _apply(sr, cells.setdefault(rule.plug(subs), {}), rule, real,
-                               [chart.get(sub, _NO_RUNS) for sub in subs])
+                    # Closed here even when the fill fails (say, out of
+                    # memory), not later by the garbage collector, which
+                    # could only report a failing close as unraisable.
+                    with closing(self._instances(rule, h, langs)) as instances:
+                        for subs in instances:
+                            # Sink positions may capture trees outside the chart.
+                            _apply(sr, cells.setdefault(rule.plug(subs), {}), rule, real,
+                                   [chart.get(sub, _NO_RUNS) for sub in subs])
                 for t, cell in cells.items():
                     layer.append(t)
                     chart[t] = cell

@@ -191,16 +191,15 @@ def parse_automaton(text: str) -> Automaton:
 
 def format_automaton(A: Automaton) -> str:
     """A in the file format, states sorted by name and rules by (lhs text,
-    target, constraint text, weight text)."""
+    target, constraint text).  No two rules share that key, since it
+    determines the lhs, constraint classes and target; so each rule's text,
+    weight included, is built once, by `Rule.text`, and never compared."""
     lines = [f"semiring: {A.semiring.id}", f"states: {' '.join(sorted(A.states))}"]
     if A.sink is not None:
         lines.append(f"sink: {A.sink}")
     lines.append(f"final: {' '.join(A.finals)}")
     lines.append("rules:")
-    rules = sorted(
-        A.rules,
-        key=lambda r: (r.lhs.text, r.target, r.constraint_text(), str(r.weight)),
-    )
+    rules = sorted(A.rules, key=lambda r: (r.lhs.text, r.target, r.constraint_text))
     lines.extend(rule.text for rule in rules)
     return "\n".join(lines) + "\n"
 

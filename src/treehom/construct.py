@@ -287,6 +287,10 @@ def linearize(A: Automaton, lin_height: int) -> Automaton:
     produced rule's weight multiplies in one wt factor per instantiated
     position (sink positions contribute the one).  Unconstrained state
     positions stay symbolic.  The sink and its rules are dropped.
+
+    The trees come from the state languages of a `RunsTable` up to
+    lin_height, built only when some rule is constrained: otherwise no
+    class is instantiated and each rule is kept as it is.
     """
     if lin_height < 0:
         raise AutomatonError("linearization height must be nonnegative")
@@ -295,17 +299,16 @@ def linearize(A: Automaton, lin_height: int) -> Automaton:
         raise AutomatonError(f"input is not eq-restricted: {reason}")
     sink = A.sink
     sr = A.semiring
-    table = RunsTable(A, lin_height)
+    rules = [rule for rule in A.rules if rule.target != sink]
     lang: dict[str, dict[Tree, object]] = {}
-    for q in A.states:
-        if q == sink:
-            continue
-        lang[q] = {t: w.value for t, w in table.state_trees(q)}
+    if any(rule.constrained for rule in rules):
+        table = RunsTable(A, lin_height)
+        for q in A.states:
+            if q != sink:
+                lang[q] = {t: w.value for t, w in table.state_trees(q)}
 
     specs = []
-    for rule in A.rules:
-        if sink is not None and rule.target == sink:
-            continue
+    for rule in rules:
         to_instantiate = [
             (cls, labels)
             for cls, labels in zip(rule.classes, rule.class_labels)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from itertools import product
+from types import MappingProxyType
 
 from .semiring import decimal_text, parse_digits
 
@@ -64,7 +65,8 @@ class Variables:
 
 
 class RankedAlphabet:
-    """Finite map from symbol names to ranks."""
+    """Finite map from symbol names to ranks; `ranks` is a read-only view of
+    it."""
 
     def __init__(self, symbols):
         pairs = list(symbols.items()) if isinstance(symbols, dict) else list(symbols)
@@ -82,6 +84,7 @@ class RankedAlphabet:
         if not ranks:
             raise TermError("alphabet must not be empty")
         self._ranks = ranks
+        self.ranks = MappingProxyType(ranks)
 
     def rank(self, name: str) -> int:
         try:

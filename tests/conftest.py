@@ -1,5 +1,7 @@
+import importlib.util
 import os
 import resource
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -12,7 +14,18 @@ from treehom.cli import load_automaton, load_hom
 settings.register_profile("suite", max_examples=50, derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
-DATA_DIR = Path(__file__).resolve().parents[1] / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA_DIR = ROOT / "data"
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """The benchmark's `perfbench/workloads.py`, loaded by path: its pools
+    and ops serve as fixed, read-only test inputs."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

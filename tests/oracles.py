@@ -84,6 +84,39 @@ def naive_run_state_map(run: Run) -> dict:
     return out
 
 
+def naive_rule_data(lhs: Tree, states, pairs) -> dict:
+    """What `make_rule` derives from a valid lhs and constraint pairs: the
+    state positions (from `positions`) and their states, the constraint
+    classes by a plain closure (merge any two classes a pair links, until
+    none do), each class as indices into the state positions and as their
+    states, whether every lhs child is a state leaf, and whether a class has
+    two members."""
+    state_positions = tuple(p for p in positions(lhs) if subtree_at(lhs, p).label in states)
+    classes = [{p} for p in state_positions]
+    merged = True
+    while merged:
+        merged = False
+        for a, b in pairs:
+            ca = next(c for c in classes if a in c)
+            cb = next(c for c in classes if b in c)
+            if ca is not cb:
+                classes.remove(cb)
+                ca |= cb
+                merged = True
+    classes = tuple(sorted(tuple(sorted(c)) for c in classes))
+    class_indices = tuple(tuple(state_positions.index(p) for p in c) for c in classes)
+    return {
+        "state_positions": state_positions,
+        "state_labels": tuple(subtree_at(lhs, p).label for p in state_positions),
+        "classes": classes,
+        "class_indices": class_indices,
+        "class_labels": tuple(tuple(subtree_at(lhs, p).label for p in c) for c in classes),
+        "flat": all(not c.children and c.label in states for c in lhs.children),
+        "constrained": any(len(c) > 1 for c in classes),
+        "pairs": tuple((c[0], p) for c in classes for p in c[1:]),
+    }
+
+
 def naive_parse_term(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset()) -> Tree:
     """The recursive-descent reference for `parse_term`: one call per node,
     a new object per subterm.  Parse ``name | name '(' tree (',' tree)* ')'``;
@@ -760,7 +793,7 @@ def canonical_form(A: Automaton) -> Automaton:
     (lhs text, target, constraint text, weight text)."""
     rules = sorted(
         A.rules,
-        key=lambda r: (r.lhs.text, r.target, r.constraint_text(), str(r.weight)),
+        key=lambda r: (r.lhs.text, r.target, r.constraint_text, str(r.weight)),
     )
     return Automaton(A.semiring, A.alphabet, sorted(A.states), A.finals,
                      rule_specs(rules), sink=A.sink)
@@ -777,7 +810,7 @@ def _erased_rule_key(A: Automaton, rule: Rule):
 
     return (
         erase(rule.lhs).text,
-        rule.constraint_text(),
+        rule.constraint_text,
         str(rule.weight),
         rule.target == sink,
         rule.target in final_set,

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from treehom import (
     Automaton,
@@ -16,6 +17,7 @@ from treehom import (
     enumerate_trees,
     eq_restriction_violation,
     evaluate,
+    format_position,
     format_run,
     get_semiring,
     hom_image,
@@ -26,12 +28,14 @@ from treehom import (
     support_up_to,
     tree_key,
 )
+from treehom.automaton import make_rule
 from treehom.cli import load_automaton, load_hom
 from oracles import (
     check_run,
     naive_accepting_runs,
     naive_evaluate,
     naive_format_run,
+    naive_rule_data,
     naive_run_state_map,
     naive_run_weight,
     naive_runs,
@@ -156,28 +160,113 @@ def test_nondeterminism_sums_run_weights(counting_chain):
 
 
 def test_duplicate_rules_rejected():
-    with pytest.raises(AutomatonError):
+    with pytest.raises(AutomatonError) as err:
         build("natural", [("a", 0)], ["q"], ["q"], ["a -> q @ 2", "a -> q @ 3"])
+    assert str(err.value) == "duplicate rule: a -> q @ 3"
+    # A rule is its (lhs, constraint classes, target): the same pair written
+    # the other way round is the same rule.
+    with pytest.raises(AutomatonError) as err:
+        build("natural", [("a", 0), ("k", 2)], ["q"], ["q"],
+              ["a -> q @ 1", "k(q,q) -> q @ 2 | 1 = 2", "k(q,q) -> q @ 3 | 2 = 1"])
+    assert str(err.value) == "duplicate rule: k(q,q) -> q @ 3 | 1 = 2"
+
+
+# (rule spec, the exact error) for each check a rule goes through, over the
+# alphabet a/0 g/1 k/2 and states q, p.  Where a spec breaks several checks,
+# the first in this order wins: target, weight, bare-state lhs, then the lhs
+# nodes in preorder, then the constraint.
+RULE_ERRORS = [
+    ((Tree("p"), "q", NAT.one_weight),
+     "left-hand side must not be a bare state: p"),
+    ((Tree("k", (Tree("q", (Tree("a"),)), Tree("a"))), "q", NAT.one_weight),
+     "state q used with arguments in k(q(a),a)"),
+    ((Tree("g", (Tree("h"),)), "q", NAT.one_weight),
+     "undeclared symbol h in g(h)"),
+    ((Tree("g", (Tree("q"), Tree("q"))), "q", NAT.one_weight),
+     "symbol g has rank 1, used with 2 arguments in g(q,q)"),
+    ((Tree("a"), "z", NAT.one_weight), "undeclared target state: z"),
+    ((Tree("a"), "q", 1), "rule weight must be a Weight, got 1"),
+    ((Tree("a"), "q", get_semiring("tropical").one_weight),
+     "rule weight lives in tropical, automaton in natural"),
+    ((Tree("a"), "q", Weight(NAT, 0)), "zero-weight rule: a -> q"),
+    ((Tree("k", (Tree("q"), Tree("a"))), "q", NAT.one_weight, (((1,), (2,)),)),
+     "constraint position 2 is not a state position"),
+    ((Tree("k", (Tree("q"), Tree("p"))), "q", NAT.one_weight, (((1,), (2,)), ((2,), (1, 1)))),
+     "constraint position 1.1 is not a state position"),
+    ((Tree("p"), "z", Weight(NAT, 0)), "undeclared target state: z"),
+    ((Tree("p"), "q", Weight(NAT, 0)), "zero-weight rule: p -> q"),
+    ((Tree("k", (Tree("g", (Tree("q"), Tree("q"))), Tree("h"))), "q", NAT.one_weight),
+     "symbol g has rank 1, used with 2 arguments in k(g(q,q),h)"),
+    ((Tree("k", (Tree("h"), Tree("g", (Tree("q"), Tree("q"))))), "q", NAT.one_weight),
+     "undeclared symbol h in k(h,g(q,q))"),
+    ((Tree("k", (Tree("g", (Tree("p", (Tree("a"),)),)), Tree("q"))), "q", NAT.one_weight,
+      (((2,), (3,)),)),
+     "state p used with arguments in k(g(p(a)),q)"),
+]
 
 
 def test_rule_validation_errors():
-    with pytest.raises(AutomatonError):
-        # bare state left-hand side
-        build("natural", [("a", 0)], ["q", "p"], ["q"], ["p -> q @ 1"])
-    with pytest.raises(AutomatonError):
-        # undeclared target
-        build("natural", [("a", 0)], ["q"], ["q"], ["a -> z @ 1"])
-    with pytest.raises(AutomatonError):
-        # zero weight
-        build("natural", [("a", 0)], ["q"], ["q"], ["a -> q @ 0"])
-    with pytest.raises(AutomatonError):
-        # constraint on a non-state position
-        build("natural", [("a", 0), ("k", 2)], ["q"], ["q"],
-              ["k(q,a) -> q @ 1 | 1 = 2"])
-    with pytest.raises(AutomatonError):
-        # final sink
+    alphabet = RankedAlphabet([("a", 0), ("g", 1), ("k", 2)])
+    for spec, message in RULE_ERRORS:
+        with pytest.raises(AutomatonError) as err:
+            Automaton(NAT, alphabet, ["q", "p"], ["q"], [spec])
+        assert str(err.value) == message
+    with pytest.raises(AutomatonError) as err:
         build("natural", [("a", 0)], ["q", "bot"], ["bot"],
               ["a -> q @ 1", "a -> bot @ 1"], sink="bot")
+    assert str(err.value) == "sink state bot must not be final"
+
+
+RULE_ALPHABET = RankedAlphabet([("a", 0), ("g", 1), ("k", 2)])
+RULE_STATES = ("q", "p")
+
+
+def lhs_strategy():
+    """Left-hand sides over a/0 g/1 k/2 with state leaves q and p below the
+    root: nested, flat and ground ones, and ground subterms beside states."""
+    leaf = st.sampled_from(["a", "q", "p"]).map(Tree)
+
+    def extend(children):
+        return st.one_of(st.builds(lambda c: Tree("g", (c,)), children),
+                         st.builds(lambda c, d: Tree("k", (c, d)), children, children))
+
+    return st.one_of(st.just(Tree("a")), extend(st.recursive(leaf, extend, max_leaves=6)))
+
+
+# Fixed cases beside the drawn ones: ground, flat with and without a pair,
+# nested with a chain of pairs, a ground subterm between states.
+RULE_CASES = [
+    (Tree("a"), ()),
+    (Tree("k", (Tree("q"), Tree("p"))), ()),
+    (Tree("k", (Tree("q"), Tree("p"))), (((2,), (1,)),)),
+    (Tree("k", (Tree("g", (Tree("q"),)), Tree("k", (Tree("p"), Tree("q"))))),
+     (((2, 2), (2, 1)), ((1, 1), (2, 2)))),
+    (Tree("k", (Tree("k", (Tree("a"), Tree("q"))), Tree("g", (Tree("p"),)))), (((2, 1), (1, 2)),)),
+    (Tree("g", (Tree("k", (Tree("a"), Tree("g", (Tree("a"),)))),)), ()),
+]
+
+
+def check_rule_data(lhs, pairs):
+    rule = make_rule(RULE_ALPHABET, RULE_STATES, NAT, lhs, "q", NAT.one_weight, pairs)
+    expected = naive_rule_data(lhs, RULE_STATES, pairs)
+    assert {name: getattr(rule, name) for name in expected} == expected
+    assert rule.constraint_text == ", ".join(
+        f"{format_position(a)} = {format_position(b)}" for a, b in expected["pairs"])
+
+
+def test_make_rule_on_fixed_cases():
+    for lhs, pairs in RULE_CASES:
+        check_rule_data(lhs, pairs)
+
+
+@given(lhs_strategy(), st.data())
+def test_make_rule_matches_the_naive_reference(lhs, data):
+    where = naive_rule_data(lhs, RULE_STATES, ())["state_positions"]
+    pairs = ()
+    if where:
+        position = st.sampled_from(where)
+        pairs = tuple(data.draw(st.lists(st.tuples(position, position), max_size=4)))
+    check_rule_data(lhs, pairs)
 
 
 def test_classification(doubling_chain, doubling_image, constrained_pair):

@@ -1,4 +1,6 @@
 import decimal
+import gc
+import hashlib
 import json
 import random
 import subprocess
@@ -8,6 +10,7 @@ import pytest
 
 from treehom import (
     RankedAlphabet,
+    Tree,
     bounded_equivalence,
     count_trees,
     eliminate_zero_divisors,
@@ -277,6 +280,32 @@ def test_cli_out_of_memory_is_one_error_line(data_dir, capsys, memory_cap, monke
     err = capsys.readouterr().err
     assert code == 1
     assert err == "error: out of memory\n"
+
+
+def test_cli_out_of_memory_in_the_run_chart_is_one_error_line(data_dir, capsys, monkeypatch):
+    # Stand-ins again: the chart fill runs out of memory at its first rule
+    # application, and so does the suspended instance generator when it is
+    # closed.  Left to the garbage collector, that close would be reported
+    # through sys.unraisablehook, with a traceback, before the error line.
+    def exhausted(*args):
+        raise MemoryError
+
+    def instances(self, rule, h, langs):
+        try:
+            yield [Tree("a")] * len(rule.state_positions)
+        except GeneratorExit:
+            raise MemoryError from None
+
+    unraisable = []
+    monkeypatch.setattr("treehom.automaton._apply", exhausted)
+    monkeypatch.setattr("treehom.automaton.RunsTable._instances", instances)
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    code = run_cli("support", "--automaton", str(data_dir / "doubling_image.aut"),
+                   "--height", "2")
+    gc.collect()
+    assert code == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert unraisable == []
 
 
 def test_cli_support(data_dir, capsys):
@@ -788,3 +817,56 @@ def test_console_script_entry_point(data_dir):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
+
+
+# sha256 of the `decide --check-bound 3 --format machine` stdout, and the exit
+# code, of each instance of the benchmark's decide pools.  The golden files of
+# the benchmark check verdicts and witnesses only; these cover every printed
+# automaton of the reports too.
+POOL_REPORT_DIGESTS = {
+    "dup-natural-0": ("906bb490e87e507b58e4f5da86af0ffee8d2fab1b02a4c57ea110e782eeea0df", 2),
+    "dup-natural-1": ("e8082349335807fb409ac4a95a681a23d91581302d1dcdf5645c8432ca9cb496", 0),
+    "dup-tropical-0": ("e5c06a39ffd7bcc203784808d74e3571e9a33ff31be844ad1e4237c19c56ca6e", 2),
+    "dup-tropical-1": ("3aae1d15c0c96a9bb6503d8845b94e0c9117c8fe22878bd2742d6ae81b8651bc", 0),
+    "dup-arctic-0": ("6a276a1a2e2a8786820fdf553f14852d47e3fdc07f2acfd283bac4d8ff97a6f2", 0),
+    "dup-arctic-1": ("2c1a6e9eeee619fb0c8b6a2dfedcfb530da4c80696a9a4d69842d38be805ab79", 2),
+    "merge-natural-0": ("dbce3ec065e317095b75581836334949a79619b7b497f30eaf787caddd16f251", 2),
+    "merge-natural-1": ("d4f99aa08a2507b0b2f806d51df2276d3467a26cd8c15da72f0a2156643bbcc3", 2),
+    "merge-tropical-0": ("aa9e516c8257177aea692c952a98c0b0e335871f0c2e3f18e93908ad78659d09", 2),
+    "merge-tropical-1": ("849fbe222b3b0b188abe9afd86e077109d1b425b9f750b313094e6a8653acdf3", 2),
+    "merge-arctic-0": ("f077f48fe52c9d8fca1e42242d1a20beef1f70bee2f35d208fa6aa1b6e71051d", 2),
+    "merge-arctic-1": ("c5cbe4b4ad351c264885a3af6a79f220504d918a933c51ae450cad3cb1529aef", 2),
+    "tetris-natural-0": ("5deac9ac70394366c89820370b6d25be29e7b596fdc41228fc49fb5448f84e3f", 2),
+    "tetris-natural-1": ("5deac9ac70394366c89820370b6d25be29e7b596fdc41228fc49fb5448f84e3f", 2),
+    "tetris-tropical-0": ("80e96a6c2fc063aa902f45ad97ac97555d15500fbb9a379dbc76b2b0067c34d0", 2),
+    "tetris-tropical-1": ("80e96a6c2fc063aa902f45ad97ac97555d15500fbb9a379dbc76b2b0067c34d0", 2),
+    "tetris-arctic-0": ("3812d2b2b89731b86373e2d3703752efe3595fbaa4c5a9b6fdf90a4acef77f84", 2),
+    "tetris-arctic-1": ("3812d2b2b89731b86373e2d3703752efe3595fbaa4c5a9b6fdf90a4acef77f84", 2),
+    "z6-2.3.5-0": ("f8a3cca5c3abbe24406c313d65e9a44be16526af4d10702573bac1fb403d38a5", 3),
+    "z6-2.3.5-1": ("aeb8cd507d8b56ffaeb53b1a4ab3bd74a8afa43584258335b7b4f938ae187811", 3),
+    "z12-2.3.5-0": ("3f1faebd2e5964a3b1881e8d8887c847cbd6acf4b535f959002e54943e2aa071", 3),
+    "z12-2.3.5-1": ("62ff1954964590a36376c03582b77fb66f2750a60da7a53310549db625e36699", 3),
+    "z30-2.3-0": ("780b62f62df1fc81585b147e887dcb8b4e19c26e3cfe8b1c9bfb90b6a72c63dd", 3),
+    "z30-2.3-1": ("32eacf60a26b0a2d50f29be0fb08d0dc1562b25d437f8c1c8b771867a8b67143", 3),
+    "z30-2.3.5-0": ("2dc34ac42c5fc9b98abc60cbd3faf265d69d4ea31fe7ee7a0ba2d2f9b3b81fa2", 3),
+    "z30-2.3.5-1": ("79deda8b7a50514ef990f166145da6a0f80bea2c742d254661cb3b99121ccd97", 3),
+    "z60-2.3-0": ("e77599be28fa468ee1cce258bda337a0446b5a8cfa0fc4b40b68645d05bab3f1", 3),
+    "z60-2.3-1": ("7ec669c33e1ce03fd0794a9c968720efced977dc3f520d4fc4f354bd0e04142a", 3),
+    "z60-2.3.5-0": ("d0f60cddcea39aa4aa71710f71ce2667bf850ad4da76533c133d94744467231e", 3),
+    "z60-2.3.5-1": ("a10365fdf0662d74c957dd16e0250be06c2d0d4b15af169960c1f47932366865", 3),
+}
+
+
+def test_decide_reports_of_the_benchmark_pools(workloads, tmp_path, capsys):
+    seen = {}
+    for pool in (workloads.branching_pool(2), workloads.modular_pool(2)):
+        for members in pool.values():
+            for inst in members:
+                aut, hom = tmp_path / f"{inst.id}.aut", tmp_path / f"{inst.id}.hom"
+                aut.write_text(inst.automaton_text)
+                hom.write_text(inst.hom_text)
+                code = run_cli("decide", "--automaton", str(aut), "--hom", str(hom),
+                               "--check-bound", "3", "--format", "machine")
+                out = capsys.readouterr().out
+                seen[inst.id] = (hashlib.sha256(out.encode()).hexdigest(), code)
+    assert seen == POOL_REPORT_DIGESTS

@@ -26,6 +26,7 @@ from treehom import (
     runs_to_state,
     support_up_to,
 )
+from treehom.cli import format_automaton
 from treehom.construct import _non_one_weights
 from oracles import (
     automata_equal,
@@ -549,3 +550,37 @@ def test_automata_equal_modulo_rename(doubling_chain):
          for r in doubling_chain.rules])
     assert not automata_equal(doubling_chain, moved)
     assert automata_equal(canonical_rename(doubling_chain), canonical_rename(moved))
+
+
+def test_linearize_builds_no_table_when_nothing_is_instantiated(z6_chain, doubling_image,
+                                                                   monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("RunsTable built")
+
+    monkeypatch.setattr("treehom.construct.RunsTable", no_table)
+    # Under a linear hom the image has no constrained rule, so linearization
+    # instantiates nothing.  z6_chain's own sink bot is a real state of the
+    # image, whose fresh sink is bot_.
+    target = RankedAlphabet([("a", 0), ("h", 1), ("f", 1)])
+    h = TreeHomomorphism(z6_chain.alphabet, target, {
+        "a": parse_term("a", target),
+        "g": parse_term("h(x1)", target, ext={"x1"}),
+        "f": parse_term("f(x1)", target, ext={"x1"}),
+    })
+    image = hom_image(z6_chain, h)
+    assert eq_restriction_violation(image) is None
+    assert format_automaton(linearize(image, 2)) == (
+        "semiring: z6\n"
+        "states: bot q qf\n"
+        "final: qf\n"
+        "rules:\n"
+        "a -> bot @ 1\n"
+        "a -> q @ 2\n"
+        "f(bot) -> bot @ 1\n"
+        "f(q) -> qf @ 1\n"
+        "h(bot) -> bot @ 1\n"
+        "h(q) -> q @ 3\n"
+    )
+    # A constrained class is instantiated from the table's state languages.
+    with pytest.raises(AssertionError, match="RunsTable built"):
+        linearize(doubling_image, 2)

@@ -1,5 +1,3 @@
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -223,16 +221,8 @@ def test_parse_nodes_of_bundled_left_hand_sides(data_dir):
             check_parse_nodes(rule.lhs.text, None, set(A.states))
 
 
-def load_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    module = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_parse_nodes_of_the_deep_eval_trees(data_dir):
-    w = load_workloads().deep_eval(1, "in")
+def test_parse_nodes_of_the_deep_eval_trees(data_dir, workloads):
+    w = workloads.deep_eval(1, "in")
     automata = {}
     for op in w.ops:
         path = op.argv[2]
