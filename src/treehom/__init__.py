@@ -17,14 +17,10 @@ from .automaton import (
     Rule,
     Run,
     RunsTable,
-    accepting_runs,
     check_unambiguous,
     eq_restriction_violation,
-    evaluate,
     format_run,
     run_state_map,
-    runs_to_state,
-    support_up_to,
 )
 from .construct import (
     dickson_cap,
@@ -117,7 +113,6 @@ __all__ = [
     "UNKNOWN",
     "Verdict",
     "Weight",
-    "accepting_runs",
     "bounded_equivalence",
     "check_h_unambiguous",
     "check_tetris_free",
@@ -128,7 +123,6 @@ __all__ = [
     "eliminate_zero_divisors",
     "enumerate_trees",
     "eq_restriction_violation",
-    "evaluate",
     "format_position",
     "format_run",
     "get_semiring",
@@ -144,9 +138,7 @@ __all__ = [
     "project_boolean",
     "replace_at",
     "run_state_map",
-    "runs_to_state",
     "substitute_vars",
-    "support_up_to",
     "tree_key",
     "variable",
 ]

@@ -183,11 +183,14 @@ def h_unambiguity_search_height(A: Automaton, h: TreeHomomorphism, height_bound:
         raise AutomatonError("automaton alphabet differs from the homomorphism source")
     if not images_clash(h):
         return height_bound
+    if height_bound < 0:
+        raise AutomatonError("height bound must be nonnegative")
     rules = [(h.image_of(r.lhs.label), r.state_labels, r.target) for r in A.rules]
-    first = first_diverging_height(rules, A.finals, height_bound)
-    if first is not None and not A.semiring.zero_divisor_free:
-        return height_bound  # first may come from zero-weight runs
-    return first
+    first = first_diverging_height(rules, A.finals)
+    if first is None or first > height_bound:
+        return None
+    # Over zero divisors, first may come from zero-weight runs.
+    return first if A.semiring.zero_divisor_free else height_bound
 
 
 def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) -> Verdict:

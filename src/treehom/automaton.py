@@ -18,11 +18,13 @@ the one `Automaton` constructor from rule specs, and every rule goes
 through every check (`make_rule`): one walk of its lhs checks each node and
 collects the state positions, and only a rule with constraint pairs has
 them closed into classes.  An automaton never changes once built, so the
-verdicts on the whole of it (the sink's shape, eq-restriction) are worked
-out once, on first use, however many constructions ask.
+verdicts on the whole of it (the sink's shape, eq-restriction, the first
+height at which its relaxation is ambiguous) are worked out once, on first
+use, however many constructions and checks ask.
 
-Weights and runs come from one chart: per tree, each state's summed run
-weight, filled bottom-up from the cells of the captured subtrees.  Cells
+Weights and runs are read only from a chart object, `Evaluator` or
+`RunsTable`: per tree, each state's summed run weight, filled bottom-up from
+the cells of the captured subtrees.  Cells
 hold values only.  The rule applications that derive the runs of a tree to a
 state are re-derived, by matching at the tree and filtering by the cells of
 its captured subtrees, only when those runs are expanded into Run objects on
@@ -31,8 +33,8 @@ for a text it parses (`Evaluator.parse`), from the parser's node list
 (`term.parse_nodes`: each distinct subterm once, children first, already
 checked against the alphabet), or for any other tree by collecting its
 distinct nodes without a cell, checking them against the alphabet, and
-taking them by increasing height.  Bounded operations
-(support, state languages, and unambiguity when the pair-automaton fixpoint
+taking them by increasing height.  Bounded operations (support, the class
+trees of a linearization, and unambiguity when the pair-automaton fixpoint
 `first_diverging_height` cannot prove it) use `RunsTable`, which fills it by
 height layers instead: layer h instantiates the rules over the trees of the
 layers below, since each rule application adds height, and sums the values
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 from contextlib import closing
 from functools import cached_property
-from itertools import product
+from itertools import count, product
 from operator import attrgetter
 
 from .semiring import Semiring, Weight
@@ -338,6 +340,13 @@ class Automaton:
                         f"{kind} non-sink positions (expected exactly one)"
                     )
         return None
+
+    @cached_property
+    def _relaxed_divergence(self) -> int | None:
+        """`first_diverging_height` of the relaxation (`_relaxed_rules`),
+        or 0 when it cannot be built, since then it proves nothing."""
+        relaxed = _relaxed_rules(self)
+        return 0 if relaxed is None else first_diverging_height(relaxed, self.finals)
 
     @cached_property
     def chart_rules(self):
@@ -676,21 +685,6 @@ class Evaluator:
         )
 
 
-def evaluate(A: Automaton, t: Tree) -> Weight:
-    """The recognized series at t: sum over all runs to final states."""
-    return Evaluator(A).evaluate(t)
-
-
-def runs_to_state(A: Automaton, t: Tree, q: str) -> tuple[Run, ...]:
-    """All runs for t to q, ordered by (rule index, child-run order)."""
-    return Evaluator(A).runs(t, q)
-
-
-def accepting_runs(A: Automaton, t: Tree) -> tuple[Run, ...]:
-    """Valid (nonzero-weight) runs for t to a final state."""
-    return Evaluator(A).accepting_runs(t)
-
-
 class RunsTable(Evaluator):
     """The chart of every tree of height <= bound that has a run to a real
     state, filled by height layers: layer h instantiates each rule with trees
@@ -784,27 +778,17 @@ class RunsTable(Evaluator):
         return parse_nodes(text, self.automaton.alphabet)[-1]
 
     def support(self):
-        """(tree, series value) for each tree of the table with a nonzero value."""
+        """(tree, series value) for each tree of the table with a nonzero
+        value, in (height, size, text) order."""
         sr = self.automaton.semiring
         values = map(self.evaluate_value, self.trees)
         return [(t, Weight(sr, v)) for t, v in zip(self.trees, values) if v != sr.zero]
 
-    def state_trees(self, q: str):
-        """(tree, wt_q(tree)) for each tree of the table where it is nonzero."""
-        sr = self.automaton.semiring
-        values = (self.state_value(t, q) for t in self.trees)
-        return [(t, Weight(sr, v)) for t, v in zip(self.trees, values) if v != sr.zero]
 
-
-def support_up_to(A: Automaton, height_bound: int):
-    """All (tree, weight) with nonzero series value and height <= bound, in
-    (height, size, text) order."""
-    return RunsTable(A, height_bound).support()
-
-
-def first_diverging_height(rules, finals, height_bound: int):
-    """The least height <= height_bound of two trees with accepting runs of a
-    flat automaton that differ in the state at some position, or None.
+def first_diverging_height(rules, finals):
+    """The least height of two trees with accepting runs of a flat automaton
+    that differ in the state at some position, or None when no height has
+    two such trees.
 
     rules are (symbol class, child states, target) triples; the two trees
     have one shape and, position by position, symbols of one class.  (With
@@ -818,9 +802,10 @@ def first_diverging_height(rules, finals, height_bound: int):
     over the child pairs of layer h - 1: the result diverges when its states
     differ or a child pair diverges.  Weights play no part, so over a
     semiring with zero divisors the runs found may weigh zero.
+
+    A pair is reached once and diverges at most once more, so some layer
+    grows no pair: then no later one can, and None holds at every height.
     """
-    if height_bound < 0:
-        raise AutomatonError("height bound must be nonnegative")
     by_kids: dict = {}  # (class, child states) -> indices of its rules
     uses: dict = {}  # state -> (class, child index) -> indices of rules with it there
     for i, (cls, kids, _) in enumerate(rules):
@@ -832,7 +817,7 @@ def first_diverging_height(rules, finals, height_bound: int):
     partners: dict = {}  # p -> the q with (p, q) reached
     pairs = [(i, j) for (_, kids), ids in by_kids.items() if not kids
              for i in ids for j in ids]
-    for height in range(height_bound + 1):
+    for height in count():
         new: dict[tuple[str, str], bool] = {}
         for i, j in pairs:
             (_, kids_i, p), (_, kids_j, q) = rules[i], rules[j]
@@ -860,7 +845,6 @@ def first_diverging_height(rules, finals, height_bound: int):
                         pairs.update((i, j) for j in by_kids.get((cls, kids), ()))
         if not pairs:
             return None
-    return None
 
 
 def _relaxed_rules(A: Automaton):
@@ -895,9 +879,12 @@ def relaxation_unambiguous(A: Automaton, height_bound: int) -> bool:
     """Whether A with its equality constraints dropped (`_relaxed_rules`)
     has no tree of height <= bound with two accepting runs; then neither has
     A, since dropping constraints only adds runs.  False when the relaxation
-    cannot be built."""
-    relaxed = _relaxed_rules(A)
-    return relaxed is not None and first_diverging_height(relaxed, A.finals, height_bound) is None
+    cannot be built.  The fixpoint runs once per automaton
+    (`Automaton._relaxed_divergence`), and each bound is compared with it."""
+    if height_bound < 0:
+        raise AutomatonError("height bound must be nonnegative")
+    first = A._relaxed_divergence
+    return first is None or first > height_bound
 
 
 def check_unambiguous(A: Automaton, height_bound: int) -> Verdict:

@@ -37,10 +37,10 @@ from .automaton import (
     AutomatonError,
     Evaluator,
     Run,
+    RunsTable,
     check_unambiguous,
     eq_restriction_violation,
     format_run,
-    support_up_to,
 )
 from .construct import (
     eliminate_zero_divisors,
@@ -454,7 +454,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_support(args) -> int:
     A = load_automaton(args.automaton)
-    for t, w in support_up_to(A, args.height):
+    for t, w in RunsTable(A, args.height).support():
         print(f"{t.text} -> {w}")
     return 0
 

@@ -10,6 +10,7 @@ rule (a zero-weight rule only ever contributes zero-weight runs).
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 
 from .automaton import (
@@ -283,14 +284,13 @@ def linearize(A: Automaton, lin_height: int) -> Automaton:
     subtrees have height <= lin_height.
 
     Every non-singleton constraint class is instantiated by one concrete
-    tree with nonzero state weight at each of the class's real states; the
-    produced rule's weight multiplies in one wt factor per instantiated
+    tree of a `RunsTable` up to lin_height, in the table's (height, size,
+    text) order, that has a nonzero value at each real state of the class;
+    the produced rule's weight multiplies in that value once per real
     position (sink positions contribute the one).  Unconstrained state
-    positions stay symbolic.  The sink and its rules are dropped.
-
-    The trees come from the state languages of a `RunsTable` up to
-    lin_height, built only when some rule is constrained: otherwise no
-    class is instantiated and each rule is kept as it is.
+    positions stay symbolic.  The sink and its rules are dropped.  The
+    table is built only when some rule is constrained: otherwise no class
+    is instantiated and each rule is kept as it is.
     """
     if lin_height < 0:
         raise AutomatonError("linearization height must be nonnegative")
@@ -300,40 +300,29 @@ def linearize(A: Automaton, lin_height: int) -> Automaton:
     sink = A.sink
     sr = A.semiring
     rules = [rule for rule in A.rules if rule.target != sink]
-    lang: dict[str, dict[Tree, object]] = {}
-    if any(rule.constrained for rule in rules):
-        table = RunsTable(A, lin_height)
-        for q in A.states:
-            if q != sink:
-                lang[q] = {t: w.value for t, w in table.state_trees(q)}
-
+    table = RunsTable(A, lin_height) if any(rule.constrained for rule in rules) else None
     specs = []
     for rule in rules:
-        to_instantiate = [
-            (cls, labels)
-            for cls, labels in zip(rule.classes, rule.class_labels)
-            if len(cls) > 1
-        ]
-        domains = []
-        for cls, labels in to_instantiate:
-            real = [lbl for lbl in dict.fromkeys(labels) if lbl != sink]
-            base = list(lang[real[0]])
-            for q in real[1:]:
-                base = [t for t in base if t in lang[q]]
-            domains.append(base)
+        if not rule.constrained:
+            specs.append((rule.lhs, rule.target, rule.weight.value, ()))
+            continue
+        domains = []  # per class, (tree, value) pairs
+        for labels in rule.class_labels:
+            if len(labels) == 1:
+                domains.append([(Tree(labels[0]), sr.one)])
+                continue
+            # Filtered per state, not on the product, which may be a zero divisor.
+            values = ([table.state_value(t, q) for q in labels if q != sink] for t in table.trees)
+            domains.append([(t, reduce(sr.mul, vs))
+                            for t, vs in zip(table.trees, values) if sr.zero not in vs])
         # Constrained classes are fully instantiated, so produced rules
         # carry no constraint pairs at all.
         for combo in product(*domains):
-            lhs = rule.lhs
             value = rule.weight.value
-            for (cls, labels), t in zip(to_instantiate, combo):
-                for p, lbl in zip(cls, labels):
-                    lhs = replace_at(lhs, p, t)
-                    if lbl != sink:
-                        value = sr.mul(value, lang[lbl][t])
-            specs.append((lhs, rule.target, value, ()))
+            for _, v in combo:
+                value = sr.mul(value, v)
+            specs.append((rule.plug(rule.spread([t for t, _ in combo])), rule.target, value, ()))
 
     merged = _merge_rules(sr, specs)
     states = [q for q in A.states if q != sink]
     return Automaton(sr, A.alphabet, states, A.finals, merged, sink=None)
-

@@ -245,6 +245,28 @@ def naive_evaluate(A, t):
     return Weight(sr, total)
 
 
+def _classes_fit(run, k):
+    """Whether every constrained class of every rule application in run
+    captures a subtree of height <= k."""
+    for cls in run.rule.classes:
+        if len(cls) > 1 and subtree_at(run.subject, cls[0]).height > k:
+            return False
+    return all(_classes_fit(sub, k) for sub in run.subruns)
+
+
+def naive_linearized_value(A, k, t):
+    """The sum of the weights of A's runs on t to a final state whose
+    constrained classes all capture subtrees of height <= k: the value that
+    linearize(A, k) should give t."""
+    sr = A.semiring
+    total = sr.zero
+    for q in A.finals:
+        for run in naive_runs(A, t, q):
+            if _classes_fit(run, k):
+                total = sr.add(total, naive_run_weight(run).value)
+    return Weight(sr, total)
+
+
 def naive_accepting_runs(A, t):
     out = []
     for q in A.finals:
@@ -700,7 +722,9 @@ def state_language_up_to(A: Automaton, q: str, height_bound: int):
     if q == A.pure_sink:
         one = A.semiring.one_weight
         return [(t, one) for t in enumerate_trees(A.alphabet, height_bound)]
-    return RunsTable(A, height_bound).state_trees(q)
+    table = RunsTable(A, height_bound)
+    values = ((t, table.state_value(t, q)) for t in table.trees)
+    return [(t, Weight(A.semiring, v)) for t, v in values if v != A.semiring.zero]
 
 
 def wtg_to_wta(G: Automaton) -> Automaton:

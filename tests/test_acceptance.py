@@ -16,7 +16,6 @@ from treehom import (
     RunsTable,
     TreeHomomorphism,
     Weight,
-    accepting_runs,
     bounded_equivalence,
     check_h_unambiguous,
     check_tetris_free,
@@ -24,12 +23,10 @@ from treehom import (
     decide_hom_regularity,
     eliminate_zero_divisors,
     enumerate_trees,
-    evaluate,
     hom_image,
     linearize,
     parse_term,
     project_boolean,
-    support_up_to,
 )
 
 from oracles import automata_equal, canonical_rename, random_pair, run_count_compare
@@ -48,9 +45,9 @@ def accept(cid, title):
 def test_c01_constrained_weight_vs_image_weight(constrained_pair, doubling_image):
     with accept("C01", "evaluation weights on k(g^2(a), g^3(a))"):
         t = parse_term("k(g(g(a)),g(g(g(a))))", constrained_pair.alphabet)
-        assert evaluate(constrained_pair, t).value == 16
+        assert Evaluator(constrained_pair).evaluate(t).value == 16
         t2 = parse_term("k(g(g(a)),g(g(g(a))))", doubling_image.alphabet)
-        assert evaluate(doubling_image, t2).value == 4
+        assert Evaluator(doubling_image).evaluate(t2).value == 4
 
 
 def test_c02_image_construction_golden(doubling_chain, duplicating_hom,
@@ -125,8 +122,8 @@ def test_c07_boolean_projection_golden(doubling_image):
             "k(q,g(q)) -> qf @ 1 | 1 = 2.1",
         ]
         expected = ["k(a,g(a))", "k(g(a),g(g(a)))", "k(g(g(a)),g(g(g(a))))"]
-        assert [t.text for t, _ in support_up_to(doubling_image, 4)] == expected
-        assert [t.text for t, _ in support_up_to(proj, 4)] == expected
+        assert [t.text for t, _ in RunsTable(doubling_image, 4).support()] == expected
+        assert [t.text for t, _ in RunsTable(proj, 4).support()] == expected
 
 
 def test_c08_projection_commutes_with_linearization(doubling_image):
@@ -157,8 +154,9 @@ def test_c09_shared_image_ambiguity(arctic_chain, full_duplication,
             "k(s0,c) -> s0 @ 1",
         ]
         kcc = parse_term("k(c,c)", img.alphabet)
-        assert evaluate(img, kcc).value == 5
-        assert len(accepting_runs(img, kcc)) == 2
+        ev = Evaluator(img)
+        assert ev.evaluate(kcc).value == 5
+        assert len(ev.accepting_runs(kcc)) == 2
 
 
 def test_c10_tetris_freeness_checks(duplicating_hom, shifted_duplication):
@@ -178,8 +176,9 @@ def test_c11_zero_divisor_elimination(z6_chain):
                 for r in table.runs(t, q):
                     assert not r.weight.is_zero
         assert bounded_equivalence(z6_chain, fixed, 4).is_ok
-        for t, _ in support_up_to(z6_chain, 4):
-            assert len(accepting_runs(z6_chain, t)) == len(accepting_runs(fixed, t))
+        ev, ev_fixed = Evaluator(z6_chain), Evaluator(fixed)
+        for t, _ in RunsTable(z6_chain, 4).support():
+            assert len(ev.accepting_runs(t)) == len(ev_fixed.accepting_runs(t))
 
 
 def test_c12_images_of_clean_instances_are_unambiguous(doubling_chain,

@@ -14,7 +14,6 @@ from treehom import (
     check_tetris_free,
     eliminate_zero_divisors,
     enumerate_trees,
-    evaluate,
     format_run,
     get_semiring,
     hom_image,

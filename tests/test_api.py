@@ -1,13 +1,11 @@
-"""The public API holds only what the package itself or the README uses."""
+"""The public API holds only what the package itself uses."""
 
 import ast
-import re
 from pathlib import Path
 
 import treehom
 
 PACKAGE = Path(treehom.__file__).resolve().parent
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class _Loads(ast.NodeVisitor):
@@ -38,17 +36,8 @@ def package_uses():
     return loads.names
 
 
-def readme_tour_names():
-    """Identifiers in the code of the README's library tour: its table, its
-    quick session and the paragraphs up to the command-line section."""
-    text = README.read_text(encoding="utf-8")
-    tour = text[text.index("## Library tour"):text.index("## Command line")]
-    code = re.findall(r"```python\n(.*?)```", tour, re.S) + re.findall(r"`([^`\n]+)`", tour)
-    return {name for span in code for name in re.findall(r"[A-Za-z_]\w*", span)}
-
-
 def test_every_exported_name_has_a_use():
-    used = package_uses() | readme_tour_names()
+    used = package_uses()
     unused = [name for name in treehom.__all__ if name not in used]
     assert unused == []
 

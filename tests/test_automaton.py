@@ -11,12 +11,10 @@ from treehom import (
     RunsTable,
     Tree,
     Weight,
-    accepting_runs,
     check_unambiguous,
     eliminate_zero_divisors,
     enumerate_trees,
     eq_restriction_violation,
-    evaluate,
     format_position,
     format_run,
     get_semiring,
@@ -24,8 +22,6 @@ from treehom import (
     linearize,
     parse_term,
     run_state_map,
-    runs_to_state,
-    support_up_to,
     tree_key,
 )
 from treehom.automaton import make_rule
@@ -94,23 +90,23 @@ FLAT_CONSTRAINED = build(
 
 def test_evaluate_doubling_chain(doubling_chain):
     t = parse_term("f(g(g(a)))", doubling_chain.alphabet)
-    assert evaluate(doubling_chain, t).value == 4
+    assert Evaluator(doubling_chain).evaluate(t).value == 4
     t5 = parse_term("f(g(g(g(g(g(a))))))", doubling_chain.alphabet)
-    assert evaluate(doubling_chain, t5).value == 32
-    assert evaluate(doubling_chain, parse_term("a", doubling_chain.alphabet)).is_zero
+    assert Evaluator(doubling_chain).evaluate(t5).value == 32
+    assert Evaluator(doubling_chain).evaluate(parse_term("a", doubling_chain.alphabet)).is_zero
 
 
 def test_evaluate_constrained_pair(constrained_pair):
     t = parse_term("k(g(g(a)),g(g(g(a))))", constrained_pair.alphabet)
-    assert evaluate(constrained_pair, t).value == 16
+    assert Evaluator(constrained_pair).evaluate(t).value == 16
     # The constraint rejects unequal siblings even when states would fit.
     bad = parse_term("k(g(a),g(g(g(a))))", constrained_pair.alphabet)
-    assert evaluate(constrained_pair, bad).is_zero
+    assert Evaluator(constrained_pair).evaluate(bad).is_zero
 
 
 def test_evaluate_eq_restricted_image(doubling_image):
     t = parse_term("k(g(g(a)),g(g(g(a))))", doubling_image.alphabet)
-    assert evaluate(doubling_image, t).value == 4
+    assert Evaluator(doubling_image).evaluate(t).value == 4
 
 
 def test_run_weight_factors_per_position(constrained_pair, doubling_image):
@@ -118,17 +114,17 @@ def test_run_weight_factors_per_position(constrained_pair, doubling_image):
     # automaton squares the subtree weight while the eq-restricted variant
     # routes the copy through the weight-one sink.
     t = parse_term("k(g(g(a)),g(g(g(a))))", constrained_pair.alphabet)
-    runs = accepting_runs(constrained_pair, t)
+    runs = Evaluator(constrained_pair).accepting_runs(t)
     assert len(runs) == 1
     assert runs[0].weight.value == 16
-    runs_im = accepting_runs(doubling_image, t)
+    runs_im = Evaluator(doubling_image).accepting_runs(t)
     assert len(runs_im) == 1
     assert runs_im[0].weight.value == 4
 
 
 def test_run_subject_and_state_map(doubling_chain):
     t = parse_term("f(g(a))", doubling_chain.alphabet)
-    (run,) = accepting_runs(doubling_chain, t)
+    (run,) = Evaluator(doubling_chain).accepting_runs(t)
     assert run.subject == t
     assert run.target == "qf"
     assert run_state_map(run) == {(): "qf", (1,): "q", (1, 1): "q"}
@@ -138,10 +134,22 @@ def test_run_subject_and_state_map(doubling_chain):
 
 def test_runs_to_state(doubling_chain):
     t = parse_term("g(g(a))", doubling_chain.alphabet)
-    runs = runs_to_state(doubling_chain, t, "q")
+    ev = Evaluator(doubling_chain)
+    runs = ev.runs(t, "q")
     assert len(runs) == 1
     assert runs[0].weight.value == 4
-    assert runs_to_state(doubling_chain, t, "qf") == ()
+    assert ev.runs(t, "qf") == ()
+
+
+def test_runs_to_an_undeclared_state(doubling_chain):
+    # The tree is valid, so the state is what gets reported, whether or not
+    # the chart already holds the tree.
+    ev = Evaluator(doubling_chain)
+    t = ev.parse("f(g(a))")
+    for chart in (ev, Evaluator(doubling_chain), RunsTable(doubling_chain, 2)):
+        with pytest.raises(AutomatonError) as err:
+            chart.runs(t, "nowhere")
+        assert str(err.value) == "undeclared state: nowhere"
 
 
 def test_state_weight(doubling_chain):
@@ -154,9 +162,9 @@ def test_state_weight(doubling_chain):
 def test_nondeterminism_sums_run_weights(counting_chain):
     # k(c,c) analogue on the source side: two rules both target q.
     two_rules = build("natural", [("a", 0)], ["q"], ["q"], ["a -> q @ 2"])
-    assert evaluate(two_rules, parse_term("a", two_rules.alphabet)).value == 2
+    assert Evaluator(two_rules).evaluate(parse_term("a", two_rules.alphabet)).value == 2
     t = parse_term("g(b)", counting_chain.alphabet)
-    assert evaluate(counting_chain, t).value == 3
+    assert Evaluator(counting_chain).evaluate(t).value == 3
 
 
 def test_duplicate_rules_rejected():
@@ -303,7 +311,7 @@ def test_eq_restriction_needs_complete_sink_rules():
 
 
 def test_support_doubling_image(doubling_image):
-    sup = support_up_to(doubling_image, 4)
+    sup = RunsTable(doubling_image, 4).support()
     assert [(t.text, w.value) for t, w in sup] == [
         ("k(a,g(a))", 1),
         ("k(g(a),g(g(a)))", 2),
@@ -313,7 +321,7 @@ def test_support_doubling_image(doubling_image):
 
 def test_support_z6_drops_zero_sums(z6_chain):
     # 2 * 3^n = 0 mod 6 for n >= 1, so only f(a) stays in the support.
-    sup = support_up_to(z6_chain, 4)
+    sup = RunsTable(z6_chain, 4).support()
     assert [(t.text, w.value) for t, w in sup] == [("f(a)", 2)]
 
 
@@ -418,7 +426,7 @@ def test_check_unambiguous_rejects_a_negative_bound(doubling_chain):
 
 def test_check_run_accepts_and_rejects(doubling_chain):
     t = parse_term("f(g(a))", doubling_chain.alphabet)
-    (run,) = accepting_runs(doubling_chain, t)
+    (run,) = Evaluator(doubling_chain).accepting_runs(t)
     check_run(doubling_chain, run, expect_tree=t, expect_state="qf")
     with pytest.raises(AutomatonError):
         check_run(doubling_chain, run, expect_state="q")
@@ -429,7 +437,7 @@ def test_check_run_accepts_and_rejects(doubling_chain):
 
 def test_check_run_verifies_constraints(doubling_image):
     t = parse_term("k(g(a),g(g(a)))", doubling_image.alphabet)
-    (run,) = accepting_runs(doubling_image, t)
+    (run,) = Evaluator(doubling_image).accepting_runs(t)
     check_run(doubling_image, run, expect_tree=t)
     bad_subject = parse_term("k(a,g(g(a)))", doubling_image.alphabet)
     with pytest.raises(AutomatonError):
@@ -479,13 +487,15 @@ def test_runs_match_naive_enumeration(doubling_image, constrained_pair, z6_chain
     instances.append((image, RunsTable(image, 3).trees + enumerate_trees(image.alphabet, 2)))
     several = 0
     for A, trees in instances:
-        for t in trees + [parse_term(t.text, A.alphabet) for t in trees]:
-            for q in A.states:
-                got = runs_to_state(A, t, q)
-                assert list(got) == naive_runs(A, t, q)
-                several += len(got) > 1
-                for run in got:
-                    check_run(A, run, expect_tree=t, expect_state=q)
+        for ts in (trees, [parse_term(t.text, A.alphabet) for t in trees]):
+            ev = Evaluator(A)
+            for t in ts:
+                for q in A.states:
+                    got = ev.runs(t, q)
+                    assert list(got) == naive_runs(A, t, q)
+                    several += len(got) > 1
+                    for run in got:
+                        check_run(A, run, expect_tree=t, expect_state=q)
     assert several
 
 
@@ -532,9 +542,10 @@ def test_runs_table_has_no_runs_outside_its_trees(doubling_chain, doubling_image
 
 def test_run_walkers_match_recursive_references(doubling_image, constrained_pair, z6_chain):
     for A in (doubling_image, constrained_pair, z6_chain, FLAT_CONSTRAINED):
+        ev = Evaluator(A)
         for t in enumerate_trees(A.alphabet, 3):
             for q in A.states:
-                for run in runs_to_state(A, t, q):
+                for run in ev.runs(t, q):
                     assert format_run(run) == naive_format_run(run)
                     assert format_run(run, "  ") == naive_format_run(run, "  ")
                     # same entries in the same order
@@ -544,8 +555,9 @@ def test_run_walkers_match_recursive_references(doubling_image, constrained_pair
 
 def test_evaluate_matches_naive(doubling_image, constrained_pair, z6_chain, arctic_chain):
     for A in (doubling_image, constrained_pair, z6_chain, arctic_chain, FLAT_CONSTRAINED):
+        ev = Evaluator(A)
         for t in enumerate_trees(A.alphabet, 3):
-            assert evaluate(A, t) == naive_evaluate(A, t)
+            assert ev.evaluate(t) == naive_evaluate(A, t)
 
 
 def test_evaluate_on_shared_subterms_matches_naive():
@@ -554,14 +566,15 @@ def test_evaluate_on_shared_subterms_matches_naive():
     rng = random.Random(5)
     A = FLAT_CONSTRAINED
     trees = enumerate_trees(A.alphabet, 2)
+    ev = Evaluator(A)
     for _ in range(200):
         x, y = rng.choice(trees), rng.choice(trees)
         for text in (f"k({x.text},{x.text})", f"k(k({x.text},{y.text}),k({x.text},{y.text}))",
                      f"k({x.text},g({x.text}))", f"k(k({x.text},{x.text}),{x.text})"):
             t = parse_term(text, A.alphabet)
-            assert evaluate(A, t) == naive_evaluate(A, t)
+            assert ev.evaluate(t) == naive_evaluate(A, t)
             for q in A.states:
-                assert Evaluator(A).state_value(t, q) == naive_state_value(A, t, q)
+                assert ev.state_value(t, q) == naive_state_value(A, t, q)
 
 
 def test_random_wta_evaluate_matches_naive():
@@ -569,15 +582,17 @@ def test_random_wta_evaluate_matches_naive():
     for sr_id in ("natural", "tropical", "z6"):
         for _ in range(4):
             A, _ = random_pair(rng, sr_id)
+            ev = Evaluator(A)
             for t in enumerate_trees(A.alphabet, 2):
-                assert evaluate(A, t) == naive_evaluate(A, t)
+                assert ev.evaluate(t) == naive_evaluate(A, t)
                 for q in A.states:
-                    assert Evaluator(A).state_value(t, q) == naive_state_value(A, t, q)
+                    assert ev.state_value(t, q) == naive_state_value(A, t, q)
 
 
 def test_run_weights_match_naive(doubling_image):
+    ev = Evaluator(doubling_image)
     for t in enumerate_trees(doubling_image.alphabet, 3):
-        for run in accepting_runs(doubling_image, t):
+        for run in ev.accepting_runs(t):
             assert run.weight == naive_run_weight(run)
 
 
@@ -641,20 +656,20 @@ def chart_instances():
 
 def test_chart_matches_naive_on_unseen_instances():
     for B, bound in chart_instances():
-        table = RunsTable(B, bound)
+        table, ev = RunsTable(B, bound), Evaluator(B)
         for t in enumerate_trees(B.alphabet, bound):
             for q in B.states:
                 got = table.runs(t, q)
-                assert got == runs_to_state(B, t, q)
+                assert got == ev.runs(t, q)
                 assert set(got) == set(naive_runs(B, t, q))
-            assert evaluate(B, t) == naive_evaluate(B, t)
+            assert ev.evaluate(t) == naive_evaluate(B, t)
 
 
 def test_evaluate_tall_chain(doubling_chain):
     t = Tree("a")
     for _ in range(5000):
         t = Tree("g", (t,))
-    assert evaluate(doubling_chain, Tree("f", (t,))).value == 2**5000
+    assert Evaluator(doubling_chain).evaluate(Tree("f", (t,))).value == 2**5000
 
 
 def test_evaluate_tall_constrained_pair(doubling_image):
@@ -666,7 +681,7 @@ def test_evaluate_tall_constrained_pair(doubling_image):
         return t
 
     n = 3000
-    assert evaluate(doubling_image, Tree("k", (chain(n), chain(n + 1)))).value == 2**n
+    assert Evaluator(doubling_image).evaluate(Tree("k", (chain(n), chain(n + 1)))).value == 2**n
 
 
 def test_evaluator_memoization_is_persistent(doubling_chain):
@@ -682,12 +697,12 @@ def test_accepting_runs_filter_zero_weight(z6_chain):
     # The run on f(g(a)) exists but weighs 2 * 3 = 0, hence not accepting.
     t = parse_term("f(g(a))", z6_chain.alphabet)
     assert naive_runs(z6_chain, t, "qf")
-    assert accepting_runs(z6_chain, t) == ()
+    assert Evaluator(z6_chain).accepting_runs(t) == ()
 
 
 def test_ground_input_required(doubling_chain):
     with pytest.raises(AutomatonError):
-        evaluate(doubling_chain, parse_term("f(q)", None, ext={"q"}))
+        Evaluator(doubling_chain).evaluate(parse_term("f(q)", None, ext={"q"}))
 
 
 def test_ground_check_names_the_first_bad_node_in_preorder():
@@ -702,8 +717,8 @@ def test_ground_check_names_the_first_bad_node_in_preorder():
     for t, message in ((undeclared, "undeclared symbol z in input tree"),
                        (wrong_rank, "symbol b used at wrong rank in input tree")):
         ev = Evaluator(A)
-        for call in (lambda: evaluate(A, t), lambda: accepting_runs(A, t),
-                     lambda: runs_to_state(A, t, "q"), lambda: runs_to_state(A, t, "nowhere"),
+        for call in (lambda: Evaluator(A).evaluate(t), lambda: Evaluator(A).accepting_runs(t),
+                     lambda: Evaluator(A).runs(t, "q"), lambda: Evaluator(A).runs(t, "nowhere"),
                      lambda: ev.evaluate(t), lambda: ev.accepting_runs(t)):
             with pytest.raises(AutomatonError) as err:
                 call()
@@ -723,8 +738,9 @@ def test_wta_run_count_equals_labeling_count():
     rng = random.Random(3)
     for _ in range(3):
         A, _ = random_pair(rng, "boolean")
+        ev = Evaluator(A)
         for t in enumerate_trees(A.alphabet, 2):
             for q in A.states:
-                runs = runs_to_state(A, t, q)
+                runs = ev.runs(t, q)
                 maps = {tuple(sorted(run_state_map(r).items())) for r in runs}
                 assert len(maps) == len(runs)

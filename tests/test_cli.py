@@ -328,6 +328,13 @@ def test_cli_runs(data_dir, capsys):
     assert "b -> q @ 3" in out
 
 
+def test_cli_runs_to_an_undeclared_state(data_dir, capsys):
+    code = run_cli("runs", "--automaton", str(data_dir / "doubling_chain.aut"),
+                   "--tree", "f(g(a))", "--state", "nowhere")
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: undeclared state: nowhere\n")
+
+
 def test_cli_runs_accepting(data_dir, capsys):
     code = run_cli("runs", "--automaton", str(data_dir / "doubling_image.aut"),
                    "--tree", "k(g(a),g(g(a)))")

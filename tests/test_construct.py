@@ -11,22 +11,18 @@ from treehom import (
     Tree,
     TreeHomomorphism,
     Weight,
-    accepting_runs,
     bounded_equivalence,
     dickson_cap,
     eliminate_zero_divisors,
     enumerate_trees,
     eq_restriction_violation,
-    evaluate,
     get_semiring,
     hom_image,
     linearize,
     parse_term,
     project_boolean,
-    runs_to_state,
-    support_up_to,
 )
-from treehom.cli import format_automaton
+from treehom.cli import format_automaton, parse_automaton
 from treehom.construct import _non_one_weights
 from oracles import (
     automata_equal,
@@ -36,6 +32,7 @@ from oracles import (
     full_zero_divisor_elimination,
     hom_image_annotated,
     naive_evaluate,
+    naive_linearized_value,
     naive_reachable_part,
     random_modular_pair,
     random_pair,
@@ -112,8 +109,9 @@ def test_hom_image_shifted_golden(counting_chain, shifted_duplication):
         "k(q,c) -> q @ 1",
     ]
     t = parse_term("k(c,c)", img.alphabet)
-    assert evaluate(img, t).value == 5
-    assert len(accepting_runs(img, t)) == 2
+    ev = Evaluator(img)
+    assert ev.evaluate(t).value == 5
+    assert len(ev.accepting_runs(t)) == 2
 
 
 def test_hom_image_arctic_golden(arctic_chain, full_duplication):
@@ -147,7 +145,7 @@ def test_hom_image_merges_colliding_rules():
     ])
     img = hom_image(A, h)
     assert rule_texts(img) == ["c -> bot @ 1", "c -> q @ 5"]
-    assert evaluate(img, parse_term("c", delta)).value == 5
+    assert Evaluator(img).evaluate(parse_term("c", delta)).value == 5
 
 
 def test_hom_image_drops_zero_sum_merges():
@@ -159,11 +157,11 @@ def test_hom_image_drops_zero_sum_merges():
     ])
     img = hom_image(A, h)
     assert rule_texts(img) == ["c -> bot @ 1"]
-    assert evaluate(img, parse_term("c", delta)).is_zero
+    assert Evaluator(img).evaluate(parse_term("c", delta)).is_zero
 
 
 def test_hom_image_series_property(doubling_chain, duplicating_hom):
-    # evaluate(image, t) equals the sum over the preimage of t.
+    # The image evaluates t to the sum over the preimage of t.
     img = hom_image(doubling_chain, duplicating_hom)
     ev_img = Evaluator(img)
     ev_src = Evaluator(doubling_chain)
@@ -203,9 +201,10 @@ def test_annotated_image_relabels_to_plain(doubling_chain, duplicating_hom):
 
 def test_run_image_preserves_weight_and_shape(doubling_chain, duplicating_hom):
     img = hom_image(doubling_chain, duplicating_hom)
+    ev = Evaluator(doubling_chain)
     for s in enumerate_trees(doubling_chain.alphabet, 4):
         for q in doubling_chain.states:
-            for run in runs_to_state(doubling_chain, s, q):
+            for run in ev.runs(s, q):
                 out = run_image(doubling_chain, duplicating_hom, run, img)
                 check_run(img, out,
                           expect_tree=duplicating_hom.apply(s), expect_state=q)
@@ -228,7 +227,7 @@ def run_positions_states(run):
 def test_run_image_routes_copies_through_sink(doubling_chain, duplicating_hom):
     img = hom_image(doubling_chain, duplicating_hom)
     s = parse_term("f(g(a))", doubling_chain.alphabet)
-    (run,) = accepting_runs(doubling_chain, s)
+    (run,) = Evaluator(doubling_chain).accepting_runs(s)
     out = run_image(doubling_chain, duplicating_hom, run, img)
     states = run_positions_states(out)
     # The leading copy keeps q below position 1; the duplicate at 2.1 is sunk.
@@ -334,14 +333,16 @@ def test_eliminate_zero_divisors_no_zero_runs(z6_chain):
 def test_eliminate_zero_divisors_preserves_series(z6_chain):
     fixed = eliminate_zero_divisors(z6_chain)
     assert bounded_equivalence(z6_chain, fixed, 4).is_ok
+    ev = Evaluator(fixed)
     for t in enumerate_trees(z6_chain.alphabet, 4):
-        assert evaluate(fixed, t) == naive_evaluate(z6_chain, t)
+        assert ev.evaluate(t) == naive_evaluate(z6_chain, t)
 
 
 def test_eliminate_zero_divisors_preserves_run_counts(z6_chain):
     fixed = eliminate_zero_divisors(z6_chain)
-    for t, _ in support_up_to(z6_chain, 4):
-        assert len(accepting_runs(fixed, t)) == len(accepting_runs(z6_chain, t))
+    ev, ev_fixed = Evaluator(z6_chain), Evaluator(fixed)
+    for t, _ in RunsTable(z6_chain, 4).support():
+        assert len(ev_fixed.accepting_runs(t)) == len(ev.accepting_runs(t))
 
 
 def test_eliminate_zero_divisors_trivial_cases(doubling_image):
@@ -371,7 +372,7 @@ def test_eliminate_zero_divisors_constrained_instance(z6_image):
             for run in table.runs(t, q):
                 assert not run.weight.is_zero
     # Only n = 0 survives: 3 * 2^n = 0 mod 6 once n >= 1.
-    assert [t.text for t, _ in support_up_to(fixed, 4)] == ["k(a,g(a))"]
+    assert [t.text for t, _ in RunsTable(fixed, 4).support()] == ["k(a,g(a))"]
 
 
 # ---------------------------------------------------------- project_boolean
@@ -393,8 +394,8 @@ def test_project_boolean_support_agreement(doubling_image):
     # Over a zero-sum free, zero-divisor free semiring the projection
     # recognizes exactly the support.
     proj = project_boolean(doubling_image)
-    sup = [t.text for t, _ in support_up_to(doubling_image, 4)]
-    psup = [t.text for t, _ in support_up_to(proj, 4)]
+    sup = [t.text for t, _ in RunsTable(doubling_image, 4).support()]
+    psup = [t.text for t, _ in RunsTable(proj, 4).support()]
     assert sup == psup
 
 
@@ -403,20 +404,20 @@ def test_project_boolean_overapproximates_with_zero_divisors(z6_chain):
     # run weighs zero; fixing first repairs the support.
     raw = project_boolean(z6_chain)
     t = parse_term("f(g(a))", z6_chain.alphabet)
-    assert evaluate(z6_chain, t).is_zero
-    assert not evaluate(raw, t).is_zero
+    assert Evaluator(z6_chain).evaluate(t).is_zero
+    assert not Evaluator(raw).evaluate(t).is_zero
     fixed_proj = project_boolean(eliminate_zero_divisors(z6_chain))
-    assert evaluate(fixed_proj, t).is_zero
-    sup = {s.text for s, _ in support_up_to(z6_chain, 4)}
-    assert {s.text for s, _ in support_up_to(fixed_proj, 4)} == sup
+    assert Evaluator(fixed_proj).evaluate(t).is_zero
+    sup = {s.text for s, _ in RunsTable(z6_chain, 4).support()}
+    assert {s.text for s, _ in RunsTable(fixed_proj, 4).support()} == sup
 
 
 def test_project_boolean_wtg_path(doubling_chain):
     proj = project_boolean(doubling_chain)
     assert proj.semiring.id == "boolean"
     assert all(r.weight.is_one for r in proj.rules)
-    sup = [t.text for t, _ in support_up_to(doubling_chain, 4)]
-    assert [t.text for t, _ in support_up_to(proj, 4)] == sup
+    sup = [t.text for t, _ in RunsTable(doubling_chain, 4).support()]
+    assert [t.text for t, _ in RunsTable(proj, 4).support()] == sup
 
 
 def test_project_boolean_rejects_other_constraints(constrained_pair):
@@ -489,6 +490,76 @@ def test_linearize_accepts_sink_free_constraints(constrained_pair):
         "k(g(a),g(g(a))) -> qf @ 4",
     ]
     assert bounded_equivalence(constrained_pair, lin, 3).is_ok
+
+
+# Sink-free automata whose constrained class {1, 2.1} holds two distinct
+# real states: a class tree must reach both, and weighs in each one's value.
+TWO_STATE_CLASS = """semiring: integer
+states: p r q qf
+final: qf
+rules:
+a -> p @ 2
+g(p) -> r @ 3
+g(r) -> p @ 1
+a -> q @ 3
+g(q) -> q @ -1
+k(p,g(q)) -> qf @ 1 | 1 = 2.1
+k(qf,p) -> qf @ 3
+"""
+# At a, p weighs 2 and q weighs 3, whose product is the zero divisor 0 of
+# z6: the first rule's instance at a still comes first, so the merged rule
+# for k(a,g(a)) does too.
+Z6_TWO_STATE_CLASS = """semiring: z6
+states: p q qf
+final: qf
+rules:
+a -> p @ 2
+a -> q @ 3
+g(p) -> p @ 1
+g(q) -> p @ 1
+g(p) -> q @ 1
+g(q) -> q @ 1
+k(p,g(q)) -> qf @ 1 | 1 = 2.1
+k(q,g(q)) -> qf @ 1 | 1 = 2.1
+"""
+
+
+def test_linearize_class_of_two_distinct_states():
+    A = parse_automaton(TWO_STATE_CLASS)
+    kept = ["a -> p @ 2", "g(p) -> r @ 3", "g(r) -> p @ 1", "a -> q @ 3", "g(q) -> q @ -1"]
+    # g(a) reaches q and r but not p, so no rule instantiates it.
+    assert [r.text for r in linearize(A, 0).rules] == [
+        *kept, "k(a,g(a)) -> qf @ 6", "k(qf,p) -> qf @ 3"]
+    assert [r.text for r in linearize(A, 1).rules] == [
+        *kept, "k(a,g(a)) -> qf @ 6", "k(qf,p) -> qf @ 3"]
+    assert [r.text for r in linearize(A, 2).rules] == [
+        *kept, "k(a,g(a)) -> qf @ 6", "k(g(g(a)),g(g(g(a)))) -> qf @ 18", "k(qf,p) -> qf @ 3"]
+    A = parse_automaton(Z6_TWO_STATE_CLASS)
+    kept = [r.text for r in A.rules[:6]]
+    assert [r.text for r in linearize(A, 0).rules] == [*kept, "k(a,g(a)) -> qf @ 3"]
+    assert [r.text for r in linearize(A, 1).rules] == [
+        *kept, "k(a,g(a)) -> qf @ 3", "k(g(a),g(g(a))) -> qf @ 2"]
+    assert [r.text for r in linearize(A, 2).rules] == [
+        *kept, "k(a,g(a)) -> qf @ 3", "k(g(a),g(g(a))) -> qf @ 2",
+        "k(g(g(a)),g(g(g(a)))) -> qf @ 2"]
+
+
+def test_linearize_sums_the_runs_whose_classes_fit():
+    # linearize(A, k) gives each tree the summed weight of A's accepting
+    # runs whose constrained classes capture subtrees of height <= k.
+    rng = random.Random(16)
+    instances = [parse_automaton(TWO_STATE_CLASS), parse_automaton(Z6_TWO_STATE_CLASS)]
+    for sr_id in ("natural", "integer", "z6", "tropical", "arctic") * 4:
+        image = hom_image(*random_pair(rng, sr_id))
+        if not image.is_wtg:
+            instances.append(image)
+    assert len(instances) >= 8
+    for A in instances:
+        trees = enumerate_trees(A.alphabet, 4)
+        for k in (0, 1):
+            ev = Evaluator(linearize(A, k))
+            for t in trees:
+                assert ev.evaluate(t) == naive_linearized_value(A, k, t)
 
 
 def test_linearize_rejects_broken_sink_discipline(doubling_image):

@@ -1,3 +1,4 @@
+import json
 import os
 import stat
 
@@ -12,13 +13,24 @@ from treehom import (
     UNKNOWN,
     Automaton,
     AutomatonError,
+    Evaluator,
+    RunsTable,
     check_unambiguous,
     decide_hom_regularity,
     get_semiring,
     project_boolean,
-    support_up_to,
 )
-from treehom.cli import parse_automaton, parse_hom, report_to_dict
+import treehom.automaton
+import treehom.decide
+from treehom.cli import (
+    load_automaton,
+    load_hom,
+    main,
+    parse_automaton,
+    parse_hom,
+    report_to_dict,
+)
+from treehom.verdict import violated
 from oracles import naive_evaluate
 
 
@@ -163,8 +175,8 @@ def test_reduce_to_support(doubling_image):
     assert check_unambiguous(doubling_image, 4).is_ok
     projection = project_boolean(doubling_image)
     assert projection.semiring.id == "boolean"
-    support = support_up_to(doubling_image, 4)
-    boolean_support = support_up_to(projection, 4)
+    support = RunsTable(doubling_image, 4).support()
+    boolean_support = RunsTable(projection, 4).support()
     assert [t for t, _ in support] == [t for t, _ in boolean_support]
     assert [t.text for t, _ in support] == [
         "k(a,g(a))", "k(g(a),g(g(a)))", "k(g(g(a)),g(g(g(a))))"]
@@ -173,8 +185,8 @@ def test_reduce_to_support(doubling_image):
 
 
 def test_reduce_to_support_detects_overapproximation(z6_chain):
-    support = support_up_to(z6_chain, 4)
-    boolean_support = support_up_to(project_boolean(z6_chain), 4)
+    support = RunsTable(z6_chain, 4).support()
+    boolean_support = RunsTable(project_boolean(z6_chain), 4).support()
     # Zero-divisor products inflate the projected language.
     assert [t for t, _ in support] != [t for t, _ in boolean_support]
     assert len(boolean_support) > len(support)
@@ -225,3 +237,51 @@ def test_default_bounds_on_a_duplicating_instance(memory_cap):
             assert (wa, wb) == (naive_evaluate(report.fixed_image, t),
                                 naive_evaluate(report.linearized, t))
             assert wa != wb
+
+
+def test_internal_consistency_failure(data_dir, monkeypatch, capsys):
+    # An ambiguous fixed image after passing preconditions is a bug in the
+    # pipeline: the report says so and the verdict is UNKNOWN.
+    def ambiguous(A, bound):
+        ev = Evaluator(A)
+        t = ev.parse("k(a,g(a))")
+        (run,) = ev.accepting_runs(t)
+        return violated(bound, (t, (run, run)), f"2 accepting runs for {t.text}")
+
+    monkeypatch.setattr(treehom.decide, "check_unambiguous", ambiguous)
+    warning = ("internal consistency failure: image automaton is ambiguous although the "
+               "preconditions passed at the same bound: 2 accepting runs for k(a,g(a))")
+    aut, hom = data_dir / "doubling_chain.aut", data_dir / "duplicating_hom.hom"
+    report = decide_hom_regularity(load_automaton(aut), load_hom(hom), check_bound=3)
+    assert report.verdict == UNKNOWN
+    assert report.internal_consistency_failure
+    assert report.warnings == [warning]
+    assert report.projection is report.linearized is report.equivalence is None
+    code = main(["decide", "--automaton", str(aut), "--hom", str(hom),
+                 "--check-bound", "3", "--format", "machine"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert out["verdict"] == UNKNOWN
+    assert out["internal_consistency_failure"] is True
+    assert out["warnings"] == [warning]
+    assert out["image_unambiguous"]["status"] == report.image_unambiguous.status
+    assert out["image_unambiguous"]["detail"] == "2 accepting runs for k(a,g(a))"
+    assert out["projection"] is out["linearized"] is out["equivalence"] is None
+
+
+def test_decide_runs_the_relaxed_fixpoint_once_per_fixed_image(workloads, monkeypatch):
+    # `check_unambiguous` and `linearization_equivalence` both ask whether
+    # the fixed image's relaxation is unambiguous, at different bounds.
+    built = []
+    relaxed_rules = treehom.automaton._relaxed_rules
+    monkeypatch.setattr(treehom.automaton, "_relaxed_rules",
+                        lambda A: built.append(A) or relaxed_rules(A))
+    dup = [inst for cls, members in workloads.branching_pool(2).items()
+           if cls.startswith("dup-") for inst in members]
+    assert len(dup) == 6
+    for inst in dup:
+        built.clear()
+        A, h = parse_automaton(inst.automaton_text), parse_hom(inst.hom_text)
+        report = decide_hom_regularity(A, h, check_bound=3)
+        assert report.equivalence is not None
+        assert len(built) == 1 and built[0] is report.fixed_image
