@@ -17,15 +17,18 @@ using one name at two ranks is an error.  Hom files:
     to: a/0 g/1 k/2
     f/1 -> k(x1,g(x1))
 
-Exit codes: 0 ok/positive, 1 input error, 2 witness/negative, 3 unknown.
+Exit codes: 0 ok/positive (or help from -h/--help), 1 input error,
+2 witness/negative or a usage error, 3 unknown.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
+from collections.abc import Callable
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .analyze import (
     bounded_equivalence,
@@ -414,6 +417,16 @@ def _warn_enumeration(alphabet: RankedAlphabet, bound: int):
         )
 
 
+def _warn_before_h_unambiguity(A: Automaton, h: TreeHomomorphism, bound: int):
+    """Warn about the source trees that the h-unambiguity check, and the
+    tetris-freeness check unless the class images clash, will walk: those up
+    to the height that `h_unambiguity_search_height` gives, or none.  Raises
+    the check's own error on an input the check rejects."""
+    if (count_trees(h.source, bound) > ENUMERATION_WARN_LIMIT
+            and (height := h_unambiguity_search_height(A, h, bound)) is not None):
+        _warn_enumeration(h.source, height)
+
+
 def _print_verdict(args, v: Verdict, ok_text: str, witness_text: str) -> int:
     if getattr(args, "format", "text") == "machine":
         sys.stdout.write(emit_report(v, "machine"))
@@ -524,6 +537,7 @@ def _cmd_check(args) -> int:
     if args.what == "h-unambiguous":
         A = load_automaton(args.automaton)
         h = load_hom(args.hom)
+        _warn_before_h_unambiguity(A, h, args.height)
         v = check_h_unambiguous(A, h, args.height)
         return _print_verdict(args, v, "h-unambiguous", "not h-unambiguous")
     raise AssertionError(args.what)
@@ -547,13 +561,7 @@ def _cmd_equiv(args) -> int:
 def _cmd_decide(args) -> int:
     A = load_automaton(args.automaton)
     h = load_hom(args.hom)
-    # The precondition checks walk the source trees up to the height that
-    # `h_unambiguity_search_height` gives (tetris-freeness too, unless the
-    # class images clash), or not at all.  It raises the pipeline's own error
-    # on an input the pipeline rejects.
-    if (count_trees(h.source, args.check_bound) > ENUMERATION_WARN_LIMIT
-            and (height := h_unambiguity_search_height(A, h, args.check_bound)) is not None):
-        _warn_enumeration(h.source, height)
+    _warn_before_h_unambiguity(A, h, args.check_bound)
     report = decide_hom_regularity(
         A,
         h,
@@ -570,91 +578,6 @@ def _cmd_decide(args) -> int:
     return 2
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.  Each subcommand's func
-    looks up the package functions it calls when it runs, so a rebound
-    module name still takes effect."""
-    parser = argparse.ArgumentParser(
-        prog="treehom",
-        description="weighted tree automata with hom-constraints",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate an automaton and/or hom file")
-    p.add_argument("--automaton")
-    p.add_argument("--hom")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("eval", help="evaluate the series on one tree")
-    p.add_argument("--automaton", required=True)
-    p.add_argument("--tree", required=True)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("support", help="nonzero-value trees up to a height")
-    p.add_argument("--automaton", required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.set_defaults(func=_cmd_support)
-
-    p = sub.add_parser("runs", help="enumerate runs for one tree")
-    p.add_argument("--automaton", required=True)
-    p.add_argument("--tree", required=True)
-    p.add_argument("--state")
-    p.set_defaults(func=_cmd_runs)
-
-    p = sub.add_parser("image", help="eq-restricted homomorphic image of a WTA")
-    p.add_argument("--automaton", required=True)
-    p.add_argument("--hom", required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_image)
-
-    p = sub.add_parser("fix-zero-divisors", help="make every run weight nonzero")
-    p.add_argument("--automaton", required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_fix_zero_divisors)
-
-    p = sub.add_parser("project-bool", help="boolean support projection")
-    p.add_argument("--automaton", required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_project_bool)
-
-    p = sub.add_parser("linearize", help="instantiate constrained positions")
-    p.add_argument("--automaton", required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_linearize)
-
-    p = sub.add_parser("check", help="bounded property checks")
-    p.add_argument(
-        "what",
-        choices=["eq-restricted", "unambiguous", "tetris-free", "h-unambiguous"],
-    )
-    p.add_argument("--automaton")
-    p.add_argument("--hom")
-    p.add_argument("--height", type=int, default=4)
-    p.add_argument("--format", choices=["text", "machine"], default="text")
-    p.set_defaults(func=_cmd_check_dispatch)
-
-    p = sub.add_parser("equiv", help="bounded series equivalence of two automata")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--format", choices=["text", "machine"], default="text")
-    p.set_defaults(func=_cmd_equiv)
-
-    p = sub.add_parser("decide", help="hom-image regularity pipeline")
-    p.add_argument("--automaton", required=True)
-    p.add_argument("--hom", required=True)
-    p.add_argument("--check-bound", type=int, default=4)
-    p.add_argument("--lin-height", type=int, default=2)
-    p.add_argument("--eq-bound", type=int, default=4)
-    p.add_argument("--oracle")
-    p.add_argument("--format", choices=["text", "machine"], default="text")
-    p.set_defaults(func=_cmd_decide)
-
-    return parser
-
-
 def _cmd_check_dispatch(args) -> int:
     need = {
         "eq-restricted": ("automaton",),
@@ -669,11 +592,288 @@ def _cmd_check_dispatch(args) -> int:
     return _cmd_check(args)
 
 
+# The command line is `treehom <command> [options]`.  One table lists each
+# command's handler, options and positional argument; `read_args` walks argv
+# against it, and the help text is generated from it.  The reader follows
+# the conventions of the standard library's option parser: `--name value`,
+# `--name=value`, a unique prefix of a long option, `-oVALUE`, the last of
+# repeated options wins, an argument that looks like a negative number is a
+# value, and after `--` every argument is a value.  The handlers look up the
+# package functions they call when they run, so a rebound module name still
+# takes effect.
+
+
+class Option(NamedTuple):
+    """One option of a command, or its positional argument when ``name``
+    has no dashes.  Its value is read into the attribute ``dest``."""
+
+    name: str
+    short: str | None = None
+    type: type = str
+    default: object = None
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
+
+    @property
+    def label(self) -> str:
+        return f"{self.short}/{self.name}" if self.short else self.name
+
+    @property
+    def metavar(self) -> str:
+        return "{" + ",".join(self.choices) + "}" if self.choices else self.dest.upper()
+
+
+class Command(NamedTuple):
+    handler: Callable[[SimpleNamespace], int]
+    help: str
+    options: tuple[Option, ...]
+    positional: Option | None = None
+
+
+_HELP = Option("--help", short="-h")
+_AUTOMATON = Option("--automaton", required=True)
+_HOM = Option("--hom", required=True)
+_TREE = Option("--tree", required=True)
+_HEIGHT = Option("--height", type=int, required=True)
+_OUTPUT = Option("--output", short="-o")
+_FORMAT = Option("--format", default="text", choices=("text", "machine"))
+
+COMMANDS = {
+    "validate": Command(_cmd_validate, "validate an automaton and/or hom file",
+                        (Option("--automaton"), Option("--hom"))),
+    "eval": Command(_cmd_eval, "evaluate the series on one tree", (_AUTOMATON, _TREE)),
+    "support": Command(_cmd_support, "nonzero-value trees up to a height",
+                       (_AUTOMATON, _HEIGHT)),
+    "runs": Command(_cmd_runs, "enumerate runs for one tree",
+                    (_AUTOMATON, _TREE, Option("--state"))),
+    "image": Command(_cmd_image, "eq-restricted homomorphic image of a WTA",
+                     (_AUTOMATON, _HOM, _OUTPUT)),
+    "fix-zero-divisors": Command(_cmd_fix_zero_divisors, "make every run weight nonzero",
+                                 (_AUTOMATON, _OUTPUT)),
+    "project-bool": Command(_cmd_project_bool, "boolean support projection",
+                            (_AUTOMATON, _OUTPUT)),
+    "linearize": Command(_cmd_linearize, "instantiate constrained positions",
+                         (_AUTOMATON, _HEIGHT, _OUTPUT)),
+    "check": Command(
+        _cmd_check_dispatch, "bounded property checks",
+        (Option("--automaton"), Option("--hom"), Option("--height", type=int, default=4),
+         _FORMAT),
+        Option("what", required=True,
+               choices=("eq-restricted", "unambiguous", "tetris-free", "h-unambiguous")),
+    ),
+    "equiv": Command(_cmd_equiv, "bounded series equivalence of two automata",
+                     (Option("--a", required=True), Option("--b", required=True), _HEIGHT,
+                      _FORMAT)),
+    "decide": Command(_cmd_decide, "hom-image regularity pipeline",
+                      (_AUTOMATON, _HOM, Option("--check-bound", type=int, default=4),
+                       Option("--lin-height", type=int, default=2),
+                       Option("--eq-bound", type=int, default=4), Option("--oracle"),
+                       _FORMAT)),
+}
+
+# Arguments that look like negative numbers are values, not options.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class _Exit(Exception):
+    """Stops reading argv: help (status 0, text for stdout) or a usage error
+    (status 2, text for stderr)."""
+
+    def __init__(self, status: int, text: str):
+        super().__init__(text)
+        self.status, self.text = status, text
+
+
+def _usage(name: str | None) -> str:
+    if name is None:
+        return "usage: treehom [-h] <command> [options]\n"
+    command = COMMANDS[name]
+    words = [f"usage: treehom {name} [-h]"]
+    for opt in command.options:
+        word = f"{opt.short or opt.name} {opt.metavar}"
+        words.append(word if opt.required else f"[{word}]")
+    if command.positional is not None:
+        words.append(command.positional.metavar)
+    return " ".join(words) + "\n"
+
+
+def _help(name: str | None) -> str:
+    if name is None:
+        head, title = "weighted tree automata with hom-constraints", "commands"
+        rows = [(key, command.help) for key, command in COMMANDS.items()]
+        tail = "\n`treehom <command> -h` lists the options of a command.\n"
+    else:
+        command = COMMANDS[name]
+        head, title, tail = command.help, "arguments", ""
+        rows = [("-h, --help", "show this help and exit")]
+        if command.positional is not None:
+            what = command.positional
+            rows.append((what.name, f"required, one of: {', '.join(what.choices)}"))
+        for opt in command.options:
+            flags = ", ".join(f"{flag} {opt.metavar}" for flag in (opt.short, opt.name) if flag)
+            rows.append((flags, "required" if opt.required else
+                         "" if opt.default is None else f"default: {opt.default}"))
+    width = max(len(left) for left, _ in rows) + 2
+    lines = "".join(f"  {left:<{width}}{right}".rstrip() + "\n" for left, right in rows)
+    return f"{_usage(name)}\n{head}\n\n{title}:\n{lines}{tail}"
+
+
+def _fail(name: str | None, message: str):
+    prog = "treehom" if name is None else f"treehom {name}"
+    raise _Exit(2, f"{_usage(name)}{prog}: error: {message}\n")
+
+
+def _option_table(options) -> dict:
+    """Option string -> option, `-h/--help` first."""
+    table = {"-h": _HELP, "--help": _HELP}
+    for opt in options:
+        if opt.short is not None:
+            table[opt.short] = opt
+        table[opt.name] = opt
+    return table
+
+
+def _classify(name, table, arg):
+    """None for a value, else (option, or None if unknown; option string;
+    value glued to it, or None)."""
+    if not arg or arg[0] != "-":
+        return None
+    if arg in table:
+        return table[arg], arg, None
+    if len(arg) == 1:
+        return None
+    flag, eq, glued = arg.partition("=")
+    if eq and flag in table:
+        return table[flag], flag, glued
+    if arg[1] == "-":  # a prefix of long options, up to any "="
+        found = [(table[s], s, glued if eq else None) for s in table if s.startswith(flag)]
+    else:  # a short option and the rest of the argument
+        found = [(table[s], s, arg[2:]) for s in table if s == arg[:2]]
+    if len(found) > 1:
+        _fail(name, f"ambiguous option: {arg} could match "
+                    f"{', '.join(s for _, s, _ in found)}")
+    if found:
+        return found[0]
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return None, arg, None
+
+
+def _taken(name, table, found, argv, kinds, i):
+    """The (option, text) pairs that the option at i takes, in order, and
+    the index after its value.  Short flags may share one argument: `-ho`."""
+    opt, flag, glued = found
+    taken = []
+    while opt is _HELP and glued is not None:
+        if flag[1] == "-" or not glued or "-" + glued[0] not in table:
+            _fail(name, f"argument -h/--help: ignored explicit argument {glued!r}")
+        taken.append((opt, None))
+        flag = "-" + glued[0]
+        opt, glued = table[flag], glued[1:] or None
+    if opt is _HELP or glued is not None:
+        return taken + [(opt, glued)], i + 1
+    if kinds[i + 1:i + 2] != "A":  # an option's value never follows `--`
+        _fail(name, f"argument {opt.label}: expected one argument")
+    return taken + [(opt, argv[i + 1])], i + 2
+
+
+def _read_command(name: str, argv: list) -> tuple[SimpleNamespace, list]:
+    """The values of one command's arguments, and the arguments left over."""
+    command = COMMANDS[name]
+    table = _option_table(command.options)
+    # Each argument is an option (O), a value (A) or the first `--` (-).
+    found, kinds = {}, ""
+    for i, arg in enumerate(argv):
+        if "-" in kinds:
+            kinds += "A"
+        elif arg == "--":
+            kinds += "-"
+        elif (what := _classify(name, table, arg)) is None:
+            kinds += "A"
+        else:
+            found[i] = what
+            kinds += "O"
+
+    positional = command.positional
+    values = {"command": name}
+    if positional is not None:
+        values[positional.dest] = None
+    values.update((opt.dest, opt.default) for opt in command.options)
+    seen = set()  # dests given on the command line
+
+    def take(opt, text):
+        if opt is _HELP:
+            raise _Exit(0, _help(name))
+        try:
+            value = opt.type(text)
+        except ValueError:
+            _fail(name, f"argument {opt.label}: invalid {opt.type.__name__} value: {text!r}")
+        if opt.choices is not None and value not in opt.choices:
+            _fail(name, f"argument {opt.label}: invalid choice: {value!r} "
+                        f"(choose from {', '.join(map(repr, opt.choices))})")
+        values[opt.dest] = value
+        seen.add(opt.dest)
+
+    extras = []
+    i = 0
+    while i < len(argv):
+        if i in found and found[i][0] is not None:
+            taken, i = _taken(name, table, found[i], argv, kinds, i)
+            for opt, text in taken:
+                take(opt, text)
+        elif i not in found and positional is not None and "A" in (kinds[i], kinds[i + 1:i + 2]):
+            i += kinds[i] == "-"  # the positional takes a `--` on either side
+            take(positional, argv[i])
+            i += 2 if kinds[i + 1:i + 2] == "-" else 1
+            positional = None
+        else:  # an unknown option does not take the value after it
+            extras.append(argv[i])
+            i += 1
+    missing = [opt.label for opt in (command.positional, *command.options)
+               if opt is not None and opt.required and opt.dest not in seen]
+    if missing:
+        _fail(name, f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**values), extras
+
+
+def read_args(argv: list) -> tuple[Command, SimpleNamespace]:
+    """The command that argv names and its option values, by dest.  Raises
+    `_Exit` for `-h/--help` and for a usage error."""
+    top = _option_table(())
+    extras = []
+    for i, arg in enumerate(argv):
+        what = None if arg == "--" else _classify(None, top, arg)
+        if what is None:
+            break
+        if what[0] is None:
+            extras.append(arg)
+        else:  # -h, possibly repeated in one argument
+            _taken(None, top, what, argv, "", i)
+            raise _Exit(0, _help(None))
+    else:
+        _fail(None, "the following arguments are required: command")
+    name = argv[i]
+    if name not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {name!r} "
+                    f"(choose from {', '.join(map(repr, COMMANDS))})")
+    args, left = _read_command(name, argv[i + 1:])
+    if extras or left:
+        _fail(None, f"unrecognized arguments: {' '.join(extras + left)}")
+    return COMMANDS[name], args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        command, args = read_args(sys.argv[1:] if argv is None else list(argv))
+    except _Exit as stop:
+        (sys.stdout if stop.status == 0 else sys.stderr).write(stop.text)
+        return stop.status
+    try:
+        return command.handler(args)
     except (FileFormatError, AutomatonError, HomError, SemiringError, TermError,
             OSError) as err:
         print(f"error: {err}", file=sys.stderr)

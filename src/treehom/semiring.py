@@ -88,8 +88,12 @@ def parse_digits(digits: str) -> int:
     return parse_digits(digits[:-k]) * 10**k + parse_digits(digits[-k:])
 
 
+_UINT_RE = re.compile(r"[0-9]+")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_uint(text: str, what: str):
-    if not re.fullmatch(r"[0-9]+", text):
+    if not _UINT_RE.fullmatch(text):
         raise WeightSyntaxError(f"invalid {what} weight literal: {text!r}")
     return parse_digits(text)
 
@@ -147,7 +151,7 @@ class IntegerSemiring(Semiring):
         return a * b
 
     def parse_value(self, text):
-        if not re.fullmatch(r"[+-]?[0-9]+", text):
+        if not _INT_RE.fullmatch(text):
             raise WeightSyntaxError(f"invalid integer weight literal: {text!r}")
         value = parse_digits(text.lstrip("+-"))
         return -value if text[0] == "-" else value

@@ -39,6 +39,7 @@ class PositionError(TermError):
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 VARIABLE_RE = re.compile(r"x[1-9][0-9]*\Z")
+POSITION_STEP_RE = re.compile(r"[1-9][0-9]*")
 
 
 def is_variable(name: str) -> bool:
@@ -218,7 +219,7 @@ def parse_position(text: str) -> Position:
     if text == "e":
         return ()
     parts = text.split(".")
-    if not all(re.fullmatch(r"[1-9][0-9]*", part) for part in parts):
+    if not all(POSITION_STEP_RE.fullmatch(part) for part in parts):
         raise PositionError(f"invalid position: {text!r}")
     return tuple(parse_digits(part) for part in parts)
 

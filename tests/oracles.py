@@ -3,8 +3,11 @@ generators used by the test suite.  Everything here recomputes results from
 first principles so the package code has something honest to be compared
 against.  The constructions and run checks at the end serve only the tests;
 ``wtg_to_wta``, the WTA normalization of a WTG, is the reference that
-``bounded_equivalence`` on a WTG must agree with."""
+``bounded_equivalence`` on a WTG must agree with.  ``build_parser`` is the
+argparse parser that ``treehom.cli.read_args`` must agree with."""
 
+import argparse
+import functools
 from itertools import product
 
 from treehom import (
@@ -29,6 +32,7 @@ from treehom import (
     replace_at,
     tree_key,
 )
+from treehom import cli
 from treehom.automaton import constraints_ok
 from treehom.construct import (
     _fresh_name,
@@ -916,3 +920,87 @@ def run_count_compare(A: Automaton, lin_height: int, height_bound: int) -> Verdi
                 f"{cl} linearized vs {ca} original accepting runs on {t.text}",
             )
     return verified(height_bound)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command line was read with before the option
+    table of `treehom.cli`: the reference for its values and exit codes."""
+    parser = argparse.ArgumentParser(
+        prog="treehom",
+        description="weighted tree automata with hom-constraints",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="validate an automaton and/or hom file")
+    p.add_argument("--automaton")
+    p.add_argument("--hom")
+    p.set_defaults(func=cli._cmd_validate)
+
+    p = sub.add_parser("eval", help="evaluate the series on one tree")
+    p.add_argument("--automaton", required=True)
+    p.add_argument("--tree", required=True)
+    p.set_defaults(func=cli._cmd_eval)
+
+    p = sub.add_parser("support", help="nonzero-value trees up to a height")
+    p.add_argument("--automaton", required=True)
+    p.add_argument("--height", type=int, required=True)
+    p.set_defaults(func=cli._cmd_support)
+
+    p = sub.add_parser("runs", help="enumerate runs for one tree")
+    p.add_argument("--automaton", required=True)
+    p.add_argument("--tree", required=True)
+    p.add_argument("--state")
+    p.set_defaults(func=cli._cmd_runs)
+
+    p = sub.add_parser("image", help="eq-restricted homomorphic image of a WTA")
+    p.add_argument("--automaton", required=True)
+    p.add_argument("--hom", required=True)
+    p.add_argument("-o", "--output")
+    p.set_defaults(func=cli._cmd_image)
+
+    p = sub.add_parser("fix-zero-divisors", help="make every run weight nonzero")
+    p.add_argument("--automaton", required=True)
+    p.add_argument("-o", "--output")
+    p.set_defaults(func=cli._cmd_fix_zero_divisors)
+
+    p = sub.add_parser("project-bool", help="boolean support projection")
+    p.add_argument("--automaton", required=True)
+    p.add_argument("-o", "--output")
+    p.set_defaults(func=cli._cmd_project_bool)
+
+    p = sub.add_parser("linearize", help="instantiate constrained positions")
+    p.add_argument("--automaton", required=True)
+    p.add_argument("--height", type=int, required=True)
+    p.add_argument("-o", "--output")
+    p.set_defaults(func=cli._cmd_linearize)
+
+    p = sub.add_parser("check", help="bounded property checks")
+    p.add_argument(
+        "what",
+        choices=["eq-restricted", "unambiguous", "tetris-free", "h-unambiguous"],
+    )
+    p.add_argument("--automaton")
+    p.add_argument("--hom")
+    p.add_argument("--height", type=int, default=4)
+    p.add_argument("--format", choices=["text", "machine"], default="text")
+    p.set_defaults(func=cli._cmd_check_dispatch)
+
+    p = sub.add_parser("equiv", help="bounded series equivalence of two automata")
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
+    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--format", choices=["text", "machine"], default="text")
+    p.set_defaults(func=cli._cmd_equiv)
+
+    p = sub.add_parser("decide", help="hom-image regularity pipeline")
+    p.add_argument("--automaton", required=True)
+    p.add_argument("--hom", required=True)
+    p.add_argument("--check-bound", type=int, default=4)
+    p.add_argument("--lin-height", type=int, default=2)
+    p.add_argument("--eq-bound", type=int, default=4)
+    p.add_argument("--oracle")
+    p.add_argument("--format", choices=["text", "machine"], default="text")
+    p.set_defaults(func=cli._cmd_decide)
+
+    return parser

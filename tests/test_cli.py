@@ -1,12 +1,16 @@
 import decimal
 import gc
 import hashlib
+import io
 import json
+import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treehom import (
     RankedAlphabet,
@@ -18,8 +22,10 @@ from treehom import (
     linearize,
     project_boolean,
 )
+from treehom import cli
 from treehom.analyze import h_unambiguity_search_height
 from treehom.cli import (
+    COMMANDS,
     FileFormatError,
     _warn_enumeration,
     emit_report,
@@ -29,10 +35,13 @@ from treehom.cli import (
     main,
     parse_automaton,
     parse_hom,
+    read_args,
     verdict_to_dict,
 )
+from treehom.verdict import verified
 from oracles import (
     automata_equal,
+    build_parser,
     canonical_form,
     canonical_rename,
     naive_h_unambiguous,
@@ -41,6 +50,7 @@ from oracles import (
     random_pair,
     wtg_to_wta,
 )
+from conftest import ROOT
 from test_decide import DUP_AUTOMATON, DUP_HOM
 from test_hom import BRANCHING, BRANCHING_SHAPES
 
@@ -803,6 +813,36 @@ def test_cli_decide_warns_for_the_height_it_will_enumerate(tmp_path, capsys, mem
                        f"height <= {height}; this may take very long\n")
 
 
+def test_cli_check_h_unambiguous_warns_before_it_enumerates(tmp_path, capsys, monkeypatch):
+    # The tetris hom's class images do not clash, so the check would walk
+    # every source tree up to height 6; the stub walks none.
+    aut, hom = write_branching_shape(tmp_path, "tetris")
+    calls = []
+    monkeypatch.setattr(cli, "check_h_unambiguous",
+                        lambda A, h, bound: calls.append(bound) or verified(bound))
+    assert run_cli("check", "h-unambiguous", "--automaton", str(aut), "--hom", str(hom),
+                   "--height", "6") == 0
+    out, err = capsys.readouterr()
+    assert calls == [6]
+    assert out == "h-unambiguous up to height 6\n"
+    n = count_trees(load_hom(hom).source, 6)
+    assert err == f"warning: enumerating {n} trees of height <= 6; this may take very long\n"
+
+
+def test_cli_check_h_unambiguous_warns_not_when_the_fixpoint_proves_it(
+        tmp_path, capsys, monkeypatch):
+    # Over z6 the dup hom's class images clash and the pair fixpoint finds no
+    # divergence, so the check enumerates no tree at any height.
+    aut, hom = tmp_path / "dup.aut", tmp_path / "dup.hom"
+    aut.write_text(DUP_AUTOMATON.replace("natural", "z6"))
+    hom.write_text(DUP_HOM)
+    assert h_unambiguity_search_height(load_automaton(aut), load_hom(hom), 6) is None
+    monkeypatch.setattr(cli, "check_h_unambiguous", lambda A, h, bound: verified(bound))
+    assert run_cli("check", "h-unambiguous", "--automaton", str(aut), "--hom", str(hom),
+                   "--height", "6") == 0
+    assert capsys.readouterr() == ("h-unambiguous up to height 6\n", "")
+
+
 def test_enumeration_warning(capsys):
     big = RankedAlphabet([("a", 0), ("g", 1), ("k", 2)])
     _warn_enumeration(big, 5)
@@ -824,6 +864,199 @@ def test_console_script_entry_point(data_dir):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
+
+
+# The option table of `treehom.cli` against the argparse parser it replaced
+# (`oracles.build_parser`).  Argv lists are built from every command's option
+# strings and their prefixes, the `=` and glued `-oVALUE` forms, values of
+# every kind, and stray arguments; most hold the command's required options.
+CHECK_WHAT = COMMANDS["check"].positional.choices
+LONG_FLAGS = sorted({opt.name for command in COMMANDS.values() for opt in command.options})
+FLAG_PREFIXES = sorted({flag[:k] for flag in LONG_FLAGS for k in range(3, len(flag) + 1)})
+FLAG_WORDS = FLAG_PREFIXES + ["-o", "--foo", "-x"]
+# Flags glued to `-h` (`-hh`, `-hx`) are left out: Python 3.13's parser reads
+# them differently (see test_help_flags_glued_together).
+HELP_WORDS = ["-h", "--help", "--he", "--help=x"]
+VALUE_WORDS = ["in.aut", "3", "-1", "-2.5", "1.5", " 7 ", "+4", "1_0", "\u0663", "0x1", "",
+               "a b", "-a b", "-x", "-", "--", "=", "text", "machine", "json", *CHECK_WHAT]
+# A glued value of exactly `--` is taken as written; argparse dropped it and
+# handed the command an empty list (see test_glued_double_dash_is_a_value).
+GLUED_VALUES = [v for v in VALUE_WORDS if v != "--"]
+
+
+@st.composite
+def command_lines(draw):
+    name = draw(st.sampled_from([*COMMANDS, "nosuch"]))
+    groups = []
+    command = COMMANDS.get(name)
+    if command is not None and draw(st.integers(0, 3)):
+        groups += [(opt.name, "3" if opt.type is int else "in.aut")
+                   for opt in command.options if opt.required]
+        if command.positional is not None:
+            groups.append((draw(st.sampled_from(CHECK_WHAT)),))
+    flags, values = st.sampled_from(FLAG_WORDS), st.sampled_from(VALUE_WORDS)
+    glued = st.sampled_from(GLUED_VALUES)
+    groups += draw(st.lists(st.one_of(
+        st.tuples(flags, values),
+        st.tuples(flags),
+        st.tuples(values),
+        st.builds(lambda f, v: (f"{f}={v}",), st.sampled_from(FLAG_PREFIXES), glued),
+        st.builds(lambda v: (f"-o{v}",), glued),
+    ), max_size=3))
+    if draw(st.integers(0, 7)) == 0:
+        groups.append((draw(st.sampled_from(HELP_WORDS)),))
+    before = ([draw(st.sampled_from(HELP_WORDS + ["--foo", "--", "3"]))]
+              if draw(st.integers(0, 9)) == 0 else [])
+    return [*before, name, *(word for group in draw(st.permutations(groups)) for word in group)]
+
+
+def reference_args(argv):
+    """The reference parser's namespace as a dict, or the code it exits with."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit as stop:
+        return stop.code
+
+
+def read_values(argv):
+    """`read_args` as a dict in the form of `reference_args`."""
+    command, args = read_args(argv)
+    return {**vars(args), "func": command.handler}
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400)
+@given(command_lines())
+def test_read_args_agrees_with_argparse(argv):
+    expected = reference_args(argv)
+    if isinstance(expected, dict):
+        assert read_values(argv) == expected
+        return
+    # A rejected argv never reaches a command: main returns at once.
+    code, out, err = run_captured(argv)
+    assert code == expected
+    shown, quiet = (out, err) if code == 0 else (err, out)
+    assert shown.startswith("usage: treehom")
+    assert quiet == ""
+
+
+@pytest.mark.parametrize("argv,values", [
+    (["decide", "--automaton=a", "--hom", "h"], {"automaton": "a", "hom": "h"}),
+    (["decide", "--auto", "a", "--ho=h", "--eq-b", "7"], {"hom": "h", "eq_bound": 7}),
+    (["image", "--automaton", "a", "--hom", "h", "-oout.aut"], {"output": "out.aut"}),
+    (["image", "--automaton", "a", "--hom", "h", "-o=out.aut"], {"output": "out.aut"}),
+    (["image", "--automaton", "a", "--hom", "h", "--out", "-"], {"output": "-"}),
+    (["decide", "--automaton", "a", "--hom", "h", "--check-bound", "2", "--check-bound", "-1"],
+     {"check_bound": -1}),
+    (["decide", "--automaton", "a", "--hom", "h", "--eq-bound", " +7 ", "--lin-height", "1_0"],
+     {"eq_bound": 7, "lin_height": 10}),
+    (["decide", "--automaton", "a", "--hom", "h", "--lin-height", "\u0663"], {"lin_height": 3}),
+    (["eval", "--automaton", "a", "--tree", "-a b"], {"tree": "-a b"}),
+    (["check", "--height", "2", "tetris-free", "--hom", "h"], {"what": "tetris-free", "height": 2}),
+    (["check", "--format=machine", "unambiguous", "--automaton", "a"],
+     {"what": "unambiguous", "format": "machine", "hom": None}),
+    (["check", "--automaton", "a", "--", "eq-restricted"], {"what": "eq-restricted"}),
+    (["validate"], {"automaton": None, "hom": None}),
+])
+def test_read_args_forms(argv, values):
+    got = read_values(argv)
+    assert got.items() >= values.items()
+    assert got == reference_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["nosuch"],
+    ["--automaton", "a", "eval"],
+    ["--foo", "validate"],
+    ["--", "eval", "--automaton", "a", "--tree", "t"],
+    ["decide", "--automaton", "a"],
+    ["decide", "--h", "h", "--automaton", "a"],
+    ["decide", "--automaton", "a", "--hom", "h", "--check-bound", "x"],
+    ["decide", "--automaton", "a", "--hom", "h", "--check-bound", "1.5"],
+    ["decide", "--automaton", "a", "--hom", "h", "--check-bound", "-x"],
+    ["decide", "--automaton", "a", "--hom", "h", "--format", "json"],
+    ["decide", "--automaton", "a", "--hom", "h", "--help=x"],
+    ["check", "maybe", "--automaton", "a"],
+    ["check", "--automaton", "a"],
+    ["check", "unambiguous", "tetris-free", "--automaton", "a"],
+    ["eval", "--automaton", "a", "--tree"],
+    ["eval", "--automaton", "a", "--tree", "--", "t"],
+    ["eval", "--automaton", "a", "--tree", "t", "--bogus", "1"],
+    ["eval", "--automaton", "a", "--tree", "t", "extra"],
+    ["eval", "-o", "x", "--automaton", "a", "--tree", "t"],
+])
+def test_usage_errors_exit_2(argv):
+    assert reference_args(argv) == 2
+    code, out, err = run_captured(argv)
+    assert code == 2
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: treehom")
+    assert error.startswith("treehom") and ": error: " in error
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"]]
+                         + [[name, flag] for name in COMMANDS for flag in ("-h", "--help")])
+def test_help_exits_0(argv):
+    code, out, err = run_captured(argv)
+    assert code == 0
+    assert out.startswith("usage: treehom")
+    assert err == ""
+    command = COMMANDS.get(argv[0])
+    names = list(COMMANDS) if command is None else [opt.name for opt in command.options]
+    assert all(name in out for name in names)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["-hh"], 0),
+    (["image", "-ho", "x"], 0),
+    (["image", "-hox"], 0),
+    (["image", "-ho"], 2),
+    (["-hx"], 2),
+    (["eval", "-hx"], 2),
+    (["eval", "-h="], 2),
+])
+def test_help_flags_glued_together(argv, code):
+    # `-h` shares one argument with further short flags as in the parser of
+    # Python 3.10-3.12: help wins unless a flag is unknown or lacks its value.
+    got, out, err = run_captured(argv)
+    assert got == code
+    assert (out if code == 0 else err).startswith("usage: treehom")
+
+
+def test_glued_double_dash_is_a_value(data_dir):
+    # argparse turned `--name=--` and `-o--` into an empty list, which made
+    # decide fail with a TypeError traceback; the table reads the text.
+    assert read_values(["image", "--automaton", "a", "--hom", "h", "-o--"])["output"] == "--"
+    assert read_values(["validate", "--automaton=--"])["automaton"] == "--"
+    code, out, err = run_captured(["decide", "--automaton", str(data_dir / "doubling_chain.aut"),
+                                   "--hom", str(data_dir / "duplicating_hom.hom"),
+                                   "--check-bound=--"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --check-bound: invalid int value: '--'\n")
+
+
+def test_negative_bound_reaches_the_package_error(data_dir, capsys):
+    code = run_cli("decide", "--automaton", str(data_dir / "doubling_chain.aut"),
+                   "--hom", str(data_dir / "duplicating_hom.hom"), "--check-bound", "-1")
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: height bound must be nonnegative\n")
+
+
+def test_importing_the_cli_imports_no_argparse():
+    code = "import sys, treehom.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 # sha256 of the `decide --check-bound 3 --format machine` stdout, and the exit

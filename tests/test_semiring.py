@@ -12,7 +12,7 @@ from treehom import (
     get_semiring,
     power_index_period,
 )
-from treehom.semiring import _is_prime
+from treehom.semiring import WeightSyntaxError, _is_prime
 
 ALL_IDS = ["boolean", "natural", "integer", "tropical", "arctic", "z6", "z5"]
 
@@ -185,6 +185,57 @@ def test_parse_rejects_bad_literals():
         get_semiring("z6").parse("6")
     with pytest.raises(SemiringError):
         get_semiring("tropical").parse("x")
+
+
+# Malformed literals of each semiring and the exact error each gets.  The
+# digit patterns are ASCII only and must match the whole literal.
+MALFORMED_WEIGHTS = [
+    ("boolean", "2", "invalid boolean weight literal: '2'"),
+    ("boolean", "", "invalid boolean weight literal: ''"),
+    ("boolean", "01", "invalid boolean weight literal: '01'"),
+    ("natural", "-1", "invalid natural weight literal: '-1'"),
+    ("natural", "+1", "invalid natural weight literal: '+1'"),
+    ("natural", "", "invalid natural weight literal: ''"),
+    ("natural", "1.0", "invalid natural weight literal: '1.0'"),
+    ("natural", "1\n", "invalid natural weight literal: '1\\n'"),
+    ("natural", "1_000", "invalid natural weight literal: '1_000'"),
+    ("natural", "\u0663", "invalid natural weight literal: '\u0663'"),
+    ("integer", "--1", "invalid integer weight literal: '--1'"),
+    ("integer", "+", "invalid integer weight literal: '+'"),
+    ("integer", "1-", "invalid integer weight literal: '1-'"),
+    ("integer", " -3", "invalid integer weight literal: ' -3'"),
+    ("integer", "-3\n", "invalid integer weight literal: '-3\\n'"),
+    ("tropical", "x", "invalid tropical weight literal: 'x'"),
+    ("tropical", "-inf", "invalid tropical weight literal: '-inf'"),
+    ("tropical", "Inf", "invalid tropical weight literal: 'Inf'"),
+    ("tropical", "-1", "invalid tropical weight literal: '-1'"),
+    ("arctic", "inf", "invalid arctic weight literal: 'inf'"),
+    ("arctic", "-1", "invalid arctic weight literal: '-1'"),
+    ("arctic", "1e3", "invalid arctic weight literal: '1e3'"),
+    ("z6", "6", "residue 6 out of range for z6 (expected 0..5)"),
+    ("z6", "-1", "invalid z6 weight literal: '-1'"),
+    ("z6", "x", "invalid z6 weight literal: 'x'"),
+]
+
+
+@pytest.mark.parametrize("sr_id,text,message", MALFORMED_WEIGHTS)
+def test_malformed_weight_messages(sr_id, text, message):
+    with pytest.raises(WeightSyntaxError) as err:
+        get_semiring(sr_id).parse(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("sr_id,text,value", [
+    ("natural", "007", 7),
+    ("integer", "+5", 5),
+    ("integer", "-0", 0),
+    ("integer", "-007", -7),
+    ("tropical", "0", 0),
+    ("arctic", "12", 12),
+    ("z6", "05", 5),
+])
+def test_weight_literals_with_signs_and_leading_zeros(sr_id, text, value):
+    assert get_semiring(sr_id).parse(text).value == value
 
 
 def test_primality_of_large_moduli():

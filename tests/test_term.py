@@ -23,6 +23,7 @@ from treehom import (
 )
 from oracles import naive_parse_term, positions, subtree_at
 from treehom.cli import load_automaton, parse_automaton
+from treehom.term import PositionError
 
 SIGMA = RankedAlphabet([("a", 0), ("g", 1), ("k", 2)])
 
@@ -263,6 +264,25 @@ def test_parse_error_messages_and_columns(text, message):
                 parse(text, alph)
             assert str(err.value) == message
             assert err.value.column == int(message.split(":")[0].split()[1])
+
+
+# Position texts and what they parse to, then malformed ones: steps are
+# ASCII decimals without a leading zero, joined by single dots.
+POSITIONS = [("e", ()), (" 2.1 ", (2, 1)), ("10.1", (10, 1)), ("1\n", (1,))]
+POSITION_ERRORS = ["", "0", "0.1", "1..2", "1.", ".1", "01", "1.0", "a", "e.1", "E",
+                   "1 .2", "+1", "1_0", "\u0661"]
+
+
+@pytest.mark.parametrize("text,position", POSITIONS)
+def test_parse_position(text, position):
+    assert parse_position(text) == position
+
+
+@pytest.mark.parametrize("text", POSITION_ERRORS)
+def test_parse_position_error_messages(text):
+    with pytest.raises(PositionError) as err:
+        parse_position(text)
+    assert str(err.value) == f"invalid position: {text.strip()!r}"
 
 
 def test_alphabet_validation():
