@@ -125,15 +125,10 @@ def _tall_cells(A: Automaton, lin_height: int, height_bound: int):
     in position order keeping, per (height so far, tall so far), the least
     (size, class trees).
     """
-    sink = A.sink
     shapes = []
-    for rule in A.rules:
-        if rule.target == sink:
-            continue
-        classes = [
-            (next(lbl for lbl in labels if lbl != sink), max(map(len, cls)), len(cls), len(cls) > 1)
-            for cls, labels in zip(rule.classes, rule.class_labels)
-        ]
+    for rule, _, class_states in A.chart_rules[0]:
+        classes = [(q, max(map(len, cls)), len(cls), len(cls) > 1)
+                   for q, cls in zip(class_states, rule.classes)]
         shapes.append((rule, rule.lhs.size - len(rule.state_positions), classes))
 
     layers: list[dict] = []

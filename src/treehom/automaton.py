@@ -24,33 +24,24 @@ use, however many constructions and checks ask.
 
 Weights and runs are read only from a chart object, `Evaluator` or
 `RunsTable`: per tree, each state's summed run weight, filled bottom-up from
-the cells of the captured subtrees.  Cells
-hold values only.  The rule applications that derive the runs of a tree to a
-state are re-derived, by matching at the tree and filtering by the cells of
-its captured subtrees, only when those runs are expanded into Run objects on
-request.  `Evaluator` fills the chart for given trees in one bottom-up pass:
-for a text it parses (`Evaluator.parse`), from the parser's node list
-(`term.parse_nodes`: each distinct subterm once, children first, already
-checked against the alphabet), or for any other tree by collecting its
-distinct nodes without a cell, checking them against the alphabet, and
-taking them by increasing height.  Bounded operations (support, the class
-trees of a linearization, and unambiguity when the pair-automaton fixpoint
-`first_diverging_height` cannot prove it) use `RunsTable`, which fills it by
-height layers instead: layer h instantiates the rules over the trees of the
-layers below, since each rule application adds height, and sums the values
-of the instances that build each tree, without matching.
-Trees without a run to a real state evaluate to zero and carry no accepting
-runs, so nothing is missed.  Neither fill needs a reachability pre-pass: a
-rule whose states no tree reaches finds no child runs in a cell and no trees
-in a layer, so it adds nothing.
+the cells of the captured subtrees.  Cells hold values only; the rule
+applications behind a cell are re-derived only when its runs are expanded
+into Run objects.  `Evaluator` fills the cells of given trees, each distinct
+subtree once, children first (straight from the parse of a text, via
+`term.parse_nodes`); `RunsTable` fills every tree up to a height bound, by
+height layers, for the bounded operations.  Trees without a run to a real
+state evaluate to zero and carry no accepting runs, and a rule whose states
+no tree reaches adds nothing, so neither fill needs a reachability pre-pass.
+The fixpoints over annotated states rather than trees (the pair automaton of
+`first_diverging_height`, zero-divisor elimination) run on `saturate`.
 """
 
 from __future__ import annotations
 
 from contextlib import closing
 from functools import cached_property
-from itertools import count, product
-from operator import attrgetter
+from itertools import product
+from operator import attrgetter, itemgetter
 
 from .semiring import Semiring, Weight
 from .term import (
@@ -350,23 +341,31 @@ class Automaton:
 
     @cached_property
     def chart_rules(self):
-        """(index, sink_rules) for the run chart.  index maps each root symbol
-        to (rule, real) pairs in rule-index order, where real lists the
-        (capture index, state) of each state position not at the pure sink;
-        it leaves out the rules to a pure sink, which the chart keeps
-        implicit.  sink_rules maps each symbol to its pure-sink rule.  A rule
-        whose states no tree reaches stays in: it finds no child runs, so it
-        adds nothing to a cell."""
+        """(real_rules, index, sink_rules), the one reading of the sink
+        discipline.  real_rules lists, in rule-index order, (rule, real,
+        class_states) for each rule not to the pure sink: real lists the
+        (capture index, state) of each state position not at the pure sink,
+        and class_states the first such state of each constraint class (the
+        sink if none; its one real state when eq-restricted).  index maps
+        each root symbol to its triples, and sink_rules to its pure-sink
+        rule, which the run chart keeps implicit.  A rule whose states no
+        tree reaches stays in: it adds nothing to a cell."""
         sink = self.pure_sink
-        index: dict[str, list[tuple[Rule, tuple]]] = {}
+        real_rules = []
+        index: dict[str, list[tuple[Rule, tuple, tuple]]] = {}
         sink_rules = {}
         for rule in self.rules:
             if rule.target == sink:
                 sink_rules[rule.lhs.label] = rule
-            else:
-                real = tuple((i, q) for i, q in enumerate(rule.state_labels) if q != sink)
-                index.setdefault(rule.lhs.label, []).append((rule, real))
-        return index, sink_rules
+                continue
+            labels = rule.state_labels
+            real = tuple((i, q) for i, q in enumerate(labels) if q != sink)
+            class_states = labels if not rule.constrained else tuple(
+                next((labels[i] for i in idxs if labels[i] != sink), sink)
+                for idxs in rule.class_indices)
+            real_rules.append((rule, real, class_states))
+            index.setdefault(rule.lhs.label, []).append(real_rules[-1])
+        return real_rules, index, sink_rules
 
     @property
     def kind(self) -> str:
@@ -494,6 +493,7 @@ def run_state_map(run: Run) -> dict[Position, str]:
 
 _NO_RUNS: dict = {}
 _height = attrgetter("height")
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 def _apply(sr: Semiring, cell: dict, rule: Rule, real, cells) -> None:
@@ -532,7 +532,7 @@ class Evaluator:
     def __init__(self, A: Automaton):
         self.automaton = A
         self._sink = A.pure_sink
-        self._rules, self._sink_rules = A.chart_rules
+        _, self._rules, self._sink_rules = A.chart_rules
         self._chart: dict[Tree, dict] = {}
         self._runs: dict[tuple, tuple[Run, ...]] = {}
 
@@ -553,7 +553,7 @@ class Evaluator:
         for t in nodes:
             cell = {}
             child_cells = None  # what flat rules capture, looked up once
-            for rule, real in by_label.get(t.label, ()):
+            for rule, real, _ in by_label.get(t.label, ()):
                 if rule.flat and not rule.constrained:
                     if child_cells is None:
                         child_cells = [chart[c] for c in t.children]
@@ -624,7 +624,7 @@ class Evaluator:
             return ()
         out = []
         child_cells = None  # what flat rules capture, looked up once
-        for rule, real in self._rules.get(t.label, ()):
+        for rule, real, _ in self._rules.get(t.label, ()):
             if rule.target != q:
                 continue
             subs = captures(rule, t)
@@ -712,7 +712,7 @@ class RunsTable(Evaluator):
             layer = []
             for rules in self._rules.values():
                 cells: dict[Tree, dict] = {}
-                for rule, real in rules:
+                for rule, real, _ in rules:
                     # Closed here even when the fill fails (say, out of
                     # memory), not later by the garbage collector, which
                     # could only report a failing close as unraisable.
@@ -785,6 +785,39 @@ class RunsTable(Evaluator):
         return [(t, Weight(sr, v)) for t, v in zip(self.trees, values) if v != sr.zero]
 
 
+def saturate(rules, fire):
+    """The least set of (state, annotation) items closed under rules, by
+    bottom-up layers.  rules are (child states, payload) pairs, and
+    fire(payload, annotations) lists the items that a rule derives from one
+    annotation per child state.  Yields the new items of each layer and ends
+    after the first layer that adds none, which saturates the set: no later
+    layer could add one.  Semi-naive: each choice of child items fires once,
+    at the layer after its newest item's.  (`_tall_cells` and `RunsTable`
+    keep their own layers: they keep the least tree, or all trees, of each
+    exact height, not a set of items.)"""
+    uses: dict = {}  # state -> (child states, payload, child index) of each rule with it there
+    for kids, payload in rules:
+        for k, s in enumerate(kids):
+            uses.setdefault(s, []).append((kids, payload, k))
+    seen = set()
+    known: dict = {}  # state -> its annotations, in derivation order
+    derived = [item for kids, payload in rules if not kids for item in fire(payload, ())]
+    while layer := [item for item in dict.fromkeys(derived) if item not in seen]:
+        yield layer
+        seen.update(layer)
+        derived = []
+        for s, a in layer:
+            annotations = known.setdefault(s, [])
+            annotations.append(a)
+            # Items come in one at a time, and a choice fires when its last
+            # one does, at the first child index that takes it.
+            for kids, payload, k in uses.get(s, ()):
+                choices = [(a,) if m == k else annotations[:-1] if m < k and c == s
+                           else known.get(c, ()) for m, c in enumerate(kids)]
+                for combo in product(*choices):
+                    derived.extend(fire(payload, combo))
+
+
 def first_diverging_height(rules, finals):
     """The least height of two trees with accepting runs of a flat automaton
     that differ in the state at some position, or None when no height has
@@ -795,56 +828,34 @@ def first_diverging_height(rules, finals):
     one class per symbol and no repeated triple, two distinct runs on one
     tree always differ in some state.)
 
-    This is the pair ("square") automaton fixpoint over triples
-    (p, q, diverged).  Layer h maps each pair of states (p, q) that two such
-    trees of height <= h reach to whether two of their runs to p and q
-    differ in the state at some position.  It pairs two rules of one class
-    over the child pairs of layer h - 1: the result diverges when its states
-    differ or a child pair diverges.  Weights play no part, so over a
-    semiring with zero divisors the runs found may weigh zero.
-
-    A pair is reached once and diverges at most once more, so some layer
-    grows no pair: then no later one can, and None holds at every height.
+    This is the pair ("square") automaton, `saturate`d over items
+    (p, (q, diverged)): two such trees reach p and q with two runs that
+    differ in some state exactly when one rule derives (p, (q, True)).  Two
+    rules of one class pair up over child items; the result diverges when
+    its states differ or a child item has diverged.  Weights play no part,
+    so over a semiring with zero divisors the runs found may weigh zero.
     """
-    by_kids: dict = {}  # (class, child states) -> indices of its rules
-    uses: dict = {}  # state -> (class, child index) -> indices of rules with it there
-    for i, (cls, kids, _) in enumerate(rules):
-        by_kids.setdefault((cls, kids), []).append(i)
-        for k, p in enumerate(kids):
-            uses.setdefault(p, {}).setdefault((cls, k), []).append(i)
+    rules = dict.fromkeys(rules)  # a repeated triple adds no run that differs
+    by_kids: dict = {}  # (class, child states) -> the targets of its rules
+    for cls, kids, q in rules:
+        by_kids.setdefault((cls, kids), []).append(q)
+
+    def fire(payload, annotations):
+        cls, p = payload
+        targets = by_kids.get((cls, tuple(map(_first, annotations))))
+        if targets is None:
+            return ()
+        if any(map(_second, annotations)):
+            return [(p, (q, True)) for q in targets]
+        return [(p, (q, p != q)) for q in targets]
+
     finals = set(finals)
-    reached: dict[tuple[str, str], bool] = {}  # (p, q) -> diverged
-    partners: dict = {}  # p -> the q with (p, q) reached
-    pairs = [(i, j) for (_, kids), ids in by_kids.items() if not kids
-             for i in ids for j in ids]
-    for height in count():
-        new: dict[tuple[str, str], bool] = {}
-        for i, j in pairs:
-            (_, kids_i, p), (_, kids_j, q) = rules[i], rules[j]
-            diverged = p != q or any(reached[pq] for pq in zip(kids_i, kids_j))
-            new[p, q] = new.get((p, q), False) or diverged
-        grown = []
-        for (p, q), diverged in new.items():
-            if (p, q) not in reached:
-                partners.setdefault(p, []).append(q)
-            elif reached[p, q] or not diverged:
-                continue
-            reached[p, q] = diverged
-            grown.append((p, q))
+    layers = saturate([(kids, (cls, p)) for cls, kids, p in rules], fire)
+    for height, layer in enumerate(layers):
+        for p, (q, diverged) in layer:
             if diverged and p in finals and q in finals:
                 return height
-        # Semi-naive: the next layer pairs only rules that have a grown pair
-        # at some child index and reached pairs at the others.
-        pairs = set()
-        for p, q in grown:
-            for (cls, k), ids in uses.get(p, {}).items():
-                for i in ids:
-                    choices = [(q,) if m == k else partners.get(kid, ())
-                               for m, kid in enumerate(rules[i][1])]
-                    for kids in product(*choices):
-                        pairs.update((i, j) for j in by_kids.get((cls, kids), ()))
-        if not pairs:
-            return None
+    return None
 
 
 def _relaxed_rules(A: Automaton):

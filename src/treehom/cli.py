@@ -246,9 +246,10 @@ def parse_hom(text: str) -> TreeHomomorphism:
     images: dict[str, Tree] = {}
     for lineno, line in image_lines:
         head, arrow, term_text = line.partition("->")
-        if not arrow:
+        symbols = _parse_symbol_list(lineno, head.strip()) if arrow else ()
+        if len(symbols) != 1:
             raise FileFormatError(lineno, f"expected 'name/rank -> term', got {line!r}")
-        (name, rank), = _parse_symbol_list(lineno, head.strip())
+        (name, rank), = symbols
         if name not in source or source.rank(name) != rank:
             raise FileFormatError(lineno, f"{name}/{rank} is not a source symbol")
         if name in images:

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import product
+from operator import add
 
 from .automaton import (
     Automaton,
     AutomatonError,
     RunsTable,
     eq_restriction_violation,
+    saturate,
 )
 from .hom import TreeHomomorphism
 from .semiring import Weight, get_semiring, power_index_period
@@ -142,12 +144,11 @@ def eliminate_zero_divisors(A: Automaton) -> Automaton:
     power sequences: beyond u, one more period never changes the product, so
     any vector witnessing a zero product reduces into {0..u}^n.
 
-    Only annotated states that some tree reaches are built.  A bottom-up
-    worklist starts from the rules without real child states and derives
-    q_v when a rule sums vector v (capped) from child vectors already
-    derived and v has a nonzero product.  The result is the product
-    construction over all of {0..u}^n (`full_zero_divisor_elimination` in
-    tests/oracles.py) restricted to its bottom-up-reachable states, with
+    Only annotated states that some tree reaches are built: `saturate`
+    derives the item (q, v) when a rule to q sums the capped vector v from
+    derived child vectors and v has a nonzero product.  The result is the
+    product construction over all of {0..u}^n (`full_zero_divisor_elimination`
+    in tests/oracles.py) restricted to its bottom-up-reachable states, with
     states, finals and rules in the same order.
     """
     reason = eq_restriction_violation(A)
@@ -182,51 +183,28 @@ def eliminate_zero_divisors(A: Automaton) -> Automaton:
             hit = viable_memo[vec] = val != sr.zero
         return hit
 
-    def vec_add(a, b):
-        return tuple(min(x + y, u) for x, y in zip(a, b))
-
     def name(q, vec):
         return f"{q}_v{'_'.join(str(x) for x in vec)}"
 
-    rules = [rule for rule in A.rules if rule.target != sink]
-    real = {
-        rule.index: [(i, lbl) for i, lbl in enumerate(rule.state_labels) if lbl != sink]
-        for rule in rules
-    }
-    uses: dict[str, list] = {}  # state -> (rule, index among its real children)
-    for rule in rules:
-        for j, (_, lbl) in enumerate(real[rule.index]):
-            uses.setdefault(lbl, []).append((rule, j))
-    derived: dict[str, set] = {}
-    applied = {rule.index: {} for rule in rules}  # child vectors -> target vector
-    agenda = []
+    caps = (u,) * n
+    real_rules = A.chart_rules[0]
+    # rule index -> (its real positions, child vectors -> target vector)
+    applied = {rule.index: (real, {}) for rule, real, _ in real_rules}
 
     def fire(rule, assignment):
         vec = unit.get(rule.weight.value, zero_vec)
         for v in assignment:
-            vec = vec_add(vec, v)
-        if viable(vec):
-            applied[rule.index][assignment] = vec
-            agenda.append((rule.target, vec))
+            vec = tuple(map(min, map(add, vec, v), caps))
+        if not viable(vec):
+            return ()
+        applied[rule.index][1][assignment] = vec
+        return ((rule.target, vec),)
 
-    for rule in rules:
-        if not real[rule.index]:
-            fire(rule, ())
-    # Semi-naive: each new q_v is combined only with the vectors derived so
-    # far, so every assignment fires once its last child vector comes in.
-    while agenda:
-        q, v = agenda.pop()
-        found = derived.setdefault(q, set())
-        if v in found:
-            continue
-        found.add(v)
-        for rule, j in uses.get(q, ()):
-            choices = [
-                (v,) if k == j else derived.get(lbl, ())
-                for k, (_, lbl) in enumerate(real[rule.index])
-            ]
-            for assignment in product(*choices):
-                fire(rule, assignment)
+    derived: dict[str, list] = {}
+    kids = [(tuple(q for _, q in real), rule) for rule, real, _ in real_rules]
+    for layer in saturate(kids, fire):
+        for q, vec in layer:
+            derived.setdefault(q, []).append(vec)
 
     # {0..u}^n is enumerated in lexicographic order, so sorting vectors and
     # assignments restores the emission order of the full construction.
@@ -235,9 +213,10 @@ def eliminate_zero_divisors(A: Automaton) -> Automaton:
         if rule.target == sink:
             out_rules.append((rule.lhs, rule.target, rule.weight, rule.pairs))
             continue
-        for assignment, vec in sorted(applied[rule.index].items()):
+        real, apps = applied[rule.index]
+        for assignment, vec in sorted(apps.items()):
             subs = [Tree(lbl) for lbl in rule.state_labels]
-            for (i, lbl), v in zip(real[rule.index], assignment):
+            for (i, lbl), v in zip(real, assignment):
                 subs[i] = Tree(name(lbl, v))
             lhs = rule.plug(subs)
             out_rules.append((lhs, name(rule.target, vec), rule.weight, rule.pairs))
@@ -262,10 +241,8 @@ def project_boolean(A: Automaton) -> Automaton:
     if eq_restriction_violation(A) is None:
         sink = A.sink
         specs = []
-        for rule in A.rules:
-            if rule.target == sink:
-                continue
-            reals = [Tree(next(lbl for lbl in labels if lbl != sink)) for labels in rule.class_labels]
+        for rule, _, class_states in A.chart_rules[0]:
+            reals = [Tree(q) for q in class_states]
             specs.append((rule.plug(rule.spread(reals)), rule.target, 1, rule.pairs))
         merged = _merge_rules(boolean, specs)
         states = [q for q in A.states if q != sink]

@@ -24,7 +24,7 @@ from treehom import (
     run_state_map,
     tree_key,
 )
-from treehom.automaton import make_rule
+from treehom.automaton import _relaxed_rules, first_diverging_height, make_rule
 from treehom.cli import load_automaton, load_hom
 from oracles import (
     check_run,
@@ -408,6 +408,35 @@ def test_check_unambiguous_matches_naive(data_dir):
             assert unambiguity_key(check_unambiguous(A, bound)) == unambiguity_key(expected)
             statuses.add(expected.status)
     assert statuses == {"ok", "witness"}
+
+
+def test_relaxed_pair_fixpoint_is_exact(data_dir):
+    """On a constraint-free automaton over a zero-divisor-free semiring the
+    relaxation is the automaton itself and no run weighs zero, so the pair
+    fixpoint gives the least height of a tree with two accepting runs, not
+    only a height below it: exactly the height of the first naive witness."""
+    instances = [load_automaton(path) for path in sorted(data_dir.glob("*.aut"))]
+    instances = [A for A in instances if A.is_wtg and A.semiring.zero_divisor_free]
+    # Two random WTAs over one state set, merged: nondeterministic, so
+    # ambiguous at some heights, unlike one random WTA.
+    binary = RankedAlphabet([("a", 0), ("k", 2)])
+    rng = random.Random(1811)
+    for i in range(90):
+        sr = ("natural", "tropical", "arctic", "integer", "boolean")[i % 5]
+        first, second = (random_wta(rng, binary, sr, 1 + i % 3) for _ in range(2))
+        rules = {(r.lhs, r.target): (r.lhs, r.target, r.weight) for r in first.rules + second.rules}
+        instances.append(Automaton(first.semiring, binary, first.states, first.finals,
+                                   list(rules.values())))
+    saturated = set()
+    for A in instances:
+        got = first_diverging_height(_relaxed_rules(A), A.finals)
+        if got is None or got > 4:
+            assert naive_unambiguous(A, 4).is_ok
+        else:
+            verdict = naive_unambiguous(A, got)
+            assert not verdict.is_ok and verdict.witness[0].height == got
+        saturated.add(got is None)
+    assert saturated == {True, False}
 
 
 def test_check_unambiguous_rules_colliding_when_relaxed():

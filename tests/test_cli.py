@@ -195,6 +195,18 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def test_image_line_with_two_symbols_is_one_error_line(tmp_path, capsys):
+    text = "from: a/0 f/1 g/1\nto: a/0 f/1 g/1\na/0 -> a\nf/1 g/1 -> g(x1)\ng/1 -> g(x1)\n"
+    with pytest.raises(FileFormatError, match="^line 4: expected 'name/rank -> term'"):
+        parse_hom(text)
+    path = tmp_path / "two.hom"
+    path.write_text(text)
+    assert run_cli("validate", "--hom", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_validate(data_dir, capsys):
     code = run_cli("validate", "--automaton", str(data_dir / "doubling_image.aut"),
                    "--hom", str(data_dir / "duplicating_hom.hom"))
