@@ -23,7 +23,6 @@ Exit codes: 0 ok/positive (or help from -h/--help), 1 input error,
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from collections.abc import Callable
@@ -386,15 +385,21 @@ def report_to_text(r: DecisionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _machine_text(payload) -> str:
+    import json  # deferred: text output, the default, never needs it
+
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def emit_report(report, fmt: str = "text") -> str:
     """Render a decision report or a check verdict in text or machine form."""
     if isinstance(report, DecisionReport):
         if fmt == "machine":
-            return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+            return _machine_text(report_to_dict(report))
         return report_to_text(report)
     if isinstance(report, Verdict):
         if fmt == "machine":
-            return json.dumps(verdict_to_dict(report), indent=2, sort_keys=True) + "\n"
+            return _machine_text(verdict_to_dict(report))
         return _verdict_text(report) + "\n"
     raise TypeError(f"cannot render {type(report).__name__}")
 
@@ -520,8 +525,8 @@ def _cmd_check(args) -> int:
         A = load_automaton(args.automaton)
         reason = eq_restriction_violation(A)
         if args.format == "machine":
-            print(json.dumps({"eq_restricted": reason is None, "reason": reason},
-                             indent=2, sort_keys=True))
+            sys.stdout.write(_machine_text({"eq_restricted": reason is None,
+                                            "reason": reason}))
         else:
             print("eq-restricted" if reason is None else f"not eq-restricted: {reason}")
         return 0 if reason is None else 2

@@ -25,12 +25,6 @@ The comparison (`linearization_equivalence`) gives the verdict of
 
 from __future__ import annotations
 
-import os
-import shlex
-import subprocess
-import tempfile
-from dataclasses import dataclass, field
-
 from .analyze import check_h_unambiguous, linearization_equivalence
 from .automaton import Automaton, AutomatonError, check_unambiguous
 from .construct import (
@@ -53,29 +47,50 @@ UNKNOWN = "UNKNOWN"
 POSITIVE_VERDICTS = (EVIDENCE_REGULAR, ORACLE_REGULAR)
 
 
-@dataclass
 class DecisionReport:
-    semiring_id: str
-    zero_sum_free: bool
-    check_bound: int
-    lin_height: int
-    eq_bound: int
-    oracle: str | None
-    verdict: str = UNKNOWN
-    warnings: list = field(default_factory=list)
-    tetris: Verdict | None = None
-    h_unambiguous: Verdict | None = None
-    image: Automaton | None = None
-    zero_divisor_path: str | None = None
-    fixed_image: Automaton | None = None
-    image_unambiguous: Verdict | None = None
-    internal_consistency_failure: bool = False
-    projection: Automaton | None = None
-    support_arm: str | None = None
-    linearized: Automaton | None = None
-    equivalence: Verdict | None = None
-    oracle_answer: str | None = None
-    oracle_diagnostic: str | None = None
+    """What `decide_hom_regularity` found, stage by stage; None marks a stage not run."""
+
+    def __init__(self, semiring_id: str, zero_sum_free: bool, check_bound: int,
+                 lin_height: int, eq_bound: int, oracle: str | None,
+                 verdict: str = UNKNOWN, warnings: list | None = None,
+                 tetris: Verdict | None = None, h_unambiguous: Verdict | None = None,
+                 image: Automaton | None = None, zero_divisor_path: str | None = None,
+                 fixed_image: Automaton | None = None,
+                 image_unambiguous: Verdict | None = None,
+                 internal_consistency_failure: bool = False,
+                 projection: Automaton | None = None, support_arm: str | None = None,
+                 linearized: Automaton | None = None, equivalence: Verdict | None = None,
+                 oracle_answer: str | None = None, oracle_diagnostic: str | None = None):
+        self.semiring_id = semiring_id
+        self.zero_sum_free = zero_sum_free
+        self.check_bound = check_bound
+        self.lin_height = lin_height
+        self.eq_bound = eq_bound
+        self.oracle = oracle
+        self.verdict = verdict
+        self.warnings = [] if warnings is None else warnings
+        self.tetris = tetris
+        self.h_unambiguous = h_unambiguous
+        self.image = image
+        self.zero_divisor_path = zero_divisor_path
+        self.fixed_image = fixed_image
+        self.image_unambiguous = image_unambiguous
+        self.internal_consistency_failure = internal_consistency_failure
+        self.projection = projection
+        self.support_arm = support_arm
+        self.linearized = linearized
+        self.equivalence = equivalence
+        self.oracle_answer = oracle_answer
+        self.oracle_diagnostic = oracle_diagnostic
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"DecisionReport({fields})"
 
 
 def _oracle_answer(command: str, projection: Automaton):
@@ -83,16 +98,29 @@ def _oracle_answer(command: str, projection: Automaton):
 
     The command gets the path of a projection file appended and must print
     exactly `regular` or `nonregular` and exit 0; anything else is a
-    diagnostic and yields UNKNOWN.
+    diagnostic and yields UNKNOWN, as does a command that is empty or does not
+    split (an unclosed quote).
     """
-    from .cli import format_automaton  # deferred: cli imports this module
+    # Deferred: only this path runs a process, and cli imports this module.
+    import os
+    import shlex
+    import subprocess
+    import tempfile
 
+    from .cli import format_automaton
+
+    try:
+        argv = shlex.split(command)
+    except ValueError as err:
+        return None, f"oracle failed to run: {err}"
+    if not argv:
+        return None, "oracle command is empty"
     with tempfile.NamedTemporaryFile("w", suffix=".aut", delete=False) as f:
         f.write(format_automaton(projection))
         path = f.name
     try:
         proc = subprocess.run(
-            shlex.split(command) + [path],
+            argv + [path],
             capture_output=True,
             text=True,
             timeout=60,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 
 class SemiringError(ValueError):
@@ -280,12 +279,34 @@ class ModularSemiring(Semiring):
         return v
 
 
-@dataclass(frozen=True, slots=True)
 class Weight:
-    """A carrier value tagged with its semiring."""
+    """A carrier value tagged with its semiring.
 
-    semiring: Semiring
-    value: object
+    Immutable; equal weights have equal semirings and values and hash alike.
+    """
+
+    __slots__ = ("semiring", "value")
+
+    def __init__(self, semiring: Semiring, value: object):
+        _set_semiring(self, semiring)
+        _set_value(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.semiring, self.value) == (other.semiring, other.value)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.semiring, self.value))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Weight, (self.semiring, self.value)
 
     def _check(self, other: "Weight"):
         if self.semiring != other.semiring:
@@ -314,6 +335,11 @@ class Weight:
 
     def __repr__(self):
         return f"Weight({self.semiring.id}, {self})"
+
+
+# The slot descriptors write the fields past the refusing __setattr__.
+_set_semiring = Weight.semiring.__set__
+_set_value = Weight.value.__set__
 
 
 _MODULAR_ID = re.compile(r"z([0-9]+)\Z")

@@ -638,6 +638,21 @@ def test_cli_decide_unknown_exit(data_dir, tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("oracle,diagnostic", [
+    ('foo "bar', "oracle failed to run: No closing quotation"),
+    ("", "oracle command is empty"),
+])
+def test_cli_decide_unusable_oracle_command_is_unknown(data_dir, oracle, diagnostic):
+    proc = subprocess.run(
+        [sys.executable, "-m", "treehom.cli", "decide",
+         "--automaton", str(data_dir / "doubling_chain.aut"),
+         "--hom", str(data_dir / "duplicating_hom.hom"), "--oracle", oracle],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    assert f"warning: {diagnostic}\nverdict: UNKNOWN\n" in proc.stdout
+
+
 def test_cli_decide_tetris_violation_at_default_bound(tmp_path, capsys, memory_cap):
     # Every source tree up to height 4 over this alphabet would not fit in memory.
     aut = tmp_path / "branching.aut"
@@ -1063,10 +1078,18 @@ def test_negative_bound_reaches_the_package_error(data_dir, capsys):
     assert capsys.readouterr() == ("", "error: height bound must be nonnegative\n")
 
 
+# Standard-library modules that `decide` never needs: argparse and gettext (the
+# option table replaced them), dataclasses and what it pulls in, the oracle's
+# process and temp-file modules, and json, which only machine output uses.
+# `-S` keeps `site` from importing some of them first.
+UNUSED_AT_IMPORT = ("argparse", "gettext", "dataclasses", "inspect", "subprocess", "shlex",
+                    "tempfile", "json")
+
+
 def test_importing_the_cli_imports_no_argparse():
-    code = "import sys, treehom.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    code = f"import sys, treehom.cli; print(sorted(set({UNUSED_AT_IMPORT!r}) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout == "[]\n"
 

@@ -13,6 +13,7 @@ from treehom import (
     UNKNOWN,
     Automaton,
     AutomatonError,
+    DecisionReport,
     Evaluator,
     RunsTable,
     check_unambiguous,
@@ -163,6 +164,45 @@ def test_oracle_failure_is_unknown(tmp_path, doubling_chain, identity_hom):
     report = decide_hom_regularity(doubling_chain, identity_hom, oracle=oracle)
     assert report.verdict == UNKNOWN
     assert report.oracle_diagnostic
+
+
+def test_oracle_command_with_an_open_quote_is_unknown(doubling_chain, identity_hom):
+    report = decide_hom_regularity(doubling_chain, identity_hom, oracle='foo "bar')
+    assert report.verdict == UNKNOWN
+    assert report.oracle_answer is None
+    assert report.oracle_diagnostic == "oracle failed to run: No closing quotation"
+    assert report.warnings == [report.oracle_diagnostic]
+
+
+@pytest.mark.parametrize("command", ["", "  \t "])
+def test_empty_oracle_command_is_unknown(monkeypatch, doubling_chain, identity_hom,
+                                         command):
+    def no_temp_file(*args, **kwargs):
+        raise AssertionError("no projection file should be written")
+
+    monkeypatch.setattr("tempfile.NamedTemporaryFile", no_temp_file)
+    report = decide_hom_regularity(doubling_chain, identity_hom, oracle=command)
+    assert report.verdict == UNKNOWN
+    assert report.oracle_answer is None
+    assert report.oracle_diagnostic == "oracle command is empty"
+
+
+def test_decision_report_defaults():
+    report = DecisionReport("z6", True, 3, 2, 4, None)
+    assert repr(report) == (
+        "DecisionReport(semiring_id='z6', zero_sum_free=True, check_bound=3, "
+        "lin_height=2, eq_bound=4, oracle=None, verdict='UNKNOWN', warnings=[], "
+        "tetris=None, h_unambiguous=None, image=None, zero_divisor_path=None, "
+        "fixed_image=None, image_unambiguous=None, internal_consistency_failure=False, "
+        "projection=None, support_arm=None, linearized=None, equivalence=None, "
+        "oracle_answer=None, oracle_diagnostic=None)")
+    other = DecisionReport(semiring_id="z6", zero_sum_free=True, check_bound=3,
+                           lin_height=2, eq_bound=4, oracle=None)
+    assert report == other and report.warnings is not other.warnings
+    report.warnings.append("w")
+    assert other.warnings == [] and report != other
+    with pytest.raises(TypeError):
+        hash(report)
 
 
 def test_report_is_deterministic(doubling_chain, duplicating_hom):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import time
 from itertools import product
 
@@ -310,3 +312,22 @@ def test_weight_is_hashable_and_frozen():
     assert hash(w) == hash(Weight(get_semiring("natural"), 3))
     with pytest.raises(AttributeError):
         w.value = 4
+    with pytest.raises(AttributeError, match="cannot delete field 'value'"):
+        del w.value
+    with pytest.raises(AttributeError):
+        w.other = 4
+    assert (w.semiring, w.value) == (get_semiring("natural"), 3)
+
+
+def test_weight_value_semantics():
+    w = Weight(get_semiring("natural"), 3)
+    assert repr(w) == "Weight(natural, 3)"
+    assert str(w) == "3"
+    assert repr(Weight(get_semiring("tropical"), math.inf)) == "Weight(tropical, inf)"
+    assert w == Weight(get_semiring("natural"), 3)
+    assert w != Weight(get_semiring("natural"), 4)
+    assert w != Weight(get_semiring("integer"), 3)
+    assert (w == 3) is False and (w != 3) is True
+    assert w.__eq__(3) is NotImplemented
+    assert {w, Weight(get_semiring("natural"), 3)} == {w}
+    assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
