@@ -38,7 +38,6 @@ The fixpoints over annotated states rather than trees (the pair automaton of
 
 from __future__ import annotations
 
-from contextlib import closing
 from functools import cached_property
 from itertools import product
 from operator import attrgetter, itemgetter
@@ -713,14 +712,17 @@ class RunsTable(Evaluator):
             for rules in self._rules.values():
                 cells: dict[Tree, dict] = {}
                 for rule, real, _ in rules:
-                    # Closed here even when the fill fails (say, out of
-                    # memory), not later by the garbage collector, which
-                    # could only report a failing close as unraisable.
-                    with closing(self._instances(rule, h, langs)) as instances:
+                    instances = self._instances(rule, h, langs)
+                    try:
                         for subs in instances:
                             # Sink positions may capture trees outside the chart.
                             _apply(sr, cells.setdefault(rule.plug(subs), {}), rule, real,
                                    [chart.get(sub, _NO_RUNS) for sub in subs])
+                    finally:
+                        # Closed here even when the fill fails (say, out of
+                        # memory), not later by the garbage collector, which
+                        # could only report a failing close as unraisable.
+                        instances.close()
                 for t, cell in cells.items():
                     layer.append(t)
                     chart[t] = cell

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Callable
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from .analyze import (
     bounded_equivalence,
@@ -66,6 +64,7 @@ from .term import (
     Variables,
     count_trees,
     format_position,
+    parse_nodes,
     parse_position,
     parse_term,
     preorder,
@@ -148,7 +147,7 @@ def parse_automaton(text: str) -> Automaton:
             raise FileFormatError(lineno, "rule needs '@ weight'")
         target = target_text.strip()
         try:
-            lhs = parse_term(lhs_text.strip(), None, ext=state_set)
+            nodes = parse_nodes(lhs_text.strip(), None, ext=state_set)
         except TermError as err:
             raise FileFormatError(lineno, str(err)) from None
         pairs = []
@@ -167,28 +166,42 @@ def parse_automaton(text: str) -> Automaton:
             raise FileFormatError(lineno, str(err)) from None
         if weight.is_zero:
             raise FileFormatError(lineno, f"zero-weight rule: {line}")
-        parsed.append((lineno, lhs, target, weight, tuple(pairs)))
+        parsed.append((lineno, nodes, target, weight, tuple(pairs)))
 
-    # parse_term has already rejected a state with arguments.
-    ranks: dict[str, int] = {}
-    for lineno, lhs, _, _, _ in parsed:
-        for _, node in preorder(lhs):
-            if node.label in state_set:
-                continue
-            rank = len(node.children)
-            if ranks.setdefault(node.label, rank) != rank:
-                raise FileFormatError(
-                    lineno,
-                    f"symbol {node.label} used at ranks {ranks[node.label]} and {rank}",
-                )
+    # parse_nodes has already rejected a state with arguments.  It lists each
+    # distinct subterm of an lhs once, children first, so the ranks are read
+    # off those lists.  A clash is looked up again in preorder: the error
+    # names the rank that the file uses first, in one lhs the outer symbol's.
+    try:
+        ranks = _symbol_ranks(parsed, state_set, lambda nodes: nodes)
+    except FileFormatError:
+        _symbol_ranks(parsed, state_set, lambda nodes: [n for _, n in preorder(nodes[-1])])
+        raise
     if not ranks:
         raise FileFormatError(None, "no alphabet symbols appear in any rule")
     alphabet = RankedAlphabet(sorted(ranks.items()))
-    rules = [(lhs, target, weight, pairs) for _, lhs, target, weight, pairs in parsed]
+    rules = [(nodes[-1], target, weight, pairs) for _, nodes, target, weight, pairs in parsed]
     try:
         return Automaton(semiring, alphabet, states, finals, rules, sink=sink)
     except AutomatonError as err:
         raise FileFormatError(None, str(err)) from None
+
+
+def _symbol_ranks(parsed, states, walk) -> dict[str, int]:
+    """The rank of each symbol in the lhs node lists of the parsed rules,
+    visited in the order that walk gives.  Raises at the first symbol used
+    at a second rank."""
+    ranks: dict[str, int] = {}
+    for lineno, nodes, _, _, _ in parsed:
+        for node in walk(nodes):
+            if node.label not in states:
+                rank = len(node.children)
+                if ranks.setdefault(node.label, rank) != rank:
+                    raise FileFormatError(
+                        lineno,
+                        f"symbol {node.label} used at ranks {ranks[node.label]} and {rank}",
+                    )
+    return ranks
 
 
 def format_automaton(A: Automaton) -> str:
@@ -263,14 +276,29 @@ def parse_hom(text: str) -> TreeHomomorphism:
         raise FileFormatError(None, str(err)) from None
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 file, from one binary read.  Line breaks stay as
+    they are: `str.splitlines`, which numbers the lines, breaks at "\\r\\n"
+    and "\\r" as well as at "\\n"."""
+    with open(path, "rb", buffering=0) as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # The bytes before the first bad one decode; the line that the bad
+        # byte starts is the last line of those bytes followed by any text.
+        lineno = len((data[:err.start].decode("utf-8") + "x").splitlines())
+        raise FileFormatError(
+            lineno, f"not UTF-8 text: byte 0x{data[err.start]:02x} ({err.reason})"
+        ) from None
+
+
 def load_automaton(path: str) -> Automaton:
-    with open(path, encoding="utf-8") as f:
-        return parse_automaton(f.read())
+    return parse_automaton(_read_text(path))
 
 
 def load_hom(path: str) -> TreeHomomorphism:
-    with open(path, encoding="utf-8") as f:
-        return parse_hom(f.read())
+    return parse_hom(_read_text(path))
 
 
 def _render_witness(obj):
@@ -385,10 +413,61 @@ def report_to_text(r: DecisionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _machine_text(payload) -> str:
-    import json  # deferred: text output, the default, never needs it
+_quote = None  # json's C string escaper, imported by the first machine output
 
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+def _machine_text(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, written
+    directly: json encodes in pure Python whenever it indents.  Strings are
+    quoted by json's C escaper.  Values are str, int, bool, None, lists and
+    dicts with str keys; anything else raises TypeError."""
+    global _quote
+    if _quote is None:  # deferred: text output, the default, never needs json
+        from json.encoder import encode_basestring_ascii as _quote
+
+    parts = []
+    _write_json(parts.append, _quote, payload, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(write, quote, value, newline: str):
+    """Write value as indented JSON; newline is a line break followed by the
+    indent of the line that value starts on."""
+    if isinstance(value, str):
+        write(quote(value))
+    elif value is None:
+        write("null")
+    elif value is True or value is False:
+        write("true" if value else "false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write(f"{opener}{quote(key)}: ")
+            _write_json(write, quote, value[key], inner)
+            opener = "," + inner
+        write(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        opener = "[" + inner
+        for item in value:
+            write(opener)
+            _write_json(write, quote, item, inner)
+            opener = "," + inner
+        write(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def emit_report(report, fmt: str = "text") -> str:
@@ -609,20 +688,18 @@ def _cmd_check_dispatch(args) -> int:
 # takes effect.
 
 
-class Option(NamedTuple):
+class Option:
     """One option of a command, or its positional argument when ``name``
     has no dashes.  Its value is read into the attribute ``dest``."""
 
-    name: str
-    short: str | None = None
-    type: type = str
-    default: object = None
-    required: bool = False
-    choices: tuple[str, ...] | None = None
+    __slots__ = ("name", "short", "type", "default", "required", "choices", "dest")
 
-    @property
-    def dest(self) -> str:
-        return self.name.lstrip("-").replace("-", "_")
+    def __init__(self, name: str, short: str | None = None, type: type = str,
+                 default: object = None, required: bool = False,
+                 choices: tuple[str, ...] | None = None):
+        self.name, self.short, self.type = name, short, type
+        self.default, self.required, self.choices = default, required, choices
+        self.dest = name.lstrip("-").replace("-", "_")
 
     @property
     def label(self) -> str:
@@ -633,11 +710,15 @@ class Option(NamedTuple):
         return "{" + ",".join(self.choices) + "}" if self.choices else self.dest.upper()
 
 
-class Command(NamedTuple):
-    handler: Callable[[SimpleNamespace], int]
-    help: str
-    options: tuple[Option, ...]
-    positional: Option | None = None
+class Command:
+    """One command: its handler, help line, options and positional argument."""
+
+    __slots__ = ("handler", "help", "options", "positional")
+
+    def __init__(self, handler, help: str, options: tuple[Option, ...],
+                 positional: Option | None = None):
+        self.handler, self.help, self.options, self.positional = (
+            handler, help, options, positional)
 
 
 _HELP = Option("--help", short="-h")

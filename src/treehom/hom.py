@@ -51,7 +51,10 @@ class TreeHomomorphism:
             image = self.images[name]
             allowed = Variables(rank)
             seen = set()
-            for _, node in preorder(image):
+            stack = [image]  # preorder, so the first error in the image is raised
+            while stack:
+                node = stack.pop()
+                stack.extend(reversed(node.children))
                 if is_variable(node.label):
                     if node.children:
                         raise HomError(f"variable {node.label} used with arguments in h({name})")

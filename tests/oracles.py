@@ -4,7 +4,10 @@ first principles so the package code has something honest to be compared
 against.  The constructions and run checks at the end serve only the tests;
 ``wtg_to_wta``, the WTA normalization of a WTG, is the reference that
 ``bounded_equivalence`` on a WTG must agree with.  ``build_parser`` is the
-argparse parser that ``treehom.cli.read_args`` must agree with."""
+argparse parser that ``treehom.cli.read_args`` must agree with, and
+``reference_parse_automaton`` and ``reference_parse_hom`` are the file
+readers that ``treehom.cli.parse_automaton`` and ``parse_hom`` must agree
+with."""
 
 import argparse
 import functools
@@ -42,7 +45,20 @@ from treehom.construct import (
     _sink_rule_specs,
     _variable_occurrences,
 )
-from treehom.term import NAME_RE, PositionError, TermSyntaxError
+from treehom.cli import FileFormatError
+from treehom.hom import HomError, _missing_variables
+from treehom.semiring import SemiringError
+from treehom.term import (
+    NAME_RE,
+    PositionError,
+    TermError,
+    TermSyntaxError,
+    Variables,
+    is_variable,
+    parse_position,
+    parse_term,
+    preorder,
+)
 from treehom.verdict import verified, violated
 
 
@@ -1004,3 +1020,175 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cli._cmd_decide)
 
     return parser
+
+
+# The file readers as they were before `parse_automaton` read the alphabet
+# off `parse_nodes` and `TreeHomomorphism` checked its images without
+# positions: each lhs and image is walked in preorder, position by position.
+
+
+def reference_parse_automaton(text: str) -> Automaton:
+    semiring = states = sink = finals = None
+    rule_lines = []
+    in_rules = saw_rules_header = False
+    for lineno, line in cli._content_lines(text):
+        if in_rules:
+            rule_lines.append((lineno, line))
+            continue
+        key, sep, rest = line.partition(":")
+        if not sep:
+            raise FileFormatError(lineno, f"expected 'key: value', got {line!r}")
+        key = key.strip()
+        rest = rest.strip()
+        if key == "semiring":
+            try:
+                semiring = get_semiring(rest)
+            except SemiringError as err:
+                raise FileFormatError(lineno, str(err)) from None
+        elif key == "states":
+            states = rest.split()
+        elif key == "sink":
+            parts = rest.split()
+            if len(parts) != 1:
+                raise FileFormatError(lineno, "sink takes exactly one state name")
+            sink = parts[0]
+        elif key == "final":
+            finals = rest.split()
+        elif key == "rules":
+            if rest:
+                raise FileFormatError(lineno, "rules: starts the rule block, no inline value")
+            in_rules = saw_rules_header = True
+        else:
+            raise FileFormatError(lineno, f"unknown section {key!r}")
+    for value, what in [(semiring, "'semiring:' line"), (states, "'states:' line"),
+                        (finals, "'final:' line")]:
+        if value is None:
+            raise FileFormatError(None, f"missing {what}")
+    if not saw_rules_header:
+        raise FileFormatError(None, "missing 'rules:' section")
+
+    state_set = set(states)
+    parsed = []
+    for lineno, line in rule_lines:
+        main, had_constraint, constraint = line.partition("|")
+        lhs_text, arrow, rest = main.partition("->")
+        if not arrow:
+            raise FileFormatError(lineno, "rule needs 'lhs -> state @ weight'")
+        target_text, at, weight_text = rest.partition("@")
+        if not at:
+            raise FileFormatError(lineno, "rule needs '@ weight'")
+        try:
+            lhs = parse_term(lhs_text.strip(), None, ext=state_set)
+        except TermError as err:
+            raise FileFormatError(lineno, str(err)) from None
+        pairs = []
+        if had_constraint:
+            for chunk in constraint.split(","):
+                a, eq, b = chunk.partition("=")
+                if not eq:
+                    raise FileFormatError(lineno, f"bad constraint pair {chunk.strip()!r}")
+                try:
+                    pairs.append((parse_position(a), parse_position(b)))
+                except TermError as err:
+                    raise FileFormatError(lineno, str(err)) from None
+        try:
+            weight = semiring.parse(weight_text.strip())
+        except SemiringError as err:
+            raise FileFormatError(lineno, str(err)) from None
+        if weight.is_zero:
+            raise FileFormatError(lineno, f"zero-weight rule: {line}")
+        parsed.append((lineno, lhs, target_text.strip(), weight, tuple(pairs)))
+
+    ranks = {}
+    for lineno, lhs, _, _, _ in parsed:
+        for _, node in preorder(lhs):
+            if node.label in state_set:
+                continue
+            rank = len(node.children)
+            if ranks.setdefault(node.label, rank) != rank:
+                raise FileFormatError(
+                    lineno, f"symbol {node.label} used at ranks {ranks[node.label]} and {rank}")
+    if not ranks:
+        raise FileFormatError(None, "no alphabet symbols appear in any rule")
+    rules = [(lhs, target, weight, pairs) for _, lhs, target, weight, pairs in parsed]
+    try:
+        return Automaton(semiring, RankedAlphabet(sorted(ranks.items())), states, finals,
+                         rules, sink=sink)
+    except AutomatonError as err:
+        raise FileFormatError(None, str(err)) from None
+
+
+def reference_parse_hom(text: str) -> TreeHomomorphism:
+    source = target = None
+    image_lines = []
+    for lineno, line in cli._content_lines(text):
+        key, sep, rest = line.partition(":")
+        if sep and key.strip() in ("from", "to"):
+            symbols = cli._parse_symbol_list(lineno, rest.strip())
+            try:
+                if key.strip() == "from":
+                    source = RankedAlphabet(symbols)
+                else:
+                    target = RankedAlphabet(symbols)
+            except TermError as err:
+                raise FileFormatError(lineno, str(err)) from None
+        else:
+            image_lines.append((lineno, line))
+    if source is None:
+        raise FileFormatError(None, "missing 'from:' line")
+    if target is None:
+        raise FileFormatError(None, "missing 'to:' line")
+    images = {}
+    for lineno, line in image_lines:
+        head, arrow, term_text = line.partition("->")
+        symbols = cli._parse_symbol_list(lineno, head.strip()) if arrow else ()
+        if len(symbols) != 1:
+            raise FileFormatError(lineno, f"expected 'name/rank -> term', got {line!r}")
+        (name, rank), = symbols
+        if name not in source or source.rank(name) != rank:
+            raise FileFormatError(lineno, f"{name}/{rank} is not a source symbol")
+        if name in images:
+            raise FileFormatError(lineno, f"duplicate image for {name}")
+        try:
+            images[name] = parse_term(term_text.strip(), target, ext=Variables(rank))
+        except TermError as err:
+            raise FileFormatError(lineno, str(err)) from None
+    try:
+        _reference_validate(source, target, images)
+    except HomError as err:
+        raise FileFormatError(None, str(err)) from None
+    # A HomError from here on is the package's check disagreeing with the
+    # reference one: it is left unconverted, so a comparison sees it.
+    return TreeHomomorphism(source, target, images)
+
+
+def _reference_validate(source, target, images):
+    for name in target.names():
+        if is_variable(name):
+            raise HomError(f"target alphabet declares variable-like symbol {name}")
+    for name in images:
+        if name not in source:
+            raise HomError(f"image given for undeclared symbol {name}")
+    for name, rank in source.items():
+        if name not in images:
+            raise HomError(f"missing image for symbol {name}/{rank}")
+        image = images[name]
+        allowed = Variables(rank)
+        seen = set()
+        for _, node in preorder(image):
+            if is_variable(node.label):
+                if node.children:
+                    raise HomError(f"variable {node.label} used with arguments in h({name})")
+                if node.label not in allowed:
+                    raise HomError(f"stray variable {node.label} in h({name}/{rank})")
+                seen.add(node.label)
+            else:
+                if node.label not in target:
+                    raise HomError(f"unknown target symbol {node.label} in h({name})")
+                if target.rank(node.label) != len(node.children):
+                    raise HomError(f"target symbol {node.label} used at wrong rank in h({name})")
+        if len(seen) < rank:
+            raise HomError(
+                f"deleting homomorphism: h({name}) drops {_missing_variables(seen, rank)}")
+        if is_variable(image.label):
+            raise HomError(f"erasing homomorphism: h({name}) is a bare variable")

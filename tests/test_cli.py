@@ -48,9 +48,11 @@ from oracles import (
     naive_unambiguous,
     random_modular_pair,
     random_pair,
+    reference_parse_automaton,
+    reference_parse_hom,
     wtg_to_wta,
 )
-from conftest import ROOT
+from conftest import DATA_DIR, ROOT
 from test_decide import DUP_AUTOMATON, DUP_HOM
 from test_hom import BRANCHING, BRANCHING_SHAPES
 
@@ -128,26 +130,40 @@ def test_parse_automaton_infers_alphabet(doubling_image):
         [("a", 0), ("g", 1), ("k", 2)])
 
 
+PARSE_BASE = "semiring: natural\nstates: q\nfinal: q\nrules:\na -> q @ 1\n"
+# Each malformed file and its error message, as the messages read before the
+# alphabet was taken from `parse_nodes`.
+PARSE_ERRORS = [
+    (PARSE_BASE.replace("semiring: natural\n", ""), "missing 'semiring:' line"),
+    (PARSE_BASE.replace("states: q\n", ""), "missing 'states:' line"),
+    (PARSE_BASE.replace("final: q\n", ""), "missing 'final:' line"),
+    (PARSE_BASE.replace("rules:\n", ""), "line 4: expected 'key: value', got 'a -> q @ 1'"),
+    (PARSE_BASE.replace("a -> q @ 1", "a -> q"), "line 5: rule needs '@ weight'"),
+    (PARSE_BASE.replace("a -> q @ 1", "a => q @ 1"), "line 5: rule needs 'lhs -> state @ weight'"),
+    (PARSE_BASE.replace("a -> q @ 1", "a -> q @ 0"), "line 5: zero-weight rule: a -> q @ 0"),
+    (PARSE_BASE.replace("a -> q @ 1", "a -> q @ x"), "line 5: invalid natural weight literal: 'x'"),
+    (PARSE_BASE.replace("a -> q @ 1", "a -> p @ 1"), "undeclared target state: p"),
+    (PARSE_BASE.replace("a -> q @ 1", "q -> q @ 1"), "no alphabet symbols appear in any rule"),
+    (PARSE_BASE.replace("a -> q @ 1", "a -> q @ 1 | 1 = 2"),
+     "constraint position 1 is not a state position"),
+    (PARSE_BASE.replace("a -> q @ 1", "a -> q @ 1\ng(q, q) -> q @ 1\ng(q) -> q @ 1"),
+     "line 7: symbol g used at ranks 2 and 1"),
+    # Within one lhs the outer symbol's rank comes first.
+    (PARSE_BASE.replace("a -> q @ 1", "a -> q @ 1\nf(f(q, q)) -> q @ 1"),
+     "line 6: symbol f used at ranks 1 and 2"),
+    (PARSE_BASE.replace("a -> q @ 1", "f(q, g(q)) -> q @ 1\ng(q, a) -> q @ 1"),
+     "line 6: symbol g used at ranks 1 and 2"),
+    (PARSE_BASE + "wild: line\n", "line 6: rule needs 'lhs -> state @ weight'"),
+    (PARSE_BASE.replace("semiring: natural", "semiring: imaginary"),
+     "line 1: unknown semiring: 'imaginary'"),
+]
+
+
 def test_parse_automaton_errors():
-    base = "semiring: natural\nstates: q\nfinal: q\nrules:\na -> q @ 1\n"
-    for broken in [
-        base.replace("semiring: natural\n", ""),
-        base.replace("states: q\n", ""),
-        base.replace("final: q\n", ""),
-        base.replace("rules:\n", ""),
-        base.replace("a -> q @ 1", "a -> q"),
-        base.replace("a -> q @ 1", "a => q @ 1"),
-        base.replace("a -> q @ 1", "a -> q @ 0"),
-        base.replace("a -> q @ 1", "a -> q @ x"),
-        base.replace("a -> q @ 1", "a -> p @ 1"),
-        base.replace("a -> q @ 1", "q -> q @ 1"),
-        base.replace("a -> q @ 1", "a -> q @ 1 | 1 = 2"),
-        base.replace("a -> q @ 1", "a -> q @ 1\ng(q, q) -> q @ 1\ng(q) -> q @ 1"),
-        base + "wild: line\n",
-        base.replace("semiring: natural", "semiring: imaginary"),
-    ]:
-        with pytest.raises(FileFormatError):
+    for broken, message in PARSE_ERRORS:
+        with pytest.raises(FileFormatError) as err:
             parse_automaton(broken)
+        assert str(err.value) == message
 
 
 def test_parse_automaton_reports_line_numbers():
@@ -189,6 +205,120 @@ def test_parse_hom_errors():
     ]:
         with pytest.raises(FileFormatError):
             parse_hom(broken)
+
+
+# Differential tests of the file readers against the references in
+# `oracles`: files derived from valid ones by a few small edits, each a
+# piece of the file syntax put in place of up to four characters, must give
+# the same automaton or hom, or the same error message and line.
+READER_PIECES = ["", "(", ")", ",", "|", "=", "@", "->", "#", ":", "\n", "\r", "\r\n", " ",
+                 "0", "1", "2", "1.2", "e", "q", "q0", "bot", "a", "b", "g", "f(", "k(",
+                 "x1", "x2", "/", "/0", "/1", "/2", "from", "to", "rules", "states", "final",
+                 "sink", "semiring", "z6", "a(q)", "f(q)", "g(q, q)"]
+READER_AUTOMATA = [(DATA_DIR / name).read_text() for name in AUT_FILES] + [
+    "semiring: tropical\nstates: q p bot\nsink: bot\nfinal: p\nrules:\n"
+    "a -> q @ 1\nb -> q @ 2\nf(q, g(q)) -> p @ 3 | 1 = 2.1\ng(q) -> q @ 1\n"
+    "f(bot, q) -> bot @ 1\n",
+    "semiring: z6\nstates: q\nfinal: q\nrules:\na -> q @ 2\nf(f(q, q), a) -> q @ 3\n",
+]
+READER_HOMS = [(DATA_DIR / name).read_text() for name in HOM_FILES] + [
+    "from: a/0 g/1 f/2\nto: a/0 g/1 k/2\na/0 -> a\ng/1 -> g(g(x1))\nf/2 -> k(x2,g(x1))\n",
+]
+
+
+@st.composite
+def edited(draw, texts):
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 4)))
+        text = text[:i] + draw(st.sampled_from(READER_PIECES)) + text[j:]
+    return text
+
+
+def read_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as err:  # any difference in kind or message is a failure
+        return type(err).__name__, str(err), getattr(err, "lineno", None)
+
+
+@settings(max_examples=400)
+@given(edited(READER_AUTOMATA))
+def test_parse_automaton_agrees_with_the_reference(text):
+    got, want = read_outcome(parse_automaton, text), read_outcome(reference_parse_automaton, text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        assert got.alphabet == want.alphabet
+        assert automata_equal(got, want)
+
+
+@settings(max_examples=400)
+@given(edited(READER_HOMS))
+def test_parse_hom_agrees_with_the_reference(text):
+    got, want = read_outcome(parse_hom, text), read_outcome(reference_parse_hom, text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        assert (got.source, got.target, got.images) == (want.source, want.target, want.images)
+
+
+@pytest.mark.parametrize("option,data,message", [
+    ("--automaton", b"semiring: natural\nstates: q\n# caf\xff\nfinal: q\nrules:\na -> q @ 1\n",
+     "line 3: not UTF-8 text: byte 0xff (invalid start byte)"),
+    ("--automaton", b"semiring: natural\rstates: q\r\nfinal: q\rrules:\r\xe9 -> q @ 1\r",
+     "line 5: not UTF-8 text: byte 0xe9 (invalid continuation byte)"),
+    ("--hom", b"from: a/0\r\nto: a/0\r\n\r\na/0 -> a # \xe2\x82\n",
+     "line 4: not UTF-8 text: byte 0xe2 (invalid continuation byte)"),
+    ("--hom", b"\x80from: a/0\nto: a/0\na/0 -> a\n",
+     "line 1: not UTF-8 text: byte 0x80 (invalid start byte)"),
+])
+def test_cli_non_utf8_input_is_one_error_line(tmp_path, capsys, option, data, message):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    if option == "--automaton":
+        code = run_cli("eval", "--automaton", str(path), "--tree", "a")
+    else:
+        code = run_cli("validate", "--hom", str(path))
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_load_numbers_lines_as_the_parser_does(tmp_path):
+    # "\r\n" and a lone "\r" each end one line, read from a file or not.
+    text = "semiring: natural\r\nstates: q\rfinal: q\r\n\r\nrules:\ra -> q @ 0\r\n"
+    path = tmp_path / "crlf.aut"
+    path.write_bytes(text.encode())
+    with pytest.raises(FileFormatError, match="^line 6: zero-weight rule") as err:
+        load_automaton(path)
+    with pytest.raises(FileFormatError) as direct:
+        parse_automaton(text)
+    assert str(err.value) == str(direct.value)
+
+
+JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(
+    ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\U0001f600", "\xe9"])))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.integers(-10**400, 10**400), JSON_TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=400)
+@given(JSON_VALUES)
+def test_machine_text_is_json_dumps_with_indent(payload):
+    assert cli._machine_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [1.5, (1,), {"a": {1, 2}}, {1: "a"}, [b"x"], object()])
+def test_machine_text_rejects_other_types(payload):
+    with pytest.raises(TypeError):
+        cli._machine_text(payload)
 
 
 def run_cli(*argv):
@@ -1080,10 +1210,11 @@ def test_negative_bound_reaches_the_package_error(data_dir, capsys):
 
 # Standard-library modules that `decide` never needs: argparse and gettext (the
 # option table replaced them), dataclasses and what it pulls in, the oracle's
-# process and temp-file modules, and json, which only machine output uses.
+# process and temp-file modules, json, which only machine output uses, and
+# typing and contextlib, which only named tuples and `closing` needed.
 # `-S` keeps `site` from importing some of them first.
 UNUSED_AT_IMPORT = ("argparse", "gettext", "dataclasses", "inspect", "subprocess", "shlex",
-                    "tempfile", "json")
+                    "tempfile", "json", "typing", "contextlib")
 
 
 def test_importing_the_cli_imports_no_argparse():
