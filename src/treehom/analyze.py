@@ -23,6 +23,7 @@ from .automaton import (
     run_state_map,
 )
 from .hom import TreeHomomorphism, images_clash
+from .semiring import Weight
 from .term import Tree, format_position, tree_key
 from .verdict import Verdict, verified, violated
 
@@ -70,13 +71,13 @@ def linearization_equivalence(A: Automaton, B: Automaton, lin_height: int,
        of the accepting run.)  So a tree's values differ exactly when its
        run is tall and weighs nonzero, and `_least_tall_tree` finds the
        least tall tree by a fixpoint over (state, tall) cells.  If there is
-       none, the verdict is ok and no tree is built.  Otherwise both
-       automata are evaluated on that one tree: if its values differ, it is
-       the least differing tree.  This holds over any semiring; after
-       `eliminate_zero_divisors` no run weighs zero, so a fixed image never
-       takes the fallback below.
-    2. Every other case, and a path-1 tree whose values agree (its run
-       weighs zero), gets `bounded_equivalence`.
+       none, the verdict is ok and no tree is built.  Otherwise B is zero on
+       that tree, whose one run is tall, and only A is evaluated on it: if
+       A's value is nonzero, it is the least differing tree.  This holds
+       over any semiring; after `eliminate_zero_divisors` no run weighs
+       zero, so a fixed image never takes the fallback below.
+    2. Every other case, and a path-1 tree whose run weighs zero, gets
+       `bounded_equivalence`.
     """
     if lin_height < 0:
         raise AutomatonError("linearization height must be nonnegative")
@@ -88,9 +89,10 @@ def linearization_equivalence(A: Automaton, B: Automaton, lin_height: int,
         t = _least_tall_tree(A, lin_height, height_bound)
         if t is None:
             return verified(height_bound)
-        wa, wb = Evaluator(A).evaluate(t), Evaluator(B).evaluate(t)
-        if wa != wb:
-            return violated(height_bound, (t, wa, wb), f"series differ on {t.text}: {wa} vs {wb}")
+        wa, zero = Evaluator(A).evaluate(t), Weight(A.semiring, A.semiring.zero)
+        if wa != zero:
+            return violated(height_bound, (t, wa, zero),
+                            f"series differ on {t.text}: {wa} vs {zero}")
     return bounded_equivalence(A, B, height_bound)
 
 

@@ -691,7 +691,8 @@ class RunsTable(Evaluator):
     fills each new tree once, summing the values of the instances that built
     it.  A rule application strictly increases height, so the layers below h
     hold every tree that a tree of layer h captures.  Trees outside the chart
-    have no runs except the pure sink's.
+    have no runs except the pure sink's; build them with `term.parse_term`,
+    since the inherited `parse` fills their cells.
 
     `until(table)`, if given, is called after each layer is filled; when it
     returns true, no higher layer is filled.
@@ -774,10 +775,6 @@ class RunsTable(Evaluator):
 
     def _cell(self, t: Tree) -> dict:
         return self._chart.get(t, _NO_RUNS)
-
-    def parse(self, text: str) -> Tree:
-        """The tree of text; the table's cells stay as they are."""
-        return parse_nodes(text, self.automaton.alphabet)[-1]
 
     def support(self):
         """(tree, series value) for each tree of the table with a nonzero

@@ -492,24 +492,25 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _warn_enumeration(alphabet: RankedAlphabet, bound: int):
-    n = count_trees(alphabet, bound)
-    if n > ENUMERATION_WARN_LIMIT:
+def _warn_enumeration(alphabet: RankedAlphabet, bound: int, walked_height):
+    """Warn before a check walks more than ENUMERATION_WARN_LIMIT source trees.
+    walked_height() is the height up to which the check at this bound walks
+    them, or None when it walks none.  It is asked only when the alphabet has
+    more trees than the limit up to the bound; if it rejects the input, there
+    is no warning and the command reports its own error."""
+    limit = ENUMERATION_WARN_LIMIT
+    if count_trees(alphabet, bound, limit) <= limit:
+        return
+    try:
+        height = walked_height()
+    except AutomatonError:
+        return
+    if height is not None and count_trees(alphabet, height, limit) > limit:
         print(
-            f"warning: enumerating {n} trees of height <= {bound}; "
+            f"warning: enumerating more than {limit} trees of height <= {height}; "
             f"this may take very long",
             file=sys.stderr,
         )
-
-
-def _warn_before_h_unambiguity(A: Automaton, h: TreeHomomorphism, bound: int):
-    """Warn about the source trees that the h-unambiguity check, and the
-    tetris-freeness check unless the class images clash, will walk: those up
-    to the height that `h_unambiguity_search_height` gives, or none.  Raises
-    the check's own error on an input the check rejects."""
-    if (count_trees(h.source, bound) > ENUMERATION_WARN_LIMIT
-            and (height := h_unambiguity_search_height(A, h, bound)) is not None):
-        _warn_enumeration(h.source, height)
 
 
 def _print_verdict(args, v: Verdict, ok_text: str, witness_text: str) -> int:
@@ -615,14 +616,15 @@ def _cmd_check(args) -> int:
         return _print_verdict(args, v, "unambiguous", "ambiguous")
     if args.what == "tetris-free":
         h = load_hom(args.hom)
-        if not images_clash(h):  # otherwise the check enumerates nothing
-            _warn_enumeration(h.source, args.height)
+        _warn_enumeration(h.source, args.height,
+                          lambda: None if images_clash(h) else args.height)
         v = check_tetris_free(h, args.height)
         return _print_verdict(args, v, "tetris-free", "not tetris-free")
     if args.what == "h-unambiguous":
         A = load_automaton(args.automaton)
         h = load_hom(args.hom)
-        _warn_before_h_unambiguity(A, h, args.height)
+        _warn_enumeration(h.source, args.height,
+                          lambda: h_unambiguity_search_height(A, h, args.height))
         v = check_h_unambiguous(A, h, args.height)
         return _print_verdict(args, v, "h-unambiguous", "not h-unambiguous")
     raise AssertionError(args.what)
@@ -646,7 +648,8 @@ def _cmd_equiv(args) -> int:
 def _cmd_decide(args) -> int:
     A = load_automaton(args.automaton)
     h = load_hom(args.hom)
-    _warn_before_h_unambiguity(A, h, args.check_bound)
+    _warn_enumeration(h.source, args.check_bound,
+                      lambda: h_unambiguity_search_height(A, h, args.check_bound))
     report = decide_hom_regularity(
         A,
         h,

@@ -19,7 +19,8 @@ The comparison (`linearization_equivalence`) gives the verdict of
    nonzero and is tall: it puts a tree taller than the linearization height
    into a constrained class.  A fixpoint over (state, tall) pairs by height
    finds the least tall tree, or proves there is none, without enumerating
-   trees; both automata are then evaluated on that one tree.
+   trees; only the image is then evaluated on that one tree, where the
+   linearization is zero.
 2. Otherwise, or if that tree's run weighs zero, both are enumerated.
 """
 
@@ -51,37 +52,28 @@ class DecisionReport:
     """What `decide_hom_regularity` found, stage by stage; None marks a stage not run."""
 
     def __init__(self, semiring_id: str, zero_sum_free: bool, check_bound: int,
-                 lin_height: int, eq_bound: int, oracle: str | None,
-                 verdict: str = UNKNOWN, warnings: list | None = None,
-                 tetris: Verdict | None = None, h_unambiguous: Verdict | None = None,
-                 image: Automaton | None = None, zero_divisor_path: str | None = None,
-                 fixed_image: Automaton | None = None,
-                 image_unambiguous: Verdict | None = None,
-                 internal_consistency_failure: bool = False,
-                 projection: Automaton | None = None, support_arm: str | None = None,
-                 linearized: Automaton | None = None, equivalence: Verdict | None = None,
-                 oracle_answer: str | None = None, oracle_diagnostic: str | None = None):
+                 lin_height: int, eq_bound: int, oracle: str | None):
         self.semiring_id = semiring_id
         self.zero_sum_free = zero_sum_free
         self.check_bound = check_bound
         self.lin_height = lin_height
         self.eq_bound = eq_bound
         self.oracle = oracle
-        self.verdict = verdict
-        self.warnings = [] if warnings is None else warnings
-        self.tetris = tetris
-        self.h_unambiguous = h_unambiguous
-        self.image = image
-        self.zero_divisor_path = zero_divisor_path
-        self.fixed_image = fixed_image
-        self.image_unambiguous = image_unambiguous
-        self.internal_consistency_failure = internal_consistency_failure
-        self.projection = projection
-        self.support_arm = support_arm
-        self.linearized = linearized
-        self.equivalence = equivalence
-        self.oracle_answer = oracle_answer
-        self.oracle_diagnostic = oracle_diagnostic
+        self.verdict = UNKNOWN
+        self.warnings: list[str] = []
+        self.tetris: Verdict | None = None
+        self.h_unambiguous: Verdict | None = None
+        self.image: Automaton | None = None
+        self.zero_divisor_path: str | None = None
+        self.fixed_image: Automaton | None = None
+        self.image_unambiguous: Verdict | None = None
+        self.internal_consistency_failure = False
+        self.projection: Automaton | None = None
+        self.support_arm: str | None = None
+        self.linearized: Automaton | None = None
+        self.equivalence: Verdict | None = None
+        self.oracle_answer: str | None = None
+        self.oracle_diagnostic: str | None = None
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

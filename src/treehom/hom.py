@@ -39,9 +39,6 @@ class TreeHomomorphism:
         self._preimage_memo: dict[Tree, tuple[Tree, ...]] = {}
 
     def _validate(self):
-        for name in self.target.names():
-            if is_variable(name):
-                raise HomError(f"target alphabet declares variable-like symbol {name}")
         for name in self.images:
             if name not in self.source:
                 raise HomError(f"image given for undeclared symbol {name}")

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,7 +17,7 @@ from treehom import (
     RankedAlphabet,
     Tree,
     bounded_equivalence,
-    count_trees,
+    decide_hom_regularity,
     eliminate_zero_divisors,
     hom_image,
     linearize,
@@ -966,7 +967,7 @@ def test_cli_decide_warns_for_the_height_it_will_enumerate(tmp_path, capsys, mem
                     "--check-bound", str(bound))
         err = capsys.readouterr().err
         assert err == ("" if height is None else
-                       f"warning: enumerating {count_trees(h.source, height)} trees of "
+                       f"warning: enumerating more than 1000000 trees of "
                        f"height <= {height}; this may take very long\n")
 
 
@@ -982,8 +983,8 @@ def test_cli_check_h_unambiguous_warns_before_it_enumerates(tmp_path, capsys, mo
     out, err = capsys.readouterr()
     assert calls == [6]
     assert out == "h-unambiguous up to height 6\n"
-    n = count_trees(load_hom(hom).source, 6)
-    assert err == f"warning: enumerating {n} trees of height <= 6; this may take very long\n"
+    assert err == ("warning: enumerating more than 1000000 trees of height <= 6; "
+                   "this may take very long\n")
 
 
 def test_cli_check_h_unambiguous_warns_not_when_the_fixpoint_proves_it(
@@ -1002,10 +1003,69 @@ def test_cli_check_h_unambiguous_warns_not_when_the_fixpoint_proves_it(
 
 def test_enumeration_warning(capsys):
     big = RankedAlphabet([("a", 0), ("g", 1), ("k", 2)])
-    _warn_enumeration(big, 5)
+    _warn_enumeration(big, 5, lambda: 5)
     assert "warning" in capsys.readouterr().err
-    _warn_enumeration(big, 4)
+    _warn_enumeration(big, 4, lambda: 4)
     assert capsys.readouterr().err == ""
+
+
+def run_cli_process(*argv):
+    """`treehom argv` in a fresh process, under a 1 GiB address-space cap and
+    a 20 s timeout."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+    return subprocess.run([sys.executable, "-m", "treehom.cli", *argv], capture_output=True,
+                          text=True, timeout=20, preexec_fn=cap)
+
+
+@pytest.mark.parametrize("kind", ["dup", "tetris"])
+def test_cli_decide_at_check_bound_64_counts_no_trees(kind, tmp_path):
+    # The number of source trees of height <= 64 has far more digits than
+    # memory holds.  The dup hom's class images clash, so no check walks a
+    # tree and nothing warns; the tetris hom's do not, and tetris-freeness
+    # walks the trees up to its first violation, after the warning.
+    aut, hom = write_branching_shape(tmp_path, kind)
+    proc = run_cli_process("decide", "--automaton", str(aut), "--hom", str(hom),
+                           "--check-bound", "64")
+    report = decide_hom_regularity(load_automaton(aut), load_hom(hom), check_bound=64)
+    assert (proc.returncode, proc.stdout) == (2, emit_report(report))
+    assert proc.stderr == ("" if kind == "dup" else
+                           "warning: enumerating more than 1000000 trees of height <= 64; "
+                           "this may take very long\n")
+
+
+@pytest.mark.parametrize("command", ["check", "decide"])
+def test_cli_warning_names_no_count(command, tmp_path):
+    # The number of source trees of height <= 14 has 8,561 digits, more than
+    # str() prints for an int.
+    aut, hom = write_branching_shape(tmp_path, "tetris")
+    if command == "check":
+        argv = ("check", "tetris-free", "--hom", str(hom), "--height", "14")
+    else:
+        argv = ("decide", "--automaton", str(aut), "--hom", str(hom), "--check-bound", "14")
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr == ("warning: enumerating more than 1000000 trees of height <= 14; "
+                           "this may take very long\n")
+
+
+@pytest.mark.parametrize("aut,hom,bound,message", [
+    ("doubling_image.aut", "duplicating_hom.hom", 4, "the decision pipeline needs a WTA input"),
+    ("doubling_image.aut", "duplicating_hom.hom", 30, "the decision pipeline needs a WTA input"),
+    ("doubling_chain.aut", "dup", 4, "automaton alphabet differs from the homomorphism source"),
+    ("doubling_chain.aut", "duplicating_hom.hom", -1, "height bound must be nonnegative"),
+])
+def test_cli_decide_input_error_does_not_depend_on_the_bound(aut, hom, bound, message,
+                                                              data_dir, tmp_path, capsys):
+    # From bound 19 the duplicating hom's source has more trees than the
+    # warning's limit, and the branching source from bound 4.  Then the
+    # warning asks for h-unambiguity's search height, which rejects a WTG and
+    # an alphabet mismatch with messages of its own.
+    hom = write_branching_shape(tmp_path, hom)[1] if hom == "dup" else data_dir / hom
+    assert run_cli("decide", "--automaton", str(data_dir / aut), "--hom", str(hom),
+                   "--check-bound", str(bound)) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_emit_report_requires_known_type():
