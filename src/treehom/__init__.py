@@ -52,7 +52,6 @@ from .semiring import (
     NaturalSemiring,
     Semiring,
     SemiringError,
-    SemiringMismatch,
     TropicalSemiring,
     Weight,
     get_semiring,
@@ -104,7 +103,6 @@ __all__ = [
     "RunsTable",
     "Semiring",
     "SemiringError",
-    "SemiringMismatch",
     "TermError",
     "TermSyntaxError",
     "Tree",

@@ -10,8 +10,6 @@ proved, or its least violating height found, by a fixpoint where it can.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .automaton import (
     Automaton,
     AutomatonError,
@@ -31,6 +29,10 @@ from .verdict import Verdict, verified, violated
 def bounded_equivalence(A: Automaton, B: Automaton, height_bound: int) -> Verdict:
     """Compare recognized series on every tree of height <= bound.
 
+    The two run tables are read layer by layer (`RunsTable.layer`), and
+    within a height by size; the comparison stops at the first group with a
+    differing tree, so no higher layer is filled.
+
     Witness payload: (tree, value in A, value in B)."""
     if A.alphabet != B.alphabet:
         raise AutomatonError("equivalence needs automata over one alphabet")
@@ -38,17 +40,20 @@ def bounded_equivalence(A: Automaton, B: Automaton, height_bound: int) -> Verdic
         raise AutomatonError("equivalence needs automata over one semiring")
     ta = RunsTable(A, height_bound)
     tb = RunsTable(B, height_bound)
-    # The trees by (height, size): only the differing trees of the first
-    # group that has one are ordered by text, and no later group is evaluated.
-    groups: dict[tuple, list[Tree]] = {}
-    for t in {*chain(*ta.layers, *tb.layers)}:
-        groups.setdefault((t.height, t.size), []).append(t)
-    for shape in sorted(groups):
-        differing = [t for t in groups[shape] if ta.evaluate_value(t) != tb.evaluate_value(t)]
-        if differing:
-            t = min(differing, key=tree_key)
-            wa, wb = ta.evaluate(t), tb.evaluate(t)
-            return violated(height_bound, (t, wa, wb), f"series differ on {t.text}: {wa} vs {wb}")
+    for h in range(height_bound + 1):
+        # The trees of height h by size: only the differing trees of the
+        # first size that has one are ordered by text, no later size is
+        # evaluated and no later height is filled.
+        by_size: dict[int, list[Tree]] = {}
+        for t in {*ta.layer(h), *tb.layer(h)}:
+            by_size.setdefault(t.size, []).append(t)
+        for size in sorted(by_size):
+            differing = [t for t in by_size[size] if ta.evaluate_value(t) != tb.evaluate_value(t)]
+            if differing:
+                t = min(differing, key=tree_key)
+                wa, wb = ta.evaluate(t), tb.evaluate(t)
+                return violated(height_bound, (t, wa, wb),
+                                f"series differ on {t.text}: {wa} vs {wb}")
     return verified(height_bound)
 
 

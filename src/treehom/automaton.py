@@ -28,10 +28,12 @@ the cells of the captured subtrees.  Cells hold values only; the rule
 applications behind a cell are re-derived only when its runs are expanded
 into Run objects.  `Evaluator` fills the cells of given trees, each distinct
 subtree once, children first (straight from the parse of a text, via
-`term.parse_nodes`); `RunsTable` fills every tree up to a height bound, by
-height layers, for the bounded operations.  Trees without a run to a real
-state evaluate to zero and carry no accepting runs, and a rule whose states
-no tree reaches adds nothing, so neither fill needs a reachability pre-pass.
+`term.parse_nodes`); `RunsTable` holds every tree up to a height bound for
+the bounded operations, and fills its height layers on demand, so a reader
+that stops at the first layer that settles it fills no higher one.  Trees
+without a run to a real state evaluate to zero and carry no accepting runs,
+and a rule whose states no tree reaches adds nothing, so neither fill needs
+a reachability pre-pass.
 The fixpoints over annotated states rather than trees (the pair automaton of
 `first_diverging_height`, zero-divisor elimination) run on `saturate`.
 """
@@ -520,8 +522,9 @@ class Evaluator:
     may apply at a tree (`captures`) and still add nothing, when a captured
     subtree has no run to the state at its position.  `parse` fills the
     distinct subterms of a text in the order `term.parse_nodes` lists them,
-    children first; `_cell` walks any other tree for them.  Cells are keyed
-    by tree, so a subtree shared within or between inputs is evaluated once.
+    children first; `_cell` walks any other tree for them (a `RunsTable`
+    fills its layers up to the tree's height instead).  Cells are keyed by
+    tree, so a subtree shared within or between inputs is evaluated once.
 
     Runs are not stored: `runs` re-derives the rule applications of a
     (tree, state) pair when it expands that pair, and only when the tree's
@@ -686,34 +689,39 @@ class Evaluator:
 
 class RunsTable(Evaluator):
     """The chart of every tree of height <= bound that has a run to a real
-    state, filled by height layers: layer h instantiates each rule with trees
-    from the layers below h such that the result has height exactly h, and
-    fills each new tree once, summing the values of the instances that built
-    it.  A rule application strictly increases height, so the layers below h
-    hold every tree that a tree of layer h captures.  Trees outside the chart
-    have no runs except the pure sink's; build them with `term.parse_term`,
-    since the inherited `parse` fills their cells.
-
-    `until(table)`, if given, is called after each layer is filled; when it
-    returns true, no higher layer is filled.
+    state, filled by height layers on demand: `layer(h)` fills the layers up
+    to h, each once.  Layer h instantiates each rule with trees from the
+    layers below h such that the result has height exactly h, and fills each
+    new tree once, summing the values of the instances that built it.  A
+    rule application strictly increases height, so the layers below h hold
+    every tree that a tree of layer h captures.  Reading a tree's cell fills
+    the layers up to its height; trees outside the chart have no runs except
+    the pure sink's.  Build them with `term.parse_term`, since the inherited
+    `parse` fills their cells.
     """
 
-    def __init__(self, A: Automaton, height_bound: int, until=None):
+    def __init__(self, A: Automaton, height_bound: int):
         if height_bound < 0:
             raise AutomatonError("height bound must be nonnegative")
         super().__init__(A)
-        sr = A.semiring
+        self.height_bound = height_bound
+        self._layers: list[list[Tree]] = []  # the trees of each filled height, in fill order
+        self._langs = {q: [] for q in A.real_states}  # state -> trees reaching it, by height
+
+    def layer(self, h: int) -> list[Tree]:
+        """The trees of height h in the table, in fill order, once the
+        layers up to h are filled; none past the bound."""
+        if h > self.height_bound:
+            return []
+        layers, langs = self._layers, self._langs
+        sr = self.automaton.semiring
         chart = self._chart
-        self.layers: list[list[Tree]] = []  # the trees of each height, in fill order
-        langs = {q: [] for q in A.real_states}  # state -> trees reaching it, by height
-        for h in range(height_bound + 1):
-            for lang in langs.values():
-                lang.append([])
-            layer = []
+        while len(layers) <= h:
+            k = len(layers)
+            cells: dict[Tree, dict] = {}
             for rules in self._rules.values():
-                cells: dict[Tree, dict] = {}
                 for rule, real, _ in rules:
-                    instances = self._instances(rule, h, langs)
+                    instances = self._instances(rule, k, langs)
                     try:
                         for subs in instances:
                             # Sink positions may capture trees outside the chart.
@@ -724,19 +732,20 @@ class RunsTable(Evaluator):
                         # memory), not later by the garbage collector, which
                         # could only report a failing close as unraisable.
                         instances.close()
-                for t, cell in cells.items():
-                    layer.append(t)
-                    chart[t] = cell
-                    for q in cell:
-                        langs[q][h].append(t)
-            self.layers.append(layer)
-            if until is not None and until(self):
-                break
+            for lang in langs.values():
+                lang.append([])
+            for t, cell in cells.items():
+                chart[t] = cell
+                for q in cell:
+                    langs[q][k].append(t)
+            layers.append(list(cells))
+        return layers[h]
 
     @cached_property
     def trees(self) -> list[Tree]:
         """The trees of the table in (height, size, text) order."""
-        return [t for layer in self.layers for t in sorted(layer, key=tree_key)]
+        return [t for h in range(self.height_bound + 1)
+                for t in sorted(self.layer(h), key=tree_key)]
 
     def _instances(self, rule: Rule, h: int, langs):
         """Instantiations of rule of height exactly h, as captured subtrees:
@@ -774,7 +783,11 @@ class RunsTable(Evaluator):
         ]
 
     def _cell(self, t: Tree) -> dict:
-        return self._chart.get(t, _NO_RUNS)
+        cell = self._chart.get(t)
+        if cell is None:  # filled layers keep their cells; fill up to t's height
+            self.layer(t.height)
+            cell = self._chart.get(t, _NO_RUNS)
+        return cell
 
     def support(self):
         """(tree, series value) for each tree of the table with a nonzero
@@ -791,9 +804,10 @@ def saturate(rules, fire):
     annotation per child state.  Yields the new items of each layer and ends
     after the first layer that adds none, which saturates the set: no later
     layer could add one.  Semi-naive: each choice of child items fires once,
-    at the layer after its newest item's.  (`_tall_cells` and `RunsTable`
-    keep their own layers: they keep the least tree, or all trees, of each
-    exact height, not a set of items.)"""
+    at the layer after its newest item's.  (`_tall_cells` and
+    `RunsTable.layer` keep their own layers, read the same way, layer by
+    layer until the reader stops: they keep the least tree, or all trees, of
+    each exact height, not a set of items.)"""
     uses: dict = {}  # state -> (child states, payload, child index) of each rule with it there
     for kids, payload in rules:
         for k, s in enumerate(kids):
@@ -903,26 +917,18 @@ def check_unambiguous(A: Automaton, height_bound: int) -> Verdict:
     The witness is the first such tree in (height, size, text) order, with
     its accepting (nonzero-weight) runs.  When the relaxation proves A
     unambiguous up to the bound (`relaxation_unambiguous`), the verdict is ok
-    without enumerating any tree.  Otherwise the run chart is built one
-    height layer at a time, and stops at the first layer that holds a witness.
+    without enumerating any tree.  Otherwise the run chart's layers are read
+    one height at a time (`RunsTable.layer`), up to the first that holds a
+    witness.
     """
     if relaxation_unambiguous(A, height_bound):
         return verified(height_bound)
-    witness = None
-
-    def layer_has_witness(table: RunsTable) -> bool:
-        nonlocal witness
+    table = RunsTable(A, height_bound)
+    for h in range(height_bound + 1):
         # A layer holds the trees of one height, so the first witness of the
         # first layer that has one is the first in (height, size, text) order.
-        for t in sorted(table.layers[-1], key=tree_key):
+        for t in sorted(table.layer(h), key=tree_key):
             acc = table.accepting_runs(t)
             if len(acc) > 1:
-                witness = (t, acc)
-                return True
-        return False
-
-    RunsTable(A, height_bound, until=layer_has_witness)
-    if witness is None:
-        return verified(height_bound)
-    t, acc = witness
-    return violated(height_bound, witness, f"{len(acc)} accepting runs for {t.text}")
+                return violated(height_bound, (t, acc), f"{len(acc)} accepting runs for {t.text}")
+    return verified(height_bound)

@@ -78,7 +78,6 @@ class FileFormatError(ValueError):
     def __init__(self, lineno, message):
         where = f"line {lineno}: " if lineno is not None else ""
         super().__init__(f"{where}{message}")
-        self.lineno = lineno
 
 
 def _content_lines(text: str):

@@ -266,8 +266,7 @@ def linearize(A: Automaton, lin_height: int) -> Automaton:
     the produced rule's weight multiplies in that value once per real
     position (sink positions contribute the one).  Unconstrained state
     positions stay symbolic.  The sink and its rules are dropped.  The
-    table is built only when some rule is constrained: otherwise no class
-    is instantiated and each rule is kept as it is.
+    table's layers are filled only when a constrained class reads them.
     """
     if lin_height < 0:
         raise AutomatonError("linearization height must be nonnegative")
@@ -277,7 +276,7 @@ def linearize(A: Automaton, lin_height: int) -> Automaton:
     sink = A.sink
     sr = A.semiring
     rules = [rule for rule in A.rules if rule.target != sink]
-    table = RunsTable(A, lin_height) if any(rule.constrained for rule in rules) else None
+    table = RunsTable(A, lin_height)
     specs = []
     for rule in rules:
         if not rule.constrained:

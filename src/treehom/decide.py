@@ -136,6 +136,10 @@ def decide_hom_regularity(A: Automaton, h: TreeHomomorphism, *, check_bound: int
         raise AutomatonError("the decision pipeline needs a WTA input")
     if A.alphabet != h.source:
         raise AutomatonError("automaton alphabet differs from the homomorphism source")
+    for bound, name in ((check_bound, "height bound"), (lin_height, "linearization height"),
+                        (eq_bound, "height bound")):
+        if bound < 0:
+            raise AutomatonError(f"{name} must be nonnegative")
     report = DecisionReport(
         semiring_id=A.semiring.id,
         zero_sum_free=A.semiring.zero_sum_free,

@@ -1,9 +1,10 @@
-"""Commutative semirings and tagged weight arithmetic.
+"""Commutative semirings and tagged weights.
 
-Every quantitative value in the package is a ``Weight``: a carrier element
-tagged with the semiring it lives in.  Mixing weights from two different
-semirings is a hard error, never a silent coercion.  The registry is closed:
-boolean, natural, integer, tropical, arctic, and modular z<k> for k >= 2.
+Every quantitative value the package hands out is a ``Weight``: a carrier
+element tagged with the semiring it lives in.  Values are combined by the
+semiring's ``add`` and ``mul`` on carrier elements; weights themselves have
+no arithmetic.  The registry is closed: boolean, natural, integer, tropical,
+arctic, and modular z<k> for k >= 2.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ import re
 
 
 class SemiringError(ValueError):
-    pass
-
-
-class SemiringMismatch(SemiringError):
     pass
 
 
@@ -307,20 +304,6 @@ class Weight:
 
     def __reduce__(self):
         return Weight, (self.semiring, self.value)
-
-    def _check(self, other: "Weight"):
-        if self.semiring != other.semiring:
-            raise SemiringMismatch(
-                f"cannot combine {self.semiring.id} and {other.semiring.id} weights"
-            )
-
-    def __add__(self, other: "Weight") -> "Weight":
-        self._check(other)
-        return Weight(self.semiring, self.semiring.add(self.value, other.value))
-
-    def __mul__(self, other: "Weight") -> "Weight":
-        self._check(other)
-        return Weight(self.semiring, self.semiring.mul(self.value, other.value))
 
     @property
     def is_zero(self) -> bool:

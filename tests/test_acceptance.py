@@ -68,10 +68,10 @@ def test_c03_image_series_property(doubling_chain, duplicating_hom):
         source_eval = Evaluator(A)
         image_eval = Evaluator(img)
         for t in enumerate_trees(h.target, bound):
-            total = Weight(A.semiring, A.semiring.zero)
+            sr, total = A.semiring, A.semiring.zero
             for s in h.preimage(t):
-                total = total + source_eval.evaluate(s)
-            assert image_eval.evaluate(t) == total
+                total = sr.add(total, source_eval.evaluate_value(s))
+            assert image_eval.evaluate(t) == Weight(sr, total)
 
     with accept("C03", "image series equals preimage sums, exhaustively to height 4"):
         check_instance(doubling_chain, duplicating_hom, 4)

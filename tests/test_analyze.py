@@ -33,6 +33,7 @@ from oracles import (
     random_hom,
     random_modular_pair,
     random_pair,
+    random_weight,
     random_wta,
     run_count_compare,
     wtg_to_wta,
@@ -95,6 +96,50 @@ def test_bounded_equivalence_matches_brute_force():
                 assert verdict.is_ok == (not diffs)
                 if diffs:
                     assert verdict.witness[0] == diffs[0]
+
+
+def test_bounded_equivalence_stops_at_the_first_differing_height(memory_cap):
+    # The series differ on a; the trees over m/2 grow doubly exponentially
+    # with height, so the comparison must not fill the layers above height 0.
+    def over(leaf_weight):
+        return parse_automaton("semiring: natural\nstates: q\nfinal: q\nrules:\n"
+                               f"a -> q @ {leaf_weight}\nm(q,q) -> q @ 1\n")
+
+    with memory_cap():
+        verdict = bounded_equivalence(over(1), over(2), 40)
+    assert not verdict.is_ok and verdict.bound == 40
+    t, va, vb = verdict.witness
+    assert t.text == "a" and (va.value, vb.value) == (1, 2)
+
+
+def test_bounded_equivalence_witness_is_least_across_sizes_of_one_height():
+    # One non-leaf rule weight changed, so the series first differ above
+    # height 0.  Over the branching sources the trees of one height come in
+    # several sizes, which the witness order must respect.
+    rng = random.Random(23)
+    # Cases whose first differing height holds differing trees of several
+    # sizes, and cases whose witness is larger than the least tree of its height.
+    several_sizes = past_smaller = 0
+    for _ in range(32):
+        source = RankedAlphabet(rng.choice(BRANCHING_SOURCES))
+        A = random_wta(rng, source, rng.choice(["natural", "z6"]), 2)
+        rules = [[r.lhs, r.target, r.weight, ()] for r in A.rules]
+        changed = rng.choice([spec for spec in rules if spec[0].children])
+        old = changed[2]
+        while changed[2] == old:
+            changed[2] = random_weight(rng, A.semiring)
+        B = Automaton(A.semiring, source, A.states, A.finals, rules)
+        trees = enumerate_trees(source, 3)  # in (height, size, text) order
+        diffs = [t for t in trees if naive_evaluate(A, t) != naive_evaluate(B, t)]
+        verdict = bounded_equivalence(A, B, 3)
+        assert verdict.is_ok == (not diffs)
+        if diffs:
+            t = diffs[0]
+            assert t.height > 0
+            assert verdict.witness == (t, naive_evaluate(A, t), naive_evaluate(B, t))
+            several_sizes += len({s.size for s in diffs if s.height == t.height}) > 1
+            past_smaller += t.size > min(s.size for s in trees if s.height == t.height)
+    assert several_sizes >= 2 and past_smaller >= 2
 
 
 def _equivalence_instances(data_dir):

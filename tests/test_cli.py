@@ -1068,6 +1068,25 @@ def test_cli_decide_input_error_does_not_depend_on_the_bound(aut, hom, bound, me
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("flag,message", [
+    ("--lin-height", "linearization height must be nonnegative"),
+    ("--eq-bound", "height bound must be nonnegative"),
+])
+@pytest.mark.parametrize("setup", ["duplicating", "tetris", "oracle"])
+def test_cli_decide_rejects_a_negative_bound_on_every_path(setup, flag, message, data_dir,
+                                                            tmp_path, capsys):
+    # A tetris violation and an oracle answer each end the pipeline before
+    # linearization, whose own checks reject these bounds too.
+    if setup == "tetris":
+        aut, hom = write_branching_shape(tmp_path, "tetris")
+    else:
+        aut, hom = data_dir / "doubling_chain.aut", data_dir / "duplicating_hom.hom"
+    oracle = ["--oracle", "sh -c 'echo regular'"] if setup == "oracle" else []
+    assert run_cli("decide", "--automaton", str(aut), "--hom", str(hom), "--check-bound", "3",
+                   flag, "-1", *oracle) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_emit_report_requires_known_type():
     with pytest.raises(TypeError):
         emit_report(object())

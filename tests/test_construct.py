@@ -625,10 +625,10 @@ def test_automata_equal_modulo_rename(doubling_chain):
 
 def test_linearize_builds_no_table_when_nothing_is_instantiated(z6_chain, doubling_image,
                                                                    monkeypatch):
-    def no_table(*args, **kwargs):
-        raise AssertionError("RunsTable built")
+    def no_fill(self, h):
+        raise AssertionError("RunsTable layer filled")
 
-    monkeypatch.setattr("treehom.construct.RunsTable", no_table)
+    monkeypatch.setattr("treehom.automaton.RunsTable.layer", no_fill)
     # Under a linear hom the image has no constrained rule, so linearization
     # instantiates nothing.  z6_chain's own sink bot is a real state of the
     # image, whose fresh sink is bot_.
@@ -653,5 +653,5 @@ def test_linearize_builds_no_table_when_nothing_is_instantiated(z6_chain, doubli
         "h(q) -> q @ 3\n"
     )
     # A constrained class is instantiated from the table's state languages.
-    with pytest.raises(AssertionError, match="RunsTable built"):
+    with pytest.raises(AssertionError, match="RunsTable layer filled"):
         linearize(doubling_image, 2)

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from treehom import (
     SemiringError,
-    SemiringMismatch,
     Weight,
     get_semiring,
     power_index_period,
@@ -141,17 +140,6 @@ def test_integer_distributivity(a, b, c):
 def test_tropical_distributivity(a, b, c):
     sr = get_semiring("tropical")
     assert sr.mul(a, sr.add(b, c)) == sr.add(sr.mul(a, b), sr.mul(a, c))
-
-
-def test_weight_arithmetic_and_mismatch():
-    nat = get_semiring("natural")
-    trop = get_semiring("tropical")
-    assert (Weight(nat, 2) + Weight(nat, 3)).value == 5
-    assert (Weight(nat, 2) * Weight(nat, 3)).value == 6
-    with pytest.raises(SemiringMismatch):
-        Weight(nat, 2) + Weight(trop, 3)
-    with pytest.raises(SemiringMismatch):
-        Weight(nat, 2) * Weight(trop, 3)
 
 
 def test_weight_flags():
