@@ -211,22 +211,40 @@ def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) ->
     position, symbols with equal images.  Then `first_diverging_height` over
     the symbol image classes finds the least height H of a violation; if there
     is none up to the bound, the verdict is ok without enumerating any tree.
-    Over a zero-divisor-free semiring every run weighs nonzero, and every
-    image group holds trees of one height, so the groups of height <= H hold
-    the first violation: only those trees are enumerated.  With zero divisors
-    H may come from zero-weight runs, and the search covers the full bound.
-    Every other hom gets that full search.
+    Over a zero-divisor-free semiring every run weighs nonzero, so the groups
+    of height <= H hold the first violation: only those trees are enumerated.
+    With zero divisors H may come from zero-weight runs, and the search covers
+    the full bound.  Every image group holds trees of one height, so the
+    table is read layer by layer (`RunsTable.layer`), the groups of a layer
+    are compared once it is read, and the search stops at the first layer
+    with a violation: no higher layer is filled.  Every other hom gets the
+    full search, whose groups may span heights, and compares them once every
+    layer up to the bound is read.
     """
     search_height = h_unambiguity_search_height(A, h, height_bound)
     if search_height is None:
         return verified(height_bound)
+    one_height = images_clash(h)
     table = RunsTable(A, search_height)
     groups: dict[Tree, list] = {}
-    for s in table.trees:
-        acc = table.accepting_runs(s)
-        if acc:
-            groups.setdefault(h.apply(s), []).append((s, acc))
-    for members in groups.values():
+    for k in range(search_height + 1):
+        for s in sorted(table.layer(k), key=tree_key):
+            acc = table.accepting_runs(s)
+            if acc:
+                groups.setdefault(h.apply(s), []).append((s, acc))
+        if one_height or k == search_height:
+            witness = _first_disagreement(groups.values(), height_bound)
+            if witness is not None:
+                return witness
+            groups = {}
+    return verified(height_bound)
+
+
+def _first_disagreement(groups, height_bound: int):
+    """The violated verdict for the first of groups, each a list of (source
+    tree, its accepting runs) with equal images, in which an accepting run
+    disagrees with the first member's first accepting run, or None."""
+    for members in groups:
         ref_tree, ref_runs = members[0]
         ref_map = run_state_map(ref_runs[0])
         ref_positions = sorted(ref_map)
@@ -249,4 +267,4 @@ def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) ->
                             f"runs on {ref_tree.text} and {s.text} disagree at "
                             f"position {format_position(p)}: {ref_map[p]} vs {cur[p]}",
                         )
-    return verified(height_bound)
+    return None

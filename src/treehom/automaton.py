@@ -28,7 +28,10 @@ the cells of the captured subtrees.  Cells hold values only; the rule
 applications behind a cell are re-derived only when its runs are expanded
 into Run objects.  `Evaluator` fills the cells of given trees, each distinct
 subtree once, children first (straight from the parse of a text, via
-`term.parse_nodes`); `RunsTable` holds every tree up to a height bound for
+`term.parse_nodes`).  The text of a tree for a WTA is evaluated from the
+parse alone: its rules read only their children's cells, so each distinct
+subterm's cell is built from those, and no tree or chart entry is made for
+it.  `RunsTable` holds every tree up to a height bound for
 the bounded operations, and fills its height layers on demand, so a reader
 that stops at the first layer that settles it fills no higher one.  Trees
 without a run to a real state evaluate to zero and carry no accepting runs,
@@ -522,9 +525,11 @@ class Evaluator:
     may apply at a tree (`captures`) and still add nothing, when a captured
     subtree has no run to the state at its position.  `parse` fills the
     distinct subterms of a text in the order `term.parse_nodes` lists them,
-    children first; `_cell` walks any other tree for them (a `RunsTable`
-    fills its layers up to the tree's height instead).  Cells are keyed by
-    tree, so a subtree shared within or between inputs is evaluated once.
+    children first, and `evaluate_text` of a WTA's text builds those cells
+    without trees or chart entries; `_cell` walks any other tree for them
+    (a `RunsTable` fills its layers up to the tree's height instead).  Cells
+    are keyed by tree, so a subtree shared within or between inputs is
+    evaluated once.
 
     Runs are not stored: `runs` re-derives the rule applications of a
     (tree, state) pair when it expands that pair, and only when the tree's
@@ -545,6 +550,25 @@ class Evaluator:
         nodes = parse_nodes(text, self.automaton.alphabet)
         self._fill(nodes)
         return nodes[-1]
+
+    def evaluate_text(self, text: str) -> Weight:
+        """The series value of the tree of text.  For a WTA every rule reads
+        only the cells of its children, so `term.parse_nodes` builds each
+        distinct subterm's cell from theirs, in rule-index order as `_fill`
+        does, and makes no tree; any other automaton has the tree parsed and
+        evaluated."""
+        A = self.automaton
+        if not A.is_wta:
+            return self.evaluate(self.parse(text))
+        sr, by_label = A.semiring, self._rules
+
+        def cell_of(label, cells):
+            cell = {}
+            for rule, real, _ in by_label.get(label, ()):
+                _apply(sr, cell, rule, real, cells)
+            return cell
+
+        return Weight(sr, self._final_sum(parse_nodes(text, A.alphabet, node=cell_of)[-1]))
 
     def _fill(self, nodes) -> None:
         """Fill the cells of nodes, in the given order: distinct trees over
@@ -604,8 +628,11 @@ class Evaluator:
         return self._cell(t).get(q, self.automaton.semiring.zero)
 
     def evaluate_value(self, t: Tree):
+        return self._final_sum(self._cell(t))
+
+    def _final_sum(self, cell: dict):
+        """The semiring sum of cell's values at the final states."""
         sr = self.automaton.semiring
-        cell = self._cell(t)
         total = sr.zero
         for q in self.automaton.finals:
             total = sr.add(total, cell.get(q, sr.zero))

@@ -545,8 +545,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_eval(args) -> int:
     A = load_automaton(args.automaton)
-    ev = Evaluator(A)
-    print(str(ev.evaluate(ev.parse(args.tree))))
+    print(str(Evaluator(A).evaluate_text(args.tree)))
     return 0
 
 

@@ -9,7 +9,9 @@ x1, x2, ... depending on context.  `parse_term` makes equal subterms of one
 parse a single shared object, so comparing them stops at identity, and each
 distinct subterm is evaluated once.  `parse_nodes` lists those subterms,
 each once and children first, checked against the alphabet as they were
-built, so a run chart can fill them without walking the term again.
+built, so a run chart can fill them without walking the term again; with
+another node constructor it builds, say, a WTA's run chart cells instead of
+trees, so the text is evaluated from the parse alone.
 """
 
 from __future__ import annotations
@@ -282,11 +284,19 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset(
     return parse_nodes(text, alphabet, ext)[-1]
 
 
-def parse_nodes(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset()) -> list[Tree]:
+def parse_nodes(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset(),
+                node=Tree) -> list:
     """The distinct subterms of ``parse_term(text, alphabet, ext)``, each
     once and after its children, with the whole term last.  Each was checked
     against the alphabet as it was built, so a run chart can fill them in
-    this order without walking the term again."""
+    this order without walking the term again.
+
+    Each is built by ``node(name, children)``, called once per distinct
+    subterm with the sequence of its children's nodes; it must return a new
+    object, since a parent is keyed by its children's identities.  The
+    default builds trees; a run chart of a WTA passes a function that builds
+    a subterm's cell from its children's cells, so the text is evaluated
+    straight from the parse, without trees."""
     ranks = None if alphabet is None else dict(alphabet.items())
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # end of input
@@ -323,21 +333,21 @@ def parse_nodes(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset
         # do the same for every parent whose argument list ends here.
         key = name
         while True:
-            tree = shared.get(key)
-            if tree is None:  # else name was checked at this number of children
+            sub = shared.get(key)
+            if sub is None:  # else name was checked at this number of children
                 if ranks is not None and ranks.get(name) != len(children) and name not in ext:
                     if name not in ranks:
                         fail(f"unknown symbol: {name}", at)
                     fail(f"symbol {name} has rank {ranks[name]}, "
                          f"used with {len(children)} arguments", at)
-                tree = shared[key] = Tree(name, children)
+                sub = shared[key] = node(name, children)
             if not open_nodes:
                 if tokens[i]:
                     fail("trailing input after term", i)
                 # The whole term is its largest subterm, so it came last.
                 return list(shared.values())
             name, at, children = open_nodes[-1]
-            children.append(tree)
+            children.append(sub)
             token = tokens[i]
             i += 1
             if token == ",":

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -23,7 +24,7 @@ from treehom import (
 )
 import treehom.analyze as analyze
 from treehom.automaton import relaxation_unambiguous
-from treehom.cli import load_automaton, load_hom, parse_automaton, verdict_to_dict
+from treehom.cli import load_automaton, load_hom, parse_automaton, parse_hom, verdict_to_dict
 from treehom.hom import images_clash
 from oracles import (
     BRANCHING_SOURCES,
@@ -312,6 +313,27 @@ def test_h_unambiguous_zero_weight_divergence_keeps_the_full_search():
     verdict = check_h_unambiguous(A, h, 3)
     assert h_verdict_key(verdict) == h_verdict_key(naive_h_unambiguous(A, h, 3))
     assert (verdict.witness[0].text, verdict.witness[1].text) == ("g(g(a))", "g(g(b))")
+
+
+def test_h_unambiguous_stops_at_the_first_violating_layer(workloads, memory_cap):
+    # The z6 copies of the merge instances (every weight w becomes w mod 6,
+    # or 1 where that is 0): over zero divisors the search covers the full
+    # bound, but every witness sits at height 0-2, so the layers above the
+    # violating one must stay unfilled.  Filled, the trees up to height 5
+    # over a, b, f, g, m alone outgrow the cap.
+    merge = [inst for cls, members in workloads.branching_pool(2).items()
+             if cls.startswith("merge-") for inst in members]
+    assert len(merge) == 6
+    for inst in merge:
+        text = re.sub(r"@ (\d+)", lambda m: f"@ {int(m[1]) % 6 or 1}", inst.automaton_text)
+        A = parse_automaton(re.sub(r"(?m)^semiring: .*$", "semiring: z6", text))
+        h = parse_hom(inst.hom_text)
+        with memory_cap():
+            verdict = check_h_unambiguous(A, h, 8)
+        assert not verdict.is_ok and verdict.bound == 8
+        assert verdict.witness[1].height <= 2
+        expected = naive_h_unambiguous(A, h, 2)
+        assert h_verdict_key(verdict)[2:] == h_verdict_key(expected)[2:]
 
 
 @pytest.fixture

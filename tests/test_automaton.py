@@ -9,6 +9,7 @@ from treehom import (
     Evaluator,
     RankedAlphabet,
     RunsTable,
+    TermError,
     Tree,
     Weight,
     check_unambiguous,
@@ -27,6 +28,7 @@ from treehom import (
 from treehom.automaton import _relaxed_rules, first_diverging_height, make_rule
 from treehom.cli import load_automaton, load_hom
 from oracles import (
+    BRANCHING_SOURCES,
     check_run,
     naive_accepting_runs,
     naive_evaluate,
@@ -615,6 +617,97 @@ def test_random_wta_evaluate_matches_naive():
                 assert ev.evaluate(t) == naive_evaluate(A, t)
                 for q in A.states:
                     assert ev.state_value(t, q) == naive_state_value(A, t, q)
+
+
+EVAL_TEXT_SEMIRINGS = ("natural", "integer", "tropical", "arctic", "boolean", "z6")
+
+
+def shared_tree(rng, alphabet, steps):
+    """A ground tree whose children are drawn from the trees built before
+    it, so equal subterms repeat."""
+    pool = [Tree(name) for name, rank in alphabet.items() if rank == 0]
+    inner = [(name, rank) for name, rank in alphabet.items() if rank > 0]
+    for _ in range(steps):
+        name, rank = rng.choice(inner)
+        pool.append(Tree(name, tuple(rng.choice(pool) for _ in range(rank))))
+    return pool[-1]
+
+
+def spaced_text(rng, t):
+    """The text of t with random whitespace around its tokens, and ``()``
+    after some leaves."""
+    def pad():
+        return rng.choice(("", " ", "\t", "\n  "))
+
+    if not t.children:
+        return pad() + t.label + (pad() + "(" + pad() + ")" if rng.random() < 0.3 else "") + pad()
+    inner = ",".join(spaced_text(rng, c) for c in t.children)
+    return pad() + t.label + pad() + "(" + inner + ")" + pad()
+
+
+def test_evaluate_text_matches_the_tree_path_and_naive():
+    rng = random.Random(24)
+    for source in BRANCHING_SOURCES:
+        alphabet = RankedAlphabet(source)
+        unary = [name for name, rank in source if rank == 1]
+        for sr_id in EVAL_TEXT_SEMIRINGS:
+            for n_states in range(1, 5):
+                A = random_wta(rng, alphabet, sr_id, n_states)
+                assert A.is_wta
+                texts = []
+                for steps in range(5):
+                    t = shared_tree(rng, alphabet, steps)
+                    texts.append((spaced_text(rng, t), t))
+                if unary:
+                    texts.append((f"{unary[0]}(" * 3000 + "a" + ")" * 3000, None))
+                for text, t in texts:
+                    ev = Evaluator(A)
+                    got = Evaluator(A).evaluate_text(text)
+                    assert got == ev.evaluate(ev.parse(text))
+                    if t is not None and n_states ** t.size <= 4096:  # naive lists every run
+                        assert got == naive_evaluate(A, t)
+
+
+def test_evaluate_text_of_other_automata_takes_the_tree_path(doubling_image, constrained_pair,
+                                                              monkeypatch):
+    # Constrained rules, and an unconstrained rule that is not flat: both
+    # compare or capture subtrees below the children, so they need trees.
+    deep = build("natural", [("a", 0), ("g", 1)], ["q"], ["q"],
+                 ["a -> q @ 2", "g(q) -> q @ 3", "g(g(q)) -> q @ 5"])
+    cases = [(doubling_image, "k(g(g(a)),g(g(g(a))))"),
+             (constrained_pair, "k(g(g(a)), g(g(g(a))))"),
+             (FLAT_CONSTRAINED, "k(k(a,a),k(a,a))"),
+             (deep, "g(g(g(a)))")]
+    parsed = []
+    parse = Evaluator.parse
+    monkeypatch.setattr(Evaluator, "parse", lambda self, text: parsed.append(text) or parse(self, text))
+    for A, text in cases:
+        assert not A.is_wta
+        assert Evaluator(A).evaluate_text(text) == naive_evaluate(A, parse_term(text, A.alphabet))
+    assert parsed == [text for _, text in cases]
+
+
+@pytest.mark.parametrize("text", [
+    "f(z)", "f(a,a)", "g", "f(a) a", "f(a))", "f(g(a)", "f(", "", "   ", "f(a,)", "f(a b)", "#",
+])
+def test_evaluate_text_rejects_what_parse_rejects(doubling_chain, text):
+    with pytest.raises(TermError) as want:
+        Evaluator(doubling_chain).parse(text)
+    with pytest.raises(TermError) as got:
+        Evaluator(doubling_chain).evaluate_text(text)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_evaluate_text_of_a_wta_builds_no_tree(doubling_chain, counting_chain, monkeypatch):
+    evaluators = Evaluator(doubling_chain), Evaluator(counting_chain)
+
+    def no_tree(self, *args):
+        raise AssertionError("a Tree was built")
+
+    monkeypatch.setattr(Tree, "__init__", no_tree)
+    chain = "g(" * 3000 + "a" + ")" * 3000
+    assert evaluators[0].evaluate_text(f"f({chain})").value == 2**3000
+    assert evaluators[1].evaluate_text("g(a( ))").value == 2
 
 
 def test_run_weights_match_naive(doubling_image):
