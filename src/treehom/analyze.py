@@ -211,33 +211,47 @@ def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) ->
     position, symbols with equal images.  Then `first_diverging_height` over
     the symbol image classes finds the least height H of a violation; if there
     is none up to the bound, the verdict is ok without enumerating any tree.
-    Over a zero-divisor-free semiring every run weighs nonzero, so the groups
-    of height <= H hold the first violation: only those trees are enumerated.
-    With zero divisors H may come from zero-weight runs, and the search covers
-    the full bound.  Every image group holds trees of one height, so the
-    table is read layer by layer (`RunsTable.layer`), the groups of a layer
-    are compared once it is read, and the search stops at the first layer
-    with a violation: no higher layer is filled.  Every other hom gets the
-    full search, whose groups may span heights, and compares them once every
+    Over a zero-divisor-free semiring every run weighs nonzero, so the first
+    violation has height H: only the trees of height H get runs and images
+    (the lower layers are filled, since height H is built from them).  With
+    zero divisors H may come from zero-weight runs, and the search walks
+    every height up to the bound.  The members of an image group have one
+    shape, so one height and one size: the table is read layer by layer
+    (`RunsTable.layer`), a layer's groups are compared size by size, and the
+    search stops at the first size with a violation, expanding no larger
+    tree and filling no higher layer.  Every other hom gets the full search,
+    whose groups may span heights and sizes, and compares them once every
     layer up to the bound is read.
     """
     search_height = h_unambiguity_search_height(A, h, height_bound)
     if search_height is None:
         return verified(height_bound)
-    one_height = images_clash(h)
     table = RunsTable(A, search_height)
-    groups: dict[Tree, list] = {}
-    for k in range(search_height + 1):
-        for s in sorted(table.layer(k), key=tree_key):
-            acc = table.accepting_runs(s)
-            if acc:
-                groups.setdefault(h.apply(s), []).append((s, acc))
-        if one_height or k == search_height:
-            witness = _first_disagreement(groups.values(), height_bound)
+    if not images_clash(h):
+        return _first_disagreement(_image_groups(h, table, table.trees),
+                                   height_bound) or verified(height_bound)
+    for k in range(search_height if A.semiring.zero_divisor_free else 0, search_height + 1):
+        by_size: dict[int, list[Tree]] = {}
+        for s in table.layer(k):
+            by_size.setdefault(s.size, []).append(s)
+        for size in sorted(by_size):
+            trees = sorted(by_size[size], key=tree_key)
+            witness = _first_disagreement(_image_groups(h, table, trees), height_bound)
             if witness is not None:
                 return witness
-            groups = {}
     return verified(height_bound)
+
+
+def _image_groups(h: TreeHomomorphism, table: RunsTable, trees):
+    """The trees with accepting runs, as (tree, its accepting runs), grouped
+    by image, each group in the given order and the groups in the order of
+    their first members."""
+    groups: dict[Tree, list] = {}
+    for s in trees:
+        acc = table.accepting_runs(s)
+        if acc:
+            groups.setdefault(h.apply(s), []).append((s, acc))
+    return groups.values()
 
 
 def _first_disagreement(groups, height_bound: int):

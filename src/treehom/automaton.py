@@ -28,9 +28,10 @@ the cells of the captured subtrees.  Cells hold values only; the rule
 applications behind a cell are re-derived only when its runs are expanded
 into Run objects.  `Evaluator` fills the cells of given trees, each distinct
 subtree once, children first (straight from the parse of a text, via
-`term.parse_nodes`).  The text of a tree for a WTA is evaluated from the
-parse alone: its rules read only their children's cells, so each distinct
-subterm's cell is built from those, and no tree or chart entry is made for
+`term.parse_nodes`).  The text of a tree for a WTA is evaluated, and its
+runs listed, from the parse alone: its rules read only their children's
+cells, so each distinct subterm's cell is built from those, its runs are
+expanded from its children's runs, and no tree or chart entry is made for
 it.  `RunsTable` holds every tree up to a height bound for
 the bounded operations, and fills its height layers on demand, so a reader
 that stops at the first layer that settles it fills no higher one.  Trees
@@ -53,6 +54,7 @@ from .term import (
     Position,
     RankedAlphabet,
     Tree,
+    _tall_text,
     enumerate_trees,
     format_position,
     parse_nodes,
@@ -437,20 +439,29 @@ def captures(rule: Rule, t: Tree):
 class Run:
     """A run per the constrained semantics: a rule plus one child run per
     state position (in prefix order), on the tree subject, which is
-    rule.plug of the child runs' subjects.  Identity is (rule, child runs)."""
+    rule.plug of the child runs' subjects (a run listed by
+    `Evaluator.runs_text` has the subterm's parse node instead).  Identity is
+    (rule, child runs).  The weight's value is computed at once, and the
+    `Weight` and the hash on first use."""
 
-    __slots__ = ("rule", "subruns", "weight", "subject", "_hash")
+    __slots__ = ("rule", "subruns", "subject", "_value", "_weight", "_hash")
 
-    def __init__(self, rule: Rule, subruns, subject: Tree):
+    def __init__(self, rule: Rule, subruns, subject):
         self.rule = rule
-        self.subruns = tuple(subruns)
+        self.subruns = subruns = tuple(subruns)
         sr = rule.weight.semiring
         val = rule.weight.value
-        for sub in self.subruns:
-            val = sr.mul(val, sub.weight.value)
-        self.weight = Weight(sr, val)
+        for sub in subruns:
+            val = sr.mul(val, sub._value)
+        self._value = val
         self.subject = subject
-        self._hash = hash((rule.index, self.subruns))
+        self._weight = self._hash = None
+
+    @property
+    def weight(self) -> Weight:
+        if self._weight is None:
+            self._weight = Weight(self.rule.weight.semiring, self._value)
+        return self._weight
 
     @property
     def target(self) -> str:
@@ -464,6 +475,17 @@ class Run:
         return self.rule is other.rule and self.subruns == other.subruns
 
     def __hash__(self):
+        if self._hash is None:
+            # Subruns first, on an explicit stack, so a deep run does not recurse.
+            stack = [self]
+            while stack:
+                run = stack[-1]
+                pending = [sub for sub in run.subruns if sub._hash is None]
+                if pending:
+                    stack += pending
+                else:
+                    stack.pop()
+                    run._hash = hash((run.rule.index, run.subruns))
         return self._hash
 
     def __repr__(self):
@@ -493,6 +515,25 @@ def run_state_map(run: Run) -> dict[Position, str]:
         stack.extend(reversed([(p + sp, sub)
                                for sp, sub in zip(run.rule.state_positions, run.subruns)]))
     return out
+
+
+class _ParseNode:
+    """A distinct subterm of a text parsed for `Evaluator.runs_text`: its
+    label, its children's nodes and its cell.  runs maps each state the
+    subterm is wanted in to the rules behind its runs there, and then to the
+    runs."""
+
+    __slots__ = ("label", "children", "cell", "runs")
+
+    def __init__(self, label: str, children, cell: dict):
+        self.label = label
+        self.children = children
+        self.cell = cell
+        self.runs = {}
+
+    @property
+    def text(self) -> str:
+        return _tall_text(self)
 
 
 _NO_RUNS: dict = {}
@@ -525,15 +566,17 @@ class Evaluator:
     may apply at a tree (`captures`) and still add nothing, when a captured
     subtree has no run to the state at its position.  `parse` fills the
     distinct subterms of a text in the order `term.parse_nodes` lists them,
-    children first, and `evaluate_text` of a WTA's text builds those cells
-    without trees or chart entries; `_cell` walks any other tree for them
-    (a `RunsTable` fills its layers up to the tree's height instead).  Cells
-    are keyed by tree, so a subtree shared within or between inputs is
-    evaluated once.
+    children first, and `evaluate_text` and `runs_text` of a WTA's text build
+    those cells without trees or chart entries; `_cell` walks any other tree
+    for them (a `RunsTable` fills its layers up to the tree's height
+    instead).  Cells are keyed by tree, so a subtree shared within or between
+    inputs is evaluated once.
 
-    Runs are not stored: `runs` re-derives the rule applications of a
-    (tree, state) pair when it expands that pair, and only when the tree's
-    cell holds the state, so a tree outside a `RunsTable` has none.
+    Runs are not stored in the cells: `runs` re-derives the rule
+    applications of a (tree, state) pair when it expands that pair, and only
+    when the tree's cell holds the state, so a tree outside a `RunsTable`
+    has none.  `runs_text` of a WTA's text expands each (subterm, state)
+    pair its runs use once, from the parse nodes, without a tree.
     """
 
     def __init__(self, A: Automaton):
@@ -554,13 +597,83 @@ class Evaluator:
     def evaluate_text(self, text: str) -> Weight:
         """The series value of the tree of text.  For a WTA every rule reads
         only the cells of its children, so `term.parse_nodes` builds each
-        distinct subterm's cell from theirs, in rule-index order as `_fill`
-        does, and makes no tree; any other automaton has the tree parsed and
-        evaluated."""
+        distinct subterm's cell from theirs (`_wta_cell`) and makes no tree;
+        any other automaton has the tree parsed and evaluated."""
         A = self.automaton
         if not A.is_wta:
             return self.evaluate(self.parse(text))
-        sr, by_label = A.semiring, self._rules
+        cells = parse_nodes(text, A.alphabet, node=self._wta_cell)
+        return Weight(A.semiring, self._final_sum(cells[-1]))
+
+    def runs_text(self, text: str, state: str | None = None) -> tuple[str, tuple[Run, ...]]:
+        """The text of the tree of text, and its runs to state, or else its
+        accepting runs, as `runs` and `accepting_runs` give them.
+
+        For a WTA, `term.parse_nodes` builds one `_ParseNode` per distinct
+        subterm, with its cell (`_wta_cell`), and no tree.  A pass from the
+        whole term down, parents first, finds the rules behind each wanted
+        (node, state) pair and so the pairs its children are wanted in; a
+        pass up, children first, then expands each wanted pair once.  A
+        pure-sink position wants the subterm's one weight-one sink run.  Any
+        other automaton has the tree parsed and its runs expanded."""
+        A = self.automaton
+        if not A.is_wta:
+            t = self.parse(text)
+            return t.text, self.runs(t, state) if state is not None else self.accepting_runs(t)
+        cell_of = self._wta_cell
+
+        def node(label, children):
+            return _ParseNode(label, children, cell_of(label, [c.cell for c in children]))
+
+        nodes = parse_nodes(text, A.alphabet, node=node)
+        if state is not None and state not in A.states:
+            raise AutomatonError(f"undeclared state: {state}")
+        root = nodes[-1]
+        targets = A.finals if state is None else (state,)
+        sink, sink_rules, by_label = self._sink, self._sink_rules, self._rules
+        root.runs = dict.fromkeys(targets)
+        # Parents first: the rules behind each wanted pair, and the pairs
+        # they want of the children.
+        for t in reversed(nodes):
+            wanted = t.runs
+            if not wanted:
+                continue
+            children = t.children
+            for q in wanted:
+                if q == sink:
+                    rules = (sink_rules[t.label],)
+                elif q in t.cell:
+                    rules = [rule for rule, real, _ in by_label[t.label] if rule.target == q
+                             and all(p in children[i].cell for i, p in real)]
+                else:
+                    rules = ()
+                wanted[q] = rules
+                for rule in rules:
+                    for c, p in zip(children, rule.state_labels):
+                        c.runs.setdefault(p)
+        # Children first: each wanted pair's runs from its children's runs.
+        for t in nodes:
+            wanted = t.runs
+            if not wanted:
+                continue
+            children = t.children
+            for q, rules in wanted.items():
+                wanted[q] = tuple(
+                    Run(rule, combo, t) for rule in rules
+                    for combo in product(*[c.runs[p] for c, p in zip(children, rule.state_labels)])
+                )
+        if state is not None:
+            runs = root.runs[state]
+        else:
+            runs = tuple(run for q in targets for run in root.runs[q] if not run.weight.is_zero)
+        return _tall_text(root), runs
+
+    @cached_property
+    def _wta_cell(self):
+        """cell_of(label, cells): a new cell of a subterm with root label
+        under a WTA, from the cells of its children: each rule of the label
+        applied in rule-index order, as `_fill` does."""
+        sr, by_label = self.automaton.semiring, self._rules
 
         def cell_of(label, cells):
             cell = {}
@@ -568,7 +681,7 @@ class Evaluator:
                 _apply(sr, cell, rule, real, cells)
             return cell
 
-        return Weight(sr, self._final_sum(parse_nodes(text, A.alphabet, node=cell_of)[-1]))
+        return cell_of
 
     def _fill(self, nodes) -> None:
         """Fill the cells of nodes, in the given order: distinct trees over

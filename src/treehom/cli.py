@@ -558,15 +558,9 @@ def _cmd_support(args) -> int:
 
 def _cmd_runs(args) -> int:
     A = load_automaton(args.automaton)
-    ev = Evaluator(A)
-    t = ev.parse(args.tree)
-    if args.state is not None:
-        runs = ev.runs(t, args.state)
-        where = f"to state {args.state}"
-    else:
-        runs = ev.accepting_runs(t)
-        where = "accepting"
-    print(f"{len(runs)} {where} run(s) for {t.text}")
+    text, runs = Evaluator(A).runs_text(args.tree, args.state)
+    where = "accepting" if args.state is None else f"to state {args.state}"
+    print(f"{len(runs)} {where} run(s) for {text}")
     for i, run in enumerate(runs, start=1):
         print(f"run {i}: target {run.target}, weight {run.weight}")
         print(format_run(run, "  "))

@@ -188,14 +188,20 @@ class Tree:
         return f"Tree({self.text!r})"
 
 
-def _tall_text(t: Tree) -> str:
+def _tall_text(t) -> str:
+    """The term syntax of t, any node with a label and children, written out
+    on an explicit stack.  A `Tree` up to _NATIVE_HEIGHT gives its cached
+    text; any other node, such as a parse node without a cached text, is
+    written node by node."""
     parts = []
-    stack = [t]  # trees still to write, and the ',' and ')' between them
+    stack = [t]  # nodes still to write, and the ',' and ')' between them
     while stack:
         node = stack.pop()
         if isinstance(node, str):
             parts.append(node)
-        elif node.height <= _NATIVE_HEIGHT:
+        elif not node.children:
+            parts.append(node.label)
+        elif isinstance(node, Tree) and node.height <= _NATIVE_HEIGHT:
             parts.append(node.text)
         else:
             parts.append(node.label + "(")

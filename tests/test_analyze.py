@@ -7,6 +7,7 @@ from treehom import (
     Automaton,
     AutomatonError,
     RankedAlphabet,
+    RunsTable,
     Tree,
     TreeHomomorphism,
     Weight,
@@ -273,10 +274,45 @@ def test_h_unambiguous_matches_naive_on_branching_homs():
                 outcomes.add("proved absent" if clash else "ok after a walk")
             else:
                 outcomes.add("violation on a clash hom" if clash else "violation")
-                if expected.witness[0].height < bound:
+                s = expected.witness[0]
+                if s.height < bound:
                     outcomes.add("witness below the bound")
-    assert {"proved absent", "witness below the bound",
-            "violation on a clash hom"} <= outcomes
+                if clash and s.height >= 1 and any(
+                        t.size < s.size for t in RunsTable(A, s.height).layer(s.height)):
+                    outcomes.add("witness above the least size of its layer")
+    assert {"proved absent", "witness below the bound", "violation on a clash hom",
+            "witness above the least size of its layer"} <= outcomes
+
+
+def test_h_unambiguous_expands_only_the_witness_height_up_to_its_size(monkeypatch):
+    # Clashing images over a zero-divisor-free semiring: the fixpoint gives
+    # the witness height H, so no tree below H, and no tree of height H
+    # larger than the witness, has its accepting runs expanded.
+    expanded = []
+    accepting_runs = RunsTable.accepting_runs
+    monkeypatch.setattr(RunsTable, "accepting_runs",
+                        lambda self, t: expanded.append(t) or accepting_runs(self, t))
+    rng = random.Random(2309)
+    below = larger = 0
+    for _ in range(200):
+        h = random_branching_hom(rng)
+        A = random_wta(rng, h.source, rng.choice(H_SEMIRINGS), rng.randint(1, 3))
+        if not images_clash(h) or not A.semiring.zero_divisor_free:
+            continue
+        for bound in range(4):
+            expected = naive_h_unambiguous(A, h, bound)
+            expanded.clear()
+            verdict = check_h_unambiguous(A, h, bound)
+            assert h_verdict_key(verdict) == h_verdict_key(expected)
+            if verdict.is_ok:
+                assert not expanded
+                continue
+            s = verdict.witness[0]
+            assert expanded and all(t.height == s.height and t.size <= s.size for t in expanded)
+            table = RunsTable(A, s.height)
+            below += any(table.layer(k) for k in range(s.height))
+            larger += any(t.size > s.size for t in table.layer(s.height))
+    assert below >= 10 and larger >= 5
 
 
 def test_h_unambiguous_matches_naive_at_bound_4():

@@ -42,8 +42,11 @@ from oracles import (
     random_branching_hom,
     random_modular_pair,
     random_pair,
+    random_weight,
     random_wta,
+    rule_specs,
     state_language_up_to,
+    with_sink,
 )
 
 NAT = get_semiring("natural")
@@ -708,6 +711,142 @@ def test_evaluate_text_of_a_wta_builds_no_tree(doubling_chain, counting_chain, m
     chain = "g(" * 3000 + "a" + ")" * 3000
     assert evaluators[0].evaluate_text(f"f({chain})").value == 2**3000
     assert evaluators[1].evaluate_text("g(a( ))").value == 2
+
+
+def tree_path_runs(A, text, state=None):
+    """What `runs_text` must give, through a parsed tree: its text, and per
+    run the target, weight, subject text and printed run."""
+    ev = Evaluator(A)
+    t = ev.parse(text)
+    runs = ev.accepting_runs(t) if state is None else ev.runs(t, state)
+    return t.text, [(r.target, r.weight, r.subject.text, format_run(r)) for r in runs]
+
+
+def text_path_runs(A, text, state=None):
+    shown, runs = Evaluator(A).runs_text(text, state)
+    return shown, [(r.target, r.weight, r.subject.text, format_run(r)) for r in runs]
+
+
+def run_counter(A):
+    """A with every weight one over the naturals: a tree's value at a state
+    is its number of runs there."""
+    one = NAT.one_weight
+    return Automaton(NAT, A.alphabet, A.states, A.finals,
+                     [(r.lhs, r.target, one, r.pairs) for r in A.rules], sink=A.sink)
+
+
+def with_sink_positions(rng, A, sink="bot"):
+    """`with_sink(A)` plus, for about half the non-leaf rules of A, a copy
+    with one child state turned into the sink, so runs have sink subruns."""
+    B = with_sink(A, sink)
+    specs = rule_specs(B.rules)
+    seen = {(lhs, target) for lhs, target, *_ in specs}
+    for rule in A.rules:
+        if rule.lhs.children and rng.random() < 0.5:
+            kids = list(rule.lhs.children)
+            kids[rng.randrange(len(kids))] = Tree(sink)
+            lhs = Tree(rule.lhs.label, kids)
+            if (lhs, rule.target) not in seen:
+                seen.add((lhs, rule.target))
+                specs.append((lhs, rule.target, random_weight(rng, A.semiring), ()))
+    return Automaton(A.semiring, A.alphabet, B.states, B.finals, specs, sink=sink)
+
+
+def test_runs_text_matches_the_tree_path():
+    rng = random.Random(25)
+    compared = sink_subruns = 0
+    for source in BRANCHING_SOURCES:
+        alphabet = RankedAlphabet(source)
+        for sr_id in EVAL_TEXT_SEMIRINGS:
+            for n_states in range(1, 4):
+                A = random_wta(rng, alphabet, sr_id, n_states)
+                for B in (A, with_sink(A), with_sink_positions(rng, A)):
+                    assert B.is_wta
+                    counter = Evaluator(run_counter(B))
+                    for steps in range(8):
+                        t = shared_tree(rng, alphabet, steps)
+                        if max(counter.state_value(t, q) for q in B.real_states) > 2000:
+                            continue  # both paths list every run
+                        compared += 1
+                        text = spaced_text(rng, t)
+                        for state in (None, *B.states):
+                            got = text_path_runs(B, text, state)
+                            assert got == tree_path_runs(B, text, state)
+                            assert got[0] == t.text
+                            if state is None:
+                                sink_subruns += sum(" -> bot @ 1" in r[3] for r in got[1])
+    assert compared >= 1000 and sink_subruns >= 20
+
+
+def test_runs_text_of_an_ambiguous_wta():
+    # Every node has a run to each of p and q: g^n(a) has 2^(n+1) runs to f.
+    A = build("natural", [("a", 0), ("g", 1)], ["p", "q"], ["p", "q"],
+              ["a -> p @ 1", "a -> q @ 2", "g(p) -> p @ 1", "g(p) -> q @ 3",
+               "g(q) -> p @ 2", "g(q) -> q @ 1"])
+    for text in ("a", "g(a)", "g(g(g(a)))", " g ( g(a ( ) ) ) "):
+        got = text_path_runs(A, text)
+        assert got == tree_path_runs(A, text)
+        t = parse_term(text, A.alphabet)
+        assert len(got[1]) == 2 ** t.height * 2
+        assert sorted(r[3] for r in got[1]) == sorted(
+            format_run(r) for r in naive_accepting_runs(A, t))
+
+
+def test_runs_text_of_a_3000_deep_chain(arctic_chain):
+    # g^n(b) has one run, to qb, of arctic weight 2n, and none to qa.
+    text = "g(" * 3000 + "b" + ")" * 3000
+    shown, runs = Evaluator(arctic_chain).runs_text(text)
+    assert shown == text
+    (run,) = runs
+    assert (run.target, run.weight.value) == ("qb", 6000)
+    lines = format_run(run).split("\n")
+    assert lines == ["  " * i + "g(qb) -> qb @ 2" for i in range(3000)] + ["  " * 3000 + "b -> qb @ 0"]
+    assert Evaluator(arctic_chain).runs_text(text, "qa") == (text, ())
+
+
+@pytest.mark.parametrize("text", [
+    "f(z)", "f(a,a)", "g", "f(a) a", "f(a))", "f(g(a)", "f(", "", "   ", "f(a,)", "f(a b)", "#",
+])
+def test_runs_text_rejects_what_parse_rejects(doubling_chain, text):
+    for state in (None, "q", "nowhere"):  # the text is reported before the state
+        with pytest.raises(TermError) as want:
+            Evaluator(doubling_chain).parse(text)
+        with pytest.raises(TermError) as got:
+            Evaluator(doubling_chain).runs_text(text, state)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_runs_text_of_an_undeclared_state(doubling_chain, doubling_image):
+    for A, text in ((doubling_chain, "f(g(a))"), (doubling_image, "k(a,g(a))")):
+        with pytest.raises(AutomatonError) as err:
+            Evaluator(A).runs_text(text, "nowhere")
+        assert str(err.value) == "undeclared state: nowhere"
+
+
+def test_runs_text_of_a_constrained_automaton_matches_the_tree_path(doubling_image):
+    text = "k(g(g(a)), g(g(g(a))))"
+    for state in (None, *doubling_image.states):
+        assert text_path_runs(doubling_image, text, state) == tree_path_runs(
+            doubling_image, text, state)
+
+
+def test_runs_text_of_a_wta_builds_no_tree(doubling_chain, monkeypatch):
+    rng = random.Random(5)
+    sinked = with_sink_positions(rng, random_wta(rng, RankedAlphabet(BRANCHING_SOURCES[0]),
+                                                 "natural", 2))
+    text = "m(g(a),m(a,g(a)))"
+    want = {state: text_path_runs(sinked, text, state) for state in (None, *sinked.states)}
+    chart = Evaluator(doubling_chain)
+
+    def no_tree(self, *args):
+        raise AssertionError("a Tree was built")
+
+    monkeypatch.setattr(Tree, "__init__", no_tree)
+    deep = "f(" + "g(" * 3000 + "a" + ")" * 3001
+    shown, (run,) = chart.runs_text(deep)
+    assert (shown, run.weight.value) == (deep, 2**3000)
+    for state, (shown, runs) in want.items():
+        assert text_path_runs(sinked, text, state) == (shown, runs)
 
 
 def test_run_weights_match_naive(doubling_image):

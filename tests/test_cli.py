@@ -519,6 +519,66 @@ def test_cli_runs_of_tall_chains(data_dir, capsys):
     assert lines[-1] == " " * (2 * n + 4) + "a -> q @ 1"
 
 
+SINK_WTA = """semiring: natural
+states: q qf bot
+sink: bot
+final: qf
+rules:
+a -> q @ 1
+g(q) -> q @ 2
+k(q,bot) -> qf @ 3
+k(q,q) -> qf @ 5
+a -> bot @ 1
+g(bot) -> bot @ 1
+k(bot,bot) -> bot @ 1
+"""
+
+
+def test_cli_runs_of_a_wta_with_sink_positions(tmp_path, capsys):
+    # g(a) is one subterm wanted at q and at the sink: each sink position
+    # gets the subterm's weight-one sink run.
+    path = tmp_path / "sink.aut"
+    path.write_text(SINK_WTA)
+    code = run_cli("runs", "--automaton", str(path), "--tree", "k(g(a), g(a))")
+    assert code == 0
+    assert capsys.readouterr() == (
+        "2 accepting run(s) for k(g(a),g(a))\n"
+        "run 1: target qf, weight 6\n"
+        "  k(q,bot) -> qf @ 3\n"
+        "    g(q) -> q @ 2\n"
+        "      a -> q @ 1\n"
+        "    g(bot) -> bot @ 1\n"
+        "      a -> bot @ 1\n"
+        "run 2: target qf, weight 20\n"
+        "  k(q,q) -> qf @ 5\n"
+        "    g(q) -> q @ 2\n"
+        "      a -> q @ 1\n"
+        "    g(q) -> q @ 2\n"
+        "      a -> q @ 1\n", "")
+    code = run_cli("runs", "--automaton", str(path), "--tree", "k(g(a), g(a))",
+                   "--state", "bot")
+    assert code == 0
+    assert capsys.readouterr() == (
+        "1 to state bot run(s) for k(g(a),g(a))\n"
+        "run 1: target bot, weight 1\n"
+        "  k(bot,bot) -> bot @ 1\n"
+        "    g(bot) -> bot @ 1\n"
+        "      a -> bot @ 1\n"
+        "    g(bot) -> bot @ 1\n"
+        "      a -> bot @ 1\n", "")
+
+
+@pytest.mark.parametrize("name, tree", [("doubling_chain.aut", "f(g(a)"),
+                                        ("doubling_image.aut", "k(g(a)")])
+def test_cli_runs_reports_a_malformed_tree_before_an_undeclared_state(data_dir, capsys, name,
+                                                                      tree):
+    # A WTA's runs are listed from the parse, any other automaton's from a tree.
+    code = run_cli("runs", "--automaton", str(data_dir / name), "--tree", tree,
+                   "--state", "nowhere")
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: column 7: expected ')' or ','\n")
+
+
 def test_cli_constraint_positions_of_any_length(tmp_path, capsys):
     digits = "1" * 5000  # past the interpreter's int-to-str limit
     path = tmp_path / "long.aut"
