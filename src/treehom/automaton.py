@@ -26,18 +26,16 @@ Weights and runs are read only from a chart object, `Evaluator` or
 `RunsTable`: per tree, each state's summed run weight, filled bottom-up from
 the cells of the captured subtrees.  Cells hold values only; the rule
 applications behind a cell are re-derived only when its runs are expanded
-into Run objects.  `Evaluator` fills the cells of given trees, each distinct
-subtree once, children first (straight from the parse of a text, via
-`term.parse_nodes`).  The text of a tree for a WTA is evaluated, and its
-runs listed, from the parse alone: its rules read only their children's
-cells, so each distinct subterm's cell is built from those, its runs are
-expanded from its children's runs, and no tree or chart entry is made for
-it.  `RunsTable` holds every tree up to a height bound for
-the bounded operations, and fills its height layers on demand, so a reader
-that stops at the first layer that settles it fills no higher one.  Trees
-without a run to a real state evaluate to zero and carry no accepting runs,
-and a rule whose states no tree reaches adds nothing, so neither fill needs
-a reachability pre-pass.
+into Run objects.  One rule loop builds a cell and one expansion lists
+runs, over trees and over the parse nodes of a text alike: `Evaluator`
+fills the cells of given trees, each distinct subtree once, children
+first, and evaluates a text, or lists its runs, from its parse alone
+(`term.parse_nodes`), with no tree or chart entry.  `RunsTable` holds every
+tree up to a height bound for the bounded operations, and fills its height
+layers on demand, so a reader that stops at the first layer that settles it
+fills no higher one.  Trees without a run to a real state evaluate to zero
+and carry no accepting runs, and a rule whose states no tree reaches adds
+nothing, so neither fill needs a reachability pre-pass.
 The fixpoints over annotated states rather than trees (the pair automaton of
 `first_diverging_height`, zero-divisor elimination) run on `saturate`.
 """
@@ -438,11 +436,12 @@ def captures(rule: Rule, t: Tree):
 
 class Run:
     """A run per the constrained semantics: a rule plus one child run per
-    state position (in prefix order), on the tree subject, which is
-    rule.plug of the child runs' subjects (a run listed by
-    `Evaluator.runs_text` has the subterm's parse node instead).  Identity is
-    (rule, child runs).  The weight's value is computed at once, and the
-    `Weight` and the hash on first use."""
+    state position (in prefix order), on its subject, the node it was
+    expanded at: the tree that is rule.plug of the child runs' subjects, or
+    for a run listed by `Evaluator.runs_text` that subterm's parse node.
+    Identity is (rule, child runs), compared on an explicit stack.  The
+    weight's value is computed at once, and the `Weight` and the hash on
+    first use."""
 
     __slots__ = ("rule", "subruns", "subject", "_value", "_weight", "_hash")
 
@@ -472,7 +471,16 @@ class Run:
             return True
         if not isinstance(other, Run):
             return NotImplemented
-        return self.rule is other.rule and self.subruns == other.subruns
+        # Equal but distinct runs may be arbitrarily deep.  One rule has one
+        # child run per state position, so equal rules pair the child runs up.
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if a.rule is not b.rule:
+                    return False
+                stack += zip(a.subruns, b.subruns)
+        return True
 
     def __hash__(self):
         if self._hash is None:
@@ -517,19 +525,17 @@ def run_state_map(run: Run) -> dict[Position, str]:
     return out
 
 
-class _ParseNode:
-    """A distinct subterm of a text parsed for `Evaluator.runs_text`: its
-    label, its children's nodes and its cell.  runs maps each state the
-    subterm is wanted in to the rules behind its runs there, and then to the
-    runs."""
+class _ParseNode(dict):
+    """A distinct subterm and its cell in one object: as a dict it maps
+    each state that the subterm has a run to, the pure sink aside, to the
+    semiring sum of those runs' weights; label and children give the
+    subterm, whose children are such nodes too.  Equal subterms are one
+    node (`term.parse_nodes` shares them within a text, and the chart of
+    `Evaluator` across its trees), so a node hashes and compares by
+    identity, not as a dict."""
 
-    __slots__ = ("label", "children", "cell", "runs")
-
-    def __init__(self, label: str, children, cell: dict):
-        self.label = label
-        self.children = children
-        self.cell = cell
-        self.runs = {}
+    __slots__ = ("label", "children")
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def text(self) -> str:
@@ -539,6 +545,11 @@ class _ParseNode:
 _NO_RUNS: dict = {}
 _height = attrgetter("height")
 _first, _second = itemgetter(0), itemgetter(1)
+
+
+def _itself(node: _ParseNode) -> dict:
+    """The cell of a parse node: the node."""
+    return node
 
 
 def _apply(sr: Semiring, cell: dict, rule: Rule, real, cells) -> None:
@@ -564,19 +575,23 @@ class Evaluator:
     semiring sum of the runs' weights: cells hold values only.  The pure
     sink stays implicit: every tree has one weight-one run to it.  A rule
     may apply at a tree (`captures`) and still add nothing, when a captured
-    subtree has no run to the state at its position.  `parse` fills the
-    distinct subterms of a text in the order `term.parse_nodes` lists them,
-    children first, and `evaluate_text` and `runs_text` of a WTA's text build
-    those cells without trees or chart entries; `_cell` walks any other tree
-    for them (a `RunsTable` fills its layers up to the tree's height
-    instead).  Cells are keyed by tree, so a subtree shared within or between
-    inputs is evaluated once.
+    subtree has no run to the state at its position.
 
-    Runs are not stored in the cells: `runs` re-derives the rule
-    applications of a (tree, state) pair when it expands that pair, and only
-    when the tree's cell holds the state, so a tree outside a `RunsTable`
-    has none.  `runs_text` of a WTA's text expands each (subterm, state)
-    pair its runs use once, from the parse nodes, without a tree.
+    One rule loop builds a cell (`_node`), and one expansion lists runs
+    (`_expand`).  The rule loop builds a `_ParseNode`, a subterm that is its
+    own cell, from its label and its children's nodes: `term.parse_nodes`
+    calls it for each distinct subterm of a text, children first, so
+    `evaluate_text` and `runs_text` make no tree and no chart entry, and
+    `_cell` calls it for each distinct subtree of a tree that has no cell
+    yet, keyed by the tree in the chart (a `RunsTable` fills its layers up
+    to the tree's height instead).  Equal subterms are one node, so a
+    constraint compares the nodes it captures by identity.
+
+    Runs are not stored in the cells: the expansion re-derives the rule
+    applications of a (node, state) pair, over parse nodes or over trees,
+    when it expands that pair, and only when the node's cell holds the
+    state, so a tree outside a `RunsTable` has none.  The runs of trees are
+    memoized per chart, so trees that share subtrees share their runs.
     """
 
     def __init__(self, A: Automaton):
@@ -586,132 +601,51 @@ class Evaluator:
         self._chart: dict[Tree, dict] = {}
         self._runs: dict[tuple, tuple[Run, ...]] = {}
 
-    def parse(self, text: str) -> Tree:
-        """The tree of text over the automaton's alphabet, its cell and those
-        of its subterms filled straight from the parse: `term.parse_nodes`
-        has checked each distinct subterm and lists it once, children first."""
-        nodes = parse_nodes(text, self.automaton.alphabet)
-        self._fill(nodes)
-        return nodes[-1]
-
-    def evaluate_text(self, text: str) -> Weight:
-        """The series value of the tree of text.  For a WTA every rule reads
-        only the cells of its children, so `term.parse_nodes` builds each
-        distinct subterm's cell from theirs (`_wta_cell`) and makes no tree;
-        any other automaton has the tree parsed and evaluated."""
-        A = self.automaton
-        if not A.is_wta:
-            return self.evaluate(self.parse(text))
-        cells = parse_nodes(text, A.alphabet, node=self._wta_cell)
-        return Weight(A.semiring, self._final_sum(cells[-1]))
-
-    def runs_text(self, text: str, state: str | None = None) -> tuple[str, tuple[Run, ...]]:
-        """The text of the tree of text, and its runs to state, or else its
-        accepting runs, as `runs` and `accepting_runs` give them.
-
-        For a WTA, `term.parse_nodes` builds one `_ParseNode` per distinct
-        subterm, with its cell (`_wta_cell`), and no tree.  A pass from the
-        whole term down, parents first, finds the rules behind each wanted
-        (node, state) pair and so the pairs its children are wanted in; a
-        pass up, children first, then expands each wanted pair once.  A
-        pure-sink position wants the subterm's one weight-one sink run.  Any
-        other automaton has the tree parsed and its runs expanded."""
-        A = self.automaton
-        if not A.is_wta:
-            t = self.parse(text)
-            return t.text, self.runs(t, state) if state is not None else self.accepting_runs(t)
-        cell_of = self._wta_cell
-
-        def node(label, children):
-            return _ParseNode(label, children, cell_of(label, [c.cell for c in children]))
-
-        nodes = parse_nodes(text, A.alphabet, node=node)
-        if state is not None and state not in A.states:
-            raise AutomatonError(f"undeclared state: {state}")
-        root = nodes[-1]
-        targets = A.finals if state is None else (state,)
-        sink, sink_rules, by_label = self._sink, self._sink_rules, self._rules
-        root.runs = dict.fromkeys(targets)
-        # Parents first: the rules behind each wanted pair, and the pairs
-        # they want of the children.
-        for t in reversed(nodes):
-            wanted = t.runs
-            if not wanted:
-                continue
-            children = t.children
-            for q in wanted:
-                if q == sink:
-                    rules = (sink_rules[t.label],)
-                elif q in t.cell:
-                    rules = [rule for rule, real, _ in by_label[t.label] if rule.target == q
-                             and all(p in children[i].cell for i, p in real)]
-                else:
-                    rules = ()
-                wanted[q] = rules
-                for rule in rules:
-                    for c, p in zip(children, rule.state_labels):
-                        c.runs.setdefault(p)
-        # Children first: each wanted pair's runs from its children's runs.
-        for t in nodes:
-            wanted = t.runs
-            if not wanted:
-                continue
-            children = t.children
-            for q, rules in wanted.items():
-                wanted[q] = tuple(
-                    Run(rule, combo, t) for rule in rules
-                    for combo in product(*[c.runs[p] for c, p in zip(children, rule.state_labels)])
-                )
-        if state is not None:
-            runs = root.runs[state]
-        else:
-            runs = tuple(run for q in targets for run in root.runs[q] if not run.weight.is_zero)
-        return _tall_text(root), runs
-
     @cached_property
-    def _wta_cell(self):
-        """cell_of(label, cells): a new cell of a subterm with root label
-        under a WTA, from the cells of its children: each rule of the label
-        applied in rule-index order, as `_fill` does."""
+    def _node(self):
+        """node(label, children): the parse node of a subterm with root
+        label over its children's nodes, with its cell: each rule of the
+        label applied in rule-index order.  A flat rule without a constraint
+        reads the children; any other rule the nodes it captures
+        (`captures`), where it applies."""
         sr, by_label = self.automaton.semiring, self._rules
 
-        def cell_of(label, cells):
-            cell = {}
+        def node(label, children):
+            t = _ParseNode()
+            t.label = label
+            t.children = children
             for rule, real, _ in by_label.get(label, ()):
-                _apply(sr, cell, rule, real, cells)
-            return cell
-
-        return cell_of
-
-    def _fill(self, nodes) -> None:
-        """Fill the cells of nodes, in the given order: distinct trees over
-        the alphabet, each after its proper subtrees unless those have a cell
-        already.  Their symbols and ranks are not checked."""
-        sr = self.automaton.semiring
-        chart, by_label = self._chart, self._rules
-        for t in nodes:
-            cell = {}
-            child_cells = None  # what flat rules capture, looked up once
-            for rule, real, _ in by_label.get(t.label, ()):
                 if rule.flat and not rule.constrained:
-                    if child_cells is None:
-                        child_cells = [chart[c] for c in t.children]
-                    cells = child_cells
+                    subs = children
                 else:
                     subs = captures(rule, t)
                     if subs is None:
                         continue
-                    cells = [chart[sub] for sub in subs]
-                _apply(sr, cell, rule, real, cells)
-            chart[t] = cell or _NO_RUNS
+                _apply(sr, t, rule, real, subs)
+            return t
+
+        return node
+
+    def evaluate_text(self, text: str) -> Weight:
+        """The series value of the tree of text, from its parse alone."""
+        root = parse_nodes(text, self.automaton.alphabet, node=self._node)[-1]
+        return Weight(self.automaton.semiring, self._final_sum(root))
+
+    def runs_text(self, text: str, state: str | None = None) -> tuple[str, tuple[Run, ...]]:
+        """The text of the tree of text, and its runs to state, or else its
+        accepting runs, as `runs` and `accepting_runs` give them, expanded
+        from its parse alone."""
+        root = parse_nodes(text, self.automaton.alphabet, node=self._node)[-1]
+        self._check_state(state)
+        return _tall_text(root), self._expand(root, state, _itself, {})
 
     def _cell(self, t: Tree) -> dict:
         """The cell of t.  A preorder walk collects the distinct subtrees of
         t without a cell, raising on the first node the alphabet does not
-        allow; `_fill` then takes them by increasing height, children first.
-        Subtrees are told apart by equality: equal copies that are different
-        objects get one cell, so no copy of a tall key is stored and
-        compared with it node by node at every level."""
+        allow; their cells are then built by increasing height, children
+        first.  Subtrees are told apart by equality: equal copies that are
+        different objects get one cell, so no copy of a tall key is stored
+        and compared with it node by node at every level."""
         chart = self._chart
         cell = chart.get(t)
         if cell is not None:
@@ -732,8 +666,13 @@ class Evaluator:
             nodes.append(node)
             stack += node.children[::-1]
         nodes.sort(key=_height)
-        self._fill(nodes)
+        for node in nodes:
+            chart[node] = self._node(node.label, [chart[c] for c in node.children])
         return chart[t]
+
+    def _tree_cell(self, t: Tree) -> dict:
+        """The cell of t in the chart, empty when the chart has none."""
+        return self._chart.get(t, _NO_RUNS)
 
     def state_value(self, t: Tree, q: str):
         if q == self._sink:
@@ -754,77 +693,72 @@ class Evaluator:
     def evaluate(self, t: Tree) -> Weight:
         return Weight(self.automaton.semiring, self.evaluate_value(t))
 
-    def _applications(self, t: Tree, q: str):
-        """The (rule, captured subtrees) pairs that derive the runs for t to
-        q, in rule-index order: none unless the cell of t holds q, else the
-        rules to q that apply at t and whose captured subtrees all reach
-        their states."""
+    def runs(self, t: Tree, q: str) -> tuple[Run, ...]:
+        """All runs for t to q, ordered by (rule index, child-run order)."""
+        self._cell(t)  # a node outside the alphabet is reported before the state
+        self._check_state(q)
+        return self._expand(t, q, self._tree_cell, self._runs)
+
+    def accepting_runs(self, t: Tree) -> tuple[Run, ...]:
+        """Valid (nonzero-weight) runs for t to a final state."""
+        self._cell(t)  # raises on a node outside the alphabet
+        return self._expand(t, None, self._tree_cell, self._runs)
+
+    def _check_state(self, q: str | None) -> None:
+        if q is not None and q not in self.automaton.states:
+            raise AutomatonError(f"undeclared state: {q}")
+
+    def _expand(self, root, state, cell, memo) -> tuple[Run, ...]:
+        """The runs of node root to state, or else its accepting runs, on an
+        explicit stack.  Each (node, state) pair is expanded once into memo:
+        a pair gets its rule applications (`_applications`), and its runs,
+        in (rule index, child-run order), once the pairs they capture have
+        theirs."""
+        finals = self.automaton.finals
+        applications = self._applications
+        stack = [(root, q, None) for q in (finals if state is None else (state,))]
+        while stack:
+            t, q, found = stack.pop()
+            if found is None:  # first visit
+                if (t, q) in memo:
+                    continue
+                found = applications(t, q, cell)
+                pending = [(s, p, None) for rule, subs in found
+                           for s, p in zip(subs, rule.state_labels) if (s, p) not in memo]
+                if pending:
+                    stack.append((t, q, found))
+                    stack += pending
+                    continue
+            memo[t, q] = tuple(
+                Run(rule, combo, t) for rule, subs in found
+                for combo in product(*[memo[k] for k in zip(subs, rule.state_labels)])
+            )
+        if state is not None:
+            return memo[root, state]
+        return tuple(run for q in finals for run in memo[root, q] if not run.weight.is_zero)
+
+    def _applications(self, t, q: str, cell):
+        """The (rule, captured subterms) pairs behind the runs of node t to
+        q, in rule-index order: the pure sink's one rule; else none unless
+        t's cell, cell(t), holds q, else the rules to q that apply at t and
+        whose captured subterms all reach their real states."""
         if q == self._sink:
             return ((self._sink_rules[t.label], t.children),)
-        chart = self._chart  # t and, in an Evaluator, all its subtrees have cells
-        if q not in chart.get(t, _NO_RUNS):
+        if q not in cell(t):
             return ()
         out = []
-        child_cells = None  # what flat rules capture, looked up once
         for rule, real, _ in self._rules.get(t.label, ()):
             if rule.target != q:
                 continue
             subs = captures(rule, t)
             if subs is None:
                 continue
-            if rule.flat:
-                if child_cells is None:
-                    child_cells = [chart.get(c, _NO_RUNS) for c in t.children]
-                cells = child_cells
-            else:
-                cells = [chart.get(sub, _NO_RUNS) for sub in subs]
             for i, p in real:
-                if p not in cells[i]:
+                if p not in cell(subs[i]):
                     break
             else:
                 out.append((rule, subs))
         return out
-
-    def runs(self, t: Tree, q: str) -> tuple[Run, ...]:
-        """All runs for t to q, ordered by (rule index, child-run order)."""
-        self._cell(t)  # a node outside the alphabet is reported before the state
-        if q not in self.automaton.states:
-            raise AutomatonError(f"undeclared state: {q}")
-        return self._expand(t, q)
-
-    def _expand(self, t: Tree, q: str) -> tuple[Run, ...]:
-        """`runs` without its checks, on an explicit stack: each pair is
-        expanded once its child pairs are, and memoized across calls."""
-        memo = self._runs
-        stack = [((t, q), None)]  # pairs, each with its applications once derived
-        while stack:
-            key, apps = stack.pop()
-            if key in memo:
-                continue
-            if apps is None:
-                apps = self._applications(*key)
-            pending = [
-                k for rule, subs in apps
-                for k in zip(subs, rule.state_labels) if k not in memo
-            ]
-            if pending:
-                stack.append((key, apps))
-                stack.extend((k, None) for k in pending)
-                continue
-            memo[key] = tuple(
-                Run(rule, combo, key[0])
-                for rule, subs in apps
-                for combo in product(*(memo[k] for k in zip(subs, rule.state_labels)))
-            )
-        return memo[(t, q)]
-
-    def accepting_runs(self, t: Tree) -> tuple[Run, ...]:
-        """Valid (nonzero-weight) runs for t to a final state."""
-        self._cell(t)  # raises on a node outside the alphabet
-        return tuple(
-            run for q in self.automaton.finals for run in self._expand(t, q)
-            if not run.weight.is_zero
-        )
 
 
 class RunsTable(Evaluator):
@@ -836,8 +770,8 @@ class RunsTable(Evaluator):
     rule application strictly increases height, so the layers below h hold
     every tree that a tree of layer h captures.  Reading a tree's cell fills
     the layers up to its height; trees outside the chart have no runs except
-    the pure sink's.  Build them with `term.parse_term`, since the inherited
-    `parse` fills their cells.
+    the pure sink's.  The inherited `evaluate_text` and `runs_text` read
+    the parse of a text alone, not the table.
     """
 
     def __init__(self, A: Automaton, height_bound: int):

@@ -10,8 +10,9 @@ parse a single shared object, so comparing them stops at identity, and each
 distinct subterm is evaluated once.  `parse_nodes` lists those subterms,
 each once and children first, checked against the alphabet as they were
 built, so a run chart can fill them without walking the term again; with
-another node constructor it builds, say, a WTA's run chart cells instead of
-trees, so the text is evaluated from the parse alone.
+another node constructor it builds, say, a run chart's parse nodes, each
+with its cell, instead of trees, so the text is evaluated from the parse
+alone.
 """
 
 from __future__ import annotations
@@ -300,9 +301,9 @@ def parse_nodes(text: str, alphabet: RankedAlphabet | None = None, ext=frozenset
     Each is built by ``node(name, children)``, called once per distinct
     subterm with the sequence of its children's nodes; it must return a new
     object, since a parent is keyed by its children's identities.  The
-    default builds trees; a run chart of a WTA passes a function that builds
-    a subterm's cell from its children's cells, so the text is evaluated
-    straight from the parse, without trees."""
+    default builds trees; a run chart passes a function that builds a
+    subterm's parse node, with its cell, from its children's nodes, so the
+    text is evaluated straight from the parse, without trees."""
     ranks = None if alphabet is None else dict(alphabet.items())
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # end of input

@@ -150,7 +150,8 @@ def test_runs_to_an_undeclared_state(doubling_chain):
     # The tree is valid, so the state is what gets reported, whether or not
     # the chart already holds the tree.
     ev = Evaluator(doubling_chain)
-    t = ev.parse("f(g(a))")
+    t = parse_term("f(g(a))", doubling_chain.alphabet)
+    ev.evaluate(t)
     for chart in (ev, Evaluator(doubling_chain), RunsTable(doubling_chain, 2)):
         with pytest.raises(AutomatonError) as err:
             chart.runs(t, "nowhere")
@@ -535,16 +536,16 @@ def test_runs_match_naive_enumeration(doubling_image, constrained_pair, z6_chain
 
 def test_value_only_chart_matches_naive_runs():
     # A cell maps each state with runs to its summed run weight, and nothing
-    # else, whether filled from a parse's node list (shared subterms), by
-    # walking an enumerated tree (distinct equal copies) or by a RunsTable;
-    # the runs re-derived from it come in the naive recursion's order.
+    # else, whether filled by walking a parsed tree (shared subterms) or an
+    # enumerated one (distinct equal copies), or by a RunsTable; the runs
+    # re-derived from it come in the naive recursion's order.
     image = branching_image()
     for A, trees in ((NONDETERMINISTIC, enumerate_trees(NONDETERMINISTIC.alphabet, 3)),
                      (image, RunsTable(image, 3).trees + enumerate_trees(image.alphabet, 2))):
         table = RunsTable(A, 3)
         for t in trees:
             filled = Evaluator(A)
-            parsed = filled.parse(t.text)
+            parsed = parse_term(t.text, A.alphabet)
             want = {q: naive_runs(A, t, q) for q in A.states}
             want_cell = {q: naive_state_value(A, t, q) for q in A.real_states if want[q]}
             for ev, s in ((filled, parsed), (Evaluator(A), t), (table, t)):
@@ -664,30 +665,34 @@ def test_evaluate_text_matches_the_tree_path_and_naive():
                 if unary:
                     texts.append((f"{unary[0]}(" * 3000 + "a" + ")" * 3000, None))
                 for text, t in texts:
-                    ev = Evaluator(A)
                     got = Evaluator(A).evaluate_text(text)
-                    assert got == ev.evaluate(ev.parse(text))
+                    assert got == Evaluator(A).evaluate(parse_term(text, A.alphabet))
                     if t is not None and n_states ** t.size <= 4096:  # naive lists every run
                         assert got == naive_evaluate(A, t)
 
 
-def test_evaluate_text_of_other_automata_takes_the_tree_path(doubling_image, constrained_pair,
-                                                              monkeypatch):
+def test_evaluate_text_of_other_automata_matches_naive(doubling_image, constrained_pair):
     # Constrained rules, and an unconstrained rule that is not flat: both
-    # compare or capture subtrees below the children, so they need trees.
+    # compare or capture parse nodes below the children.  The parse makes
+    # equal subterms one node, so a constraint holds exactly where the two
+    # captured nodes are one.
     deep = build("natural", [("a", 0), ("g", 1)], ["q"], ["q"],
                  ["a -> q @ 2", "g(q) -> q @ 3", "g(g(q)) -> q @ 5"])
     cases = [(doubling_image, "k(g(g(a)),g(g(g(a))))"),
+             (doubling_image, "k(g(a),g(g(g(a))))"),
              (constrained_pair, "k(g(g(a)), g(g(g(a))))"),
+             (constrained_pair, "k(g(g(a)), g(g(a)))"),
              (FLAT_CONSTRAINED, "k(k(a,a),k(a,a))"),
+             (FLAT_CONSTRAINED, "k(k(a,b),k(a(),a))"),
+             (FLAT_CONSTRAINED, "k(b,g(b))"),
              (deep, "g(g(g(a)))")]
-    parsed = []
-    parse = Evaluator.parse
-    monkeypatch.setattr(Evaluator, "parse", lambda self, text: parsed.append(text) or parse(self, text))
+    values = set()
     for A, text in cases:
         assert not A.is_wta
-        assert Evaluator(A).evaluate_text(text) == naive_evaluate(A, parse_term(text, A.alphabet))
-    assert parsed == [text for _, text in cases]
+        want = naive_evaluate(A, parse_term(text, A.alphabet))
+        assert Evaluator(A).evaluate_text(text) == want
+        values.add(want.is_zero)
+    assert values == {True, False}
 
 
 @pytest.mark.parametrize("text", [
@@ -695,7 +700,7 @@ def test_evaluate_text_of_other_automata_takes_the_tree_path(doubling_image, con
 ])
 def test_evaluate_text_rejects_what_parse_rejects(doubling_chain, text):
     with pytest.raises(TermError) as want:
-        Evaluator(doubling_chain).parse(text)
+        parse_term(text, doubling_chain.alphabet)
     with pytest.raises(TermError) as got:
         Evaluator(doubling_chain).evaluate_text(text)
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
@@ -717,7 +722,7 @@ def tree_path_runs(A, text, state=None):
     """What `runs_text` must give, through a parsed tree: its text, and per
     run the target, weight, subject text and printed run."""
     ev = Evaluator(A)
-    t = ev.parse(text)
+    t = parse_term(text, A.alphabet)
     runs = ev.accepting_runs(t) if state is None else ev.runs(t, state)
     return t.text, [(r.target, r.weight, r.subject.text, format_run(r)) for r in runs]
 
@@ -810,7 +815,7 @@ def test_runs_text_of_a_3000_deep_chain(arctic_chain):
 def test_runs_text_rejects_what_parse_rejects(doubling_chain, text):
     for state in (None, "q", "nowhere"):  # the text is reported before the state
         with pytest.raises(TermError) as want:
-            Evaluator(doubling_chain).parse(text)
+            parse_term(text, doubling_chain.alphabet)
         with pytest.raises(TermError) as got:
             Evaluator(doubling_chain).runs_text(text, state)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
@@ -847,6 +852,103 @@ def test_runs_text_of_a_wta_builds_no_tree(doubling_chain, monkeypatch):
     assert (shown, run.weight.value) == (deep, 2**3000)
     for state, (shown, runs) in want.items():
         assert text_path_runs(sinked, text, state) == (shown, runs)
+
+
+def test_constrained_text_builds_no_tree(doubling_image, constrained_pair, monkeypatch):
+    # The constraint 1 = 2.1 compares g^3000(a) with the child of g^3001(a):
+    # one parse node.  doubling_image routes the copy through the sink,
+    # constrained_pair squares its weight.
+    n = 3000
+    text = f"k({'g(' * n}a{')' * n},{'g(' * (n + 1)}a{')' * (n + 1)})"
+    cases = [(Evaluator(doubling_image), 2**n), (Evaluator(constrained_pair), 4**n)]
+
+    def no_tree(self, *args):
+        raise AssertionError("a Tree was built")
+
+    monkeypatch.setattr(Tree, "__init__", no_tree)
+    for ev, value in cases:
+        assert ev.evaluate_text(text).value == value
+        shown, (run,) = ev.runs_text(text)
+        assert (shown, run.weight.value) == (text, value)
+
+
+def subject_texts(run):
+    """The subject text of every application of run, in preorder."""
+    out, stack = [], [run]
+    while stack:
+        run = stack.pop()
+        out.append(run.subject.text)
+        stack += reversed(run.subruns)
+    return out
+
+
+def naive_reference_instances(data_automata):
+    """(automaton, trees) for the run expansion's differential test: random
+    WTAs over the branching sources, also with a sink and with sink
+    positions; constrained automata, among them hom images of random
+    pairs; and z6 automata, whose runs may weigh zero.  data_automata are
+    bundled automata, each with its trees up to height 3."""
+    rng = random.Random(27)
+    for source in BRANCHING_SOURCES:
+        alphabet = RankedAlphabet(source)
+        for sr_id in ("natural", "tropical", "z6"):
+            A = random_wta(rng, alphabet, sr_id, 2)
+            trees = [shared_tree(rng, alphabet, steps) for steps in range(5)]
+            for B in (A, with_sink(A), with_sink_positions(rng, A)):
+                yield B, trees
+    for A in (FLAT_CONSTRAINED, *data_automata):
+        yield A, enumerate_trees(A.alphabet, 3)
+    for sr_id in ("natural", "arctic", "z6"):
+        A, h = random_pair(rng, sr_id)
+        image = hom_image(A, h)
+        yield image, RunsTable(image, 3).trees + enumerate_trees(image.alphabet, 1)
+
+
+def test_runs_match_the_naive_reference(doubling_image, constrained_pair, z6_chain):
+    # runs, accepting_runs and runs_text, for every state and for none,
+    # against the naive recursion: the same runs in the same order, on the
+    # same subjects.  Trees with too many runs for the naive recursion are
+    # skipped.
+    rng = random.Random(2027)
+    compared = filtered = constrained = 0
+    for A, trees in naive_reference_instances((doubling_image, constrained_pair, z6_chain)):
+        counter = Evaluator(run_counter(A))
+        for t in trees:
+            if max((counter.state_value(t, q) for q in A.real_states), default=0) > 500:
+                continue
+            compared += 1
+            ev, text = Evaluator(A), spaced_text(rng, t)
+            for state in (None, *A.states):
+                if state is None:
+                    want = naive_accepting_runs(A, t)
+                    got = ev.accepting_runs(t)
+                    filtered += len(want) < sum(len(naive_runs(A, t, q)) for q in A.finals)
+                else:
+                    want = naive_runs(A, t, state)
+                    got = ev.runs(t, state)
+                shown, from_text = Evaluator(A).runs_text(text, state)
+                assert shown == t.text
+                assert list(got) == list(from_text) == want
+                for run, ref in zip(from_text, want):
+                    assert subject_texts(run) == subject_texts(ref)
+            constrained += any(r.constrained for r in A.rules) and bool(naive_accepting_runs(A, t))
+    assert compared >= 300 and filtered >= 5 and constrained >= 20
+
+
+def test_equal_deep_runs_compare_equal(doubling_chain):
+    # Runs from separate expansions, of a parse and of a tree, are equal but
+    # distinct objects 3,001 applications deep.
+    text = "f(" + "g(" * 3000 + "a" + ")" * 3001
+    (first,), (second,) = (Evaluator(doubling_chain).runs_text(text)[1] for _ in range(2))
+    (third,) = Evaluator(doubling_chain).accepting_runs(parse_term(text, doubling_chain.alphabet))
+    assert first is not second and hash(first) == hash(second) == hash(third)
+    assert first == second == third and not first != third
+    # Runs that differ only in the rule of their leaf.
+    A = build("natural", [("a", 0), ("b", 0), ("g", 1)], ["q"], ["q"],
+              ["a -> q @ 1", "b -> q @ 1", "g(q) -> q @ 1"])
+    ev = Evaluator(A)
+    (on_a,), (on_b,) = (ev.runs_text("g(" * 3000 + leaf + ")" * 3000)[1] for leaf in "ab")
+    assert on_a != on_b and not on_a == on_b
 
 
 def test_run_weights_match_naive(doubling_image):

@@ -19,6 +19,7 @@ from treehom import (
     check_unambiguous,
     decide_hom_regularity,
     get_semiring,
+    parse_term,
     project_boolean,
 )
 import treehom.automaton
@@ -283,9 +284,8 @@ def test_internal_consistency_failure(data_dir, monkeypatch, capsys):
     # An ambiguous fixed image after passing preconditions is a bug in the
     # pipeline: the report says so and the verdict is UNKNOWN.
     def ambiguous(A, bound):
-        ev = Evaluator(A)
-        t = ev.parse("k(a,g(a))")
-        (run,) = ev.accepting_runs(t)
+        t = parse_term("k(a,g(a))", A.alphabet)
+        (run,) = Evaluator(A).accepting_runs(t)
         return violated(bound, (t, (run, run)), f"2 accepting runs for {t.text}")
 
     monkeypatch.setattr(treehom.decide, "check_unambiguous", ambiguous)
