@@ -20,6 +20,7 @@ from .automaton import (
     relaxation_unambiguous,
     run_state_map,
 )
+from .construct import linearize
 from .hom import TreeHomomorphism, images_clash
 from .semiring import Weight
 from .term import Tree, format_position, tree_key
@@ -57,11 +58,10 @@ def bounded_equivalence(A: Automaton, B: Automaton, height_bound: int) -> Verdic
     return verified(height_bound)
 
 
-def linearization_equivalence(A: Automaton, B: Automaton, lin_height: int,
-                              height_bound: int) -> Verdict:
+def linearization_equivalence(A: Automaton, lin_height: int, height_bound: int) -> Verdict:
     """The verdict of `bounded_equivalence(A, B, height_bound)` for
-    B = linearize(A, lin_height), found without enumerating trees where
-    possible.
+    B = linearize(A, lin_height), found without building B or enumerating
+    trees where possible.
 
     B sums exactly the runs of A whose constrained classes hold subtrees of
     height <= lin_height; call the other runs of A *tall*.  Three paths:
@@ -81,8 +81,9 @@ def linearization_equivalence(A: Automaton, B: Automaton, lin_height: int,
        A's value is nonzero, it is the least differing tree.  This holds
        over any semiring; after `eliminate_zero_divisors` no run weighs
        zero, so a fixed image never takes the fallback below.
-    2. Every other case, and a path-1 tree whose run weighs zero, gets
-       `bounded_equivalence`.
+    2. Every other case, and a path-1 tree whose run weighs zero, builds B
+       and gets `bounded_equivalence`.  Only this path builds B: text-format
+       `decide` builds no other, and its machine report builds B for `linearized`.
     """
     if lin_height < 0:
         raise AutomatonError("linearization height must be nonnegative")
@@ -98,7 +99,7 @@ def linearization_equivalence(A: Automaton, B: Automaton, lin_height: int,
         if wa != zero:
             return violated(height_bound, (t, wa, zero),
                             f"series differ on {t.text}: {wa} vs {zero}")
-    return bounded_equivalence(A, B, height_bound)
+    return bounded_equivalence(A, linearize(A, lin_height), height_bound)
 
 
 def _least_tall_tree(A: Automaton, lin_height: int, height_bound: int):

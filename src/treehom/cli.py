@@ -368,7 +368,8 @@ def report_to_dict(r: DecisionReport) -> dict:
         "internal_consistency_failure": r.internal_consistency_failure,
         "projection": _automaton_summary(r.projection),
         "support_arm": r.support_arm,
-        "linearized": _automaton_summary(r.linearized),
+        "linearized": _automaton_summary(
+            None if r.equivalence is None else linearize(r.fixed_image, r.lin_height)),
         "equivalence": verdict_to_dict(r.equivalence),
         "oracle_answer": r.oracle_answer,
         "oracle_diagnostic": r.oracle_diagnostic,

@@ -9,8 +9,8 @@ the linearization surrogate: compare the image against its linearization up
 to a height bound.  A mismatch refutes that particular linearization height,
 it does not prove non-regularity; agreement is evidence, not proof.
 
-The comparison (`linearization_equivalence`) gives the verdict of
-`bounded_equivalence` by one of three paths:
+The comparison, `linearization_equivalence(image, lin_height, eq_bound)`,
+gives the verdict of `bounded_equivalence` by one of three paths:
 
 0. The fixed image has no constrained rule besides the sink's: the image and
    its linearization have the same runs, and agree at every height.
@@ -21,7 +21,9 @@ The comparison (`linearization_equivalence`) gives the verdict of
    finds the least tall tree, or proves there is none, without enumerating
    trees; only the image is then evaluated on that one tree, where the
    linearization is zero.
-2. Otherwise, or if that tree's run weighs zero, both are enumerated.
+2. Otherwise, or if that tree's run weighs zero, the linearization is built
+   and both are enumerated.  The report holds no linearization: text output
+   builds none elsewhere, and the machine report builds it for `linearized`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .construct import (
     dickson_cap,
     eliminate_zero_divisors,
     hom_image,
-    linearize,
     project_boolean,
 )
 from .hom import TreeHomomorphism, check_tetris_free
@@ -70,7 +71,6 @@ class DecisionReport:
         self.internal_consistency_failure = False
         self.projection: Automaton | None = None
         self.support_arm: str | None = None
-        self.linearized: Automaton | None = None
         self.equivalence: Verdict | None = None
         self.oracle_answer: str | None = None
         self.oracle_diagnostic: str | None = None
@@ -210,10 +210,7 @@ def decide_hom_regularity(A: Automaton, h: TreeHomomorphism, *, check_bound: int
             report.verdict = UNKNOWN
             report.warnings.append(diagnostic)
     else:
-        report.linearized = linearize(report.fixed_image, lin_height)
-        report.equivalence = linearization_equivalence(
-            report.fixed_image, report.linearized, lin_height, eq_bound
-        )
+        report.equivalence = linearization_equivalence(report.fixed_image, lin_height, eq_bound)
         if report.equivalence.is_ok:
             report.verdict = EVIDENCE_REGULAR
         else:

@@ -170,17 +170,23 @@ def _match_image(pattern: Tree, t: Tree, binding=None):
     return binding
 
 
-def _clash(p: Tree, q: Tree) -> bool:
-    """Whether two image patterns differ in label or arity at a position that
-    both reach without passing through a variable: then no tree matches both."""
+def _clash(p: Tree, q: Tree, roots) -> bool:
+    """Whether no image tree matches both image patterns: they differ in
+    label or arity at a position that both reach without passing through a
+    variable, or one has a variable there and the other a node whose
+    (label, arity) is not in roots, the symbol images' root shapes."""
     stack = [(p, q)]
     while stack:
         p, q = stack.pop()
-        if is_variable(p.label) or is_variable(q.label):
-            continue
-        if p.label != q.label or len(p.children) != len(q.children):
+        if is_variable(p.label):
+            p, q = q, p  # a variable, if either is one, is now q
+        if is_variable(q.label):
+            if not is_variable(p.label) and (p.label, len(p.children)) not in roots:
+                return True
+        elif p.label != q.label or len(p.children) != len(q.children):
             return True
-        stack.extend(zip(p.children, q.children))
+        else:
+            stack.extend(zip(p.children, q.children))
     return False
 
 
@@ -188,9 +194,17 @@ def images_clash(h: TreeHomomorphism) -> bool:
     """Whether the images of every two symbols with distinct images clash
     (see ``_clash``).  Then h(s) = h(s') forces the two roots to have equal
     images and, because h is nondeleting, so on down: h is tetris-free at
-    every height."""
+    every height.
+
+    A variable of an image binds an image tree h(s_i), and because h is
+    nonerasing, h(s_i) starts with the root of the image of s_i's root
+    symbol.  So where one image has a variable and the other a node whose
+    (label, arity) is no symbol image's root, no image tree matches both:
+    the root-aware form of the clash rule of syntactic unification (Baader
+    & Nipkow, *Term Rewriting and All That*, ch. 4)."""
+    roots = {(t.label, len(t.children)) for t in h.images.values()}
     classes = dict.fromkeys(h.images.values())
-    return all(_clash(p, q) for p, q in combinations(classes, 2))
+    return all(_clash(p, q, roots) for p, q in combinations(classes, 2))
 
 
 def check_tetris_free(h: TreeHomomorphism, height_bound: int) -> Verdict:

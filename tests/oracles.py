@@ -11,7 +11,7 @@ with."""
 
 import argparse
 import functools
-from itertools import product
+from itertools import combinations, product
 
 from treehom import (
     Automaton,
@@ -46,7 +46,7 @@ from treehom.construct import (
     _variable_occurrences,
 )
 from treehom.cli import FileFormatError
-from treehom.hom import HomError, _missing_variables
+from treehom.hom import HomError, _clash, _missing_variables
 from treehom.semiring import SemiringError
 from treehom.term import (
     NAME_RE,
@@ -219,26 +219,36 @@ def _match_states(node, t, states, acc):
 
 
 def naive_runs(A, t, q):
-    """All runs of A for t to q by direct recursion, ignoring weights."""
+    """All runs of A for t to q by direct recursion, ignoring weights.  Each
+    (subtree, state) pair is expanded once per call, so a subtree that many
+    rules try is not expanded again for each of them."""
     states = set(A.states)
-    out = []
-    for rule in A.rules:
-        if rule.target != q:
-            continue
-        acc = []
-        if not _match_states(rule.lhs, t, states, acc):
-            continue
-        holds = all(
-            subtree_at(t, cls[0]) == subtree_at(t, p)
-            for cls in rule.classes
-            for p in cls[1:]
-        )
-        if not holds:
-            continue
-        child_runs = [naive_runs(A, sub, lbl) for lbl, sub in acc]
-        for combo in product(*child_runs):
-            out.append(Run(rule, combo, t))
-    return out
+    expanded = {}
+
+    def runs(t, q):
+        if (t, q) in expanded:
+            return expanded[t, q]
+        out = []
+        for rule in A.rules:
+            if rule.target != q:
+                continue
+            acc = []
+            if not _match_states(rule.lhs, t, states, acc):
+                continue
+            holds = all(
+                subtree_at(t, cls[0]) == subtree_at(t, p)
+                for cls in rule.classes
+                for p in cls[1:]
+            )
+            if not holds:
+                continue
+            child_runs = [runs(sub, lbl) for lbl, sub in acc]
+            for combo in product(*child_runs):
+                out.append(Run(rule, combo, t))
+        expanded[t, q] = out
+        return out
+
+    return list(runs(t, q))
 
 
 def naive_run_weight(run):
@@ -462,6 +472,16 @@ def naive_tetris_free(h, height_bound):
                         f"h({a}) != h({b})",
                     )
     return verified(height_bound)
+
+
+def root_blind_images_clash(h):
+    """``images_clash(h)`` with every target shape counted as an image root,
+    so that a variable clashes with nothing: the clash rule without its root
+    rule.  A hom for which ``images_clash`` holds and this does not clashes
+    only by the root rule."""
+    shapes = set(h.target.items())
+    classes = dict.fromkeys(h.images.values())
+    return all(_clash(p, q, shapes) for p, q in combinations(classes, 2))
 
 
 def naive_h_unambiguous(A, h, height_bound):

@@ -31,6 +31,7 @@ from oracles import (
     BRANCHING_SOURCES,
     naive_evaluate,
     naive_h_unambiguous,
+    root_blind_images_clash,
     random_branching_hom,
     random_hom,
     random_modular_pair,
@@ -274,6 +275,8 @@ def test_h_unambiguous_matches_naive_on_branching_homs():
                 outcomes.add("proved absent" if clash else "ok after a walk")
             else:
                 outcomes.add("violation on a clash hom" if clash else "violation")
+                if clash and not root_blind_images_clash(h):
+                    outcomes.add("violation on a hom that clashes by the root rule")
                 s = expected.witness[0]
                 if s.height < bound:
                     outcomes.add("witness below the bound")
@@ -281,6 +284,7 @@ def test_h_unambiguous_matches_naive_on_branching_homs():
                         t.size < s.size for t in RunsTable(A, s.height).layer(s.height)):
                     outcomes.add("witness above the least size of its layer")
     assert {"proved absent", "witness below the bound", "violation on a clash hom",
+            "violation on a hom that clashes by the root rule",
             "witness above the least size of its layer"} <= outcomes
 
 
@@ -374,30 +378,36 @@ def test_h_unambiguous_stops_at_the_first_violating_layer(workloads, memory_cap)
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """The calls that linearization_equivalence makes to bounded_equivalence."""
+    """The calls that linearization_equivalence makes to linearize and to
+    bounded_equivalence: path 2 makes one of each, paths 0 and 1 neither."""
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return bounded_equivalence(*args)
+    def counted(fn):
+        def call(*args):
+            calls.append((fn.__name__, args))
+            return fn(*args)
+        return call
 
-    monkeypatch.setattr(analyze, "bounded_equivalence", counted)
+    monkeypatch.setattr(analyze, "linearize", counted(linearize))
+    monkeypatch.setattr(analyze, "bounded_equivalence", counted(bounded_equivalence))
     return calls
 
 
 def _check_linearizations(fixed, fallbacks, bounds=range(4), falls_back=()):
     """Compare linearization_equivalence with the enumerator at lin heights
     0-2; returns the statuses of the fixpoint path's verdicts.  Where the
-    fixpoint path applies, it must not enumerate, except at the (lin height,
-    bound) pairs in falls_back, where its least tall tree weighs zero."""
+    fixpoint path applies, it must neither linearize nor enumerate, except at
+    the (lin height, bound) pairs in falls_back, where its least tall tree
+    weighs zero.  A fallback linearizes once and enumerates once."""
     fast = []
     constrained = any(r.constrained for r in fixed.rules if r.target != fixed.sink)
     for k in range(3):
         L = linearize(fixed, k)
         for e in bounds:
             fallbacks.clear()
-            verdict = linearization_equivalence(fixed, L, k, e)
+            verdict = linearization_equivalence(fixed, k, e)
             assert verdict == bounded_equivalence(fixed, L, e), (k, e)
+            assert [name for name, _ in fallbacks] in ([], ["linearize", "bounded_equivalence"])
             if not constrained:
                 assert verdict.is_ok and not fallbacks
             elif relaxation_unambiguous(fixed, e):
@@ -464,7 +474,7 @@ def test_linearization_equivalence_matches_the_enumerator_on_eliminated_modular_
 
 def test_linearization_equivalence_rejects_a_negative_lin_height(doubling_image):
     with pytest.raises(AutomatonError, match="linearization height must be nonnegative"):
-        linearization_equivalence(doubling_image, linearize(doubling_image, 0), -1, 3)
+        linearization_equivalence(doubling_image, -1, 3)
 
 
 def test_linearization_equivalence_falls_back_on_an_ambiguous_image(fallbacks):
@@ -518,5 +528,5 @@ def test_linearization_equivalence_witness_is_least_in_text_among_equal_sizes(fa
         for lhs, q, w in [("a", "q", 1), ("g(q)", "q", 2), ("m(q,q)", "f", 3)]])
     fixed = hom_image(A, h)
     assert _check_linearizations(fixed, fallbacks) == ["ok"] * 3 + ["witness"] + ["ok"] * 8
-    verdict = linearization_equivalence(fixed, linearize(fixed, 0), 0, 3)
+    verdict = linearization_equivalence(fixed, 0, 3)
     assert verdict.witness[0].text == "m(a,k(k(a,a),k(a,a)))"

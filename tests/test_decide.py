@@ -1,6 +1,8 @@
 import json
 import os
+import re
 import stat
+import sys
 
 import pytest
 
@@ -18,7 +20,10 @@ from treehom import (
     RunsTable,
     check_unambiguous,
     decide_hom_regularity,
+    eliminate_zero_divisors,
     get_semiring,
+    hom_image,
+    linearize,
     parse_term,
     project_boolean,
 )
@@ -32,8 +37,13 @@ from treehom.cli import (
     parse_hom,
     report_to_dict,
 )
-from treehom.verdict import violated
-from oracles import naive_evaluate
+from treehom.verdict import verified, violated
+from oracles import (
+    naive_evaluate,
+    naive_h_unambiguous,
+    naive_linearized_value,
+    naive_tetris_free,
+)
 
 
 def write_script(tmp_path, name, body):
@@ -124,7 +134,7 @@ def test_oracle_regular(tmp_path, doubling_chain, identity_hom):
     assert report.verdict == ORACLE_REGULAR
     assert report.oracle_answer == "regular"
     assert report.oracle_diagnostic is None
-    assert report.linearized is None and report.equivalence is None
+    assert report.equivalence is None
 
 
 def test_oracle_nonregular(tmp_path, doubling_chain, duplicating_hom):
@@ -195,7 +205,7 @@ def test_decision_report_defaults():
         "lin_height=2, eq_bound=4, oracle=None, verdict='UNKNOWN', warnings=[], "
         "tetris=None, h_unambiguous=None, image=None, zero_divisor_path=None, "
         "fixed_image=None, image_unambiguous=None, internal_consistency_failure=False, "
-        "projection=None, support_arm=None, linearized=None, equivalence=None, "
+        "projection=None, support_arm=None, equivalence=None, "
         "oracle_answer=None, oracle_diagnostic=None)")
     other = DecisionReport(semiring_id="z6", zero_sum_free=True, check_bound=3,
                            lin_height=2, eq_bound=4, oracle=None)
@@ -275,9 +285,75 @@ def test_default_bounds_on_a_duplicating_instance(memory_cap):
             assert report.verdict == LINEARIZATION_MISMATCH
             t, wa, wb = report.equivalence.witness
             assert t.text == witness
-            assert (wa, wb) == (naive_evaluate(report.fixed_image, t),
-                                naive_evaluate(report.linearized, t))
+            lin = linearize(report.fixed_image, report.lin_height)
+            assert (wa, wb) == (naive_evaluate(report.fixed_image, t), naive_evaluate(lin, t))
             assert wa != wb
+
+
+# h(f) and h(g) share the root g, but x1 of h(f) faces h(x1), and no image
+# starts with h: the images clash, so h is tetris-free at every height.
+OVERLAP_HOM = """from: a/0 b/0 f/1 g/1 m/2
+to: a/0 b/0 g/1 h/1 m/2
+a/0 -> a
+b/0 -> b
+f/1 -> g(x1)
+g/1 -> g(h(x1))
+m/2 -> m(x1,x2)
+"""
+
+
+def test_overlapping_images_decide_at_high_check_bounds(workloads, memory_cap):
+    # Both preconditions trust the clash; the source trees they would
+    # enumerate at check bound 4 outgrow 256 MiB.
+    A = parse_automaton(workloads.branching_pool(2)["dup-natural"][0].automaton_text)
+    h = parse_hom(OVERLAP_HOM)
+    assert naive_tetris_free(h, 3).is_ok and naive_h_unambiguous(A, h, 2).is_ok
+    for bound in (4, 20):
+        with memory_cap(256 * 2**20):
+            report = decide_hom_regularity(A, h, check_bound=bound)
+        assert report.verdict == EVIDENCE_REGULAR, bound
+        assert report.tetris == verified(bound) and report.h_unambiguous == verified(bound)
+
+
+def test_text_decide_never_builds_the_linearization(workloads, monkeypatch, tmp_path,
+                                                    capsys, memory_cap):
+    # Text output prints no linearization, and on the fixed images of the
+    # dup instances and their z6 copies (every weight w becomes w mod 6, or
+    # 1 where that is 0) the comparison finds its witness by the fixpoint:
+    # at linearization height 20 no run of decide may build one, and built,
+    # it outgrows 256 MiB on each of these.  The oracles confirm the
+    # preconditions at height 2 and the witness's two values.
+    def no_linearization(A, lin_height):
+        raise AssertionError(f"linearize called at height {lin_height}")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("treehom") and getattr(module, "linearize", None) is linearize:
+            monkeypatch.setattr(module, "linearize", no_linearization)
+    dup = [inst for cls, members in workloads.branching_pool(2).items()
+           if cls.startswith("dup-") for inst in members]
+    assert len(dup) == 6
+    for inst in dup:
+        z6 = re.sub(r"@ (\d+)", lambda m: f"@ {int(m[1]) % 6 or 1}", inst.automaton_text)
+        z6 = re.sub(r"(?m)^semiring: .*$", "semiring: z6", z6)
+        for label, text in [(inst.id, inst.automaton_text), (inst.id + "-z6", z6)]:
+            aut, hom = tmp_path / f"{label}.aut", tmp_path / f"{label}.hom"
+            aut.write_text(text)
+            hom.write_text(inst.hom_text)
+            with memory_cap(256 * 2**20):
+                code = main(["decide", "--automaton", str(aut), "--hom", str(hom),
+                             "--lin-height", "20", "--eq-bound", "30"])
+            out, err = capsys.readouterr()
+            assert (code, err) == (2, ""), label
+            assert out.endswith("verdict: LINEARIZATION_MISMATCH\n"), label
+            A, h = parse_automaton(text), parse_hom(inst.hom_text)
+            assert naive_tetris_free(h, 2).is_ok and naive_h_unambiguous(A, h, 2).is_ok
+            found = re.search(r"^linearization \(height 20\) vs image: witness at height "
+                              r"bound 30: series differ on (\S+): (\S+) vs (\S+)$", out, re.M)
+            fixed = eliminate_zero_divisors(hom_image(A, h))
+            t = parse_term(found[1], fixed.alphabet)
+            assert t.height <= 30 and found[2] != found[3], label
+            assert str(naive_evaluate(fixed, t)) == found[2], label
+            assert str(naive_linearized_value(fixed, 20, t)) == found[3], label
 
 
 def test_internal_consistency_failure(data_dir, monkeypatch, capsys):
@@ -296,7 +372,7 @@ def test_internal_consistency_failure(data_dir, monkeypatch, capsys):
     assert report.verdict == UNKNOWN
     assert report.internal_consistency_failure
     assert report.warnings == [warning]
-    assert report.projection is report.linearized is report.equivalence is None
+    assert report.projection is report.equivalence is None
     code = main(["decide", "--automaton", str(aut), "--hom", str(hom),
                  "--check-bound", "3", "--format", "machine"])
     out = json.loads(capsys.readouterr().out)
