@@ -82,8 +82,8 @@ def linearization_equivalence(A: Automaton, lin_height: int, height_bound: int) 
        over any semiring; after `eliminate_zero_divisors` no run weighs
        zero, so a fixed image never takes the fallback below.
     2. Every other case, and a path-1 tree whose run weighs zero, builds B
-       and gets `bounded_equivalence`.  Only this path builds B: text-format
-       `decide` builds no other, and its machine report builds B for `linearized`.
+       and gets `bounded_equivalence`.  Only this path builds B: no output
+       of `decide`, text or machine, builds it elsewhere.
     """
     if lin_height < 0:
         raise AutomatonError("linearization height must be nonnegative")

@@ -368,8 +368,6 @@ def report_to_dict(r: DecisionReport) -> dict:
         "internal_consistency_failure": r.internal_consistency_failure,
         "projection": _automaton_summary(r.projection),
         "support_arm": r.support_arm,
-        "linearized": _automaton_summary(
-            None if r.equivalence is None else linearize(r.fixed_image, r.lin_height)),
         "equivalence": verdict_to_dict(r.equivalence),
         "oracle_answer": r.oracle_answer,
         "oracle_diagnostic": r.oracle_diagnostic,
@@ -413,61 +411,10 @@ def report_to_text(r: DecisionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-_quote = None  # json's C string escaper, imported by the first machine output
-
-
 def _machine_text(payload) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, written
-    directly: json encodes in pure Python whenever it indents.  Strings are
-    quoted by json's C escaper.  Values are str, int, bool, None, lists and
-    dicts with str keys; anything else raises TypeError."""
-    global _quote
-    if _quote is None:  # deferred: text output, the default, never needs json
-        from json.encoder import encode_basestring_ascii as _quote
+    import json  # deferred: text output, the default, never needs json
 
-    parts = []
-    _write_json(parts.append, _quote, payload, "\n")
-    parts.append("\n")
-    return "".join(parts)
-
-
-def _write_json(write, quote, value, newline: str):
-    """Write value as indented JSON; newline is a line break followed by the
-    indent of the line that value starts on."""
-    if isinstance(value, str):
-        write(quote(value))
-    elif value is None:
-        write("null")
-    elif value is True or value is False:
-        write("true" if value else "false")
-    elif isinstance(value, int):
-        write(int.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            write("{}")
-            return
-        inner = newline + "  "
-        opener = "{" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            write(f"{opener}{quote(key)}: ")
-            _write_json(write, quote, value[key], inner)
-            opener = "," + inner
-        write(newline + "}")
-    elif isinstance(value, list):
-        if not value:
-            write("[]")
-            return
-        inner = newline + "  "
-        opener = "[" + inner
-        for item in value:
-            write(opener)
-            _write_json(write, quote, item, inner)
-            opener = "," + inner
-        write(newline + "]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def emit_report(report, fmt: str = "text") -> str:

@@ -22,8 +22,8 @@ gives the verdict of `bounded_equivalence` by one of three paths:
    trees; only the image is then evaluated on that one tree, where the
    linearization is zero.
 2. Otherwise, or if that tree's run weighs zero, the linearization is built
-   and both are enumerated.  The report holds no linearization: text output
-   builds none elsewhere, and the machine report builds it for `linearized`.
+   and both are enumerated.  The report holds no linearization and neither
+   output format prints one, so no output builds it outside this path.
 """
 
 from __future__ import annotations

@@ -317,12 +317,12 @@ def test_overlapping_images_decide_at_high_check_bounds(workloads, memory_cap):
 
 def test_text_decide_never_builds_the_linearization(workloads, monkeypatch, tmp_path,
                                                     capsys, memory_cap):
-    # Text output prints no linearization, and on the fixed images of the
-    # dup instances and their z6 copies (every weight w becomes w mod 6, or
-    # 1 where that is 0) the comparison finds its witness by the fixpoint:
-    # at linearization height 20 no run of decide may build one, and built,
-    # it outgrows 256 MiB on each of these.  The oracles confirm the
-    # preconditions at height 2 and the witness's two values.
+    # Neither output format prints the linearization, and on the fixed images
+    # of the dup instances and their z6 copies (every weight w becomes w mod
+    # 6, or 1 where that is 0) the comparison finds its witness by the
+    # fixpoint: at linearization height 20 no run of decide may build one,
+    # and built, it outgrows 256 MiB on each of these.  The oracles confirm
+    # the preconditions at height 2 and the witness's two values.
     def no_linearization(A, lin_height):
         raise AssertionError(f"linearize called at height {lin_height}")
 
@@ -339,21 +339,33 @@ def test_text_decide_never_builds_the_linearization(workloads, monkeypatch, tmp_
             aut, hom = tmp_path / f"{label}.aut", tmp_path / f"{label}.hom"
             aut.write_text(text)
             hom.write_text(inst.hom_text)
-            with memory_cap(256 * 2**20):
-                code = main(["decide", "--automaton", str(aut), "--hom", str(hom),
-                             "--lin-height", "20", "--eq-bound", "30"])
-            out, err = capsys.readouterr()
-            assert (code, err) == (2, ""), label
-            assert out.endswith("verdict: LINEARIZATION_MISMATCH\n"), label
+            witnesses = []
+            for fmt in ("text", "machine"):
+                with memory_cap(256 * 2**20):
+                    code = main(["decide", "--automaton", str(aut), "--hom", str(hom),
+                                 "--lin-height", "20", "--eq-bound", "30", "--format", fmt])
+                out, err = capsys.readouterr()
+                assert (code, err) == (2, ""), (label, fmt)
+                if fmt == "text":
+                    assert out.endswith("verdict: LINEARIZATION_MISMATCH\n"), label
+                    found = re.search(r"^linearization \(height 20\) vs image: witness at "
+                                      r"height bound 30: series differ on (\S+): (\S+) vs "
+                                      r"(\S+)$", out, re.M)
+                    witnesses.append(list(found.groups()))
+                else:
+                    report = json.loads(out)
+                    assert report["verdict"] == LINEARIZATION_MISMATCH, label
+                    assert report["equivalence"]["bound"] == 30, label
+                    witnesses.append(report["equivalence"]["witness"])
+            assert witnesses[0] == witnesses[1], label
+            tree, image_value, lin_value = witnesses[0]
             A, h = parse_automaton(text), parse_hom(inst.hom_text)
             assert naive_tetris_free(h, 2).is_ok and naive_h_unambiguous(A, h, 2).is_ok
-            found = re.search(r"^linearization \(height 20\) vs image: witness at height "
-                              r"bound 30: series differ on (\S+): (\S+) vs (\S+)$", out, re.M)
             fixed = eliminate_zero_divisors(hom_image(A, h))
-            t = parse_term(found[1], fixed.alphabet)
-            assert t.height <= 30 and found[2] != found[3], label
-            assert str(naive_evaluate(fixed, t)) == found[2], label
-            assert str(naive_linearized_value(fixed, 20, t)) == found[3], label
+            t = parse_term(tree, fixed.alphabet)
+            assert t.height <= 30 and image_value != lin_value, label
+            assert str(naive_evaluate(fixed, t)) == image_value, label
+            assert str(naive_linearized_value(fixed, 20, t)) == lin_value, label
 
 
 def test_internal_consistency_failure(data_dir, monkeypatch, capsys):
@@ -382,7 +394,8 @@ def test_internal_consistency_failure(data_dir, monkeypatch, capsys):
     assert out["warnings"] == [warning]
     assert out["image_unambiguous"]["status"] == report.image_unambiguous.status
     assert out["image_unambiguous"]["detail"] == "2 accepting runs for k(a,g(a))"
-    assert out["projection"] is out["linearized"] is out["equivalence"] is None
+    assert out["projection"] is out["equivalence"] is None
+    assert "linearized" not in out
 
 
 def test_decide_runs_the_relaxed_fixpoint_once_per_fixed_image(workloads, monkeypatch):
