@@ -300,7 +300,14 @@ def test_load_numbers_lines_as_the_parser_does(tmp_path):
     assert str(err.value) == str(direct.value)
 
 
-@pytest.mark.parametrize("payload", [{"a": {1, 2}}, [b"x"], object()])
+# A tuple as a key, a set, bytes and a plain object: json.dumps rejects each.
+# The ids are the positions these inputs held in the encoder's longer input list.
+@pytest.mark.parametrize("payload", [
+    pytest.param({(1,): "a"}, id="payload1"),
+    pytest.param({"a": {1, 2}}, id="payload2"),
+    pytest.param([b"x"], id="payload4"),
+    pytest.param(object(), id="payload5"),
+])
 def test_machine_text_rejects_other_types(payload):
     with pytest.raises(TypeError):
         cli._machine_text(payload)
