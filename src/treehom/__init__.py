@@ -63,7 +63,6 @@ from .term import (
     TermError,
     TermSyntaxError,
     Tree,
-    count_trees,
     enumerate_trees,
     format_position,
     is_variable,
@@ -115,7 +114,6 @@ __all__ = [
     "check_h_unambiguous",
     "check_tetris_free",
     "check_unambiguous",
-    "count_trees",
     "decide_hom_regularity",
     "dickson_cap",
     "eliminate_zero_divisors",

@@ -175,27 +175,6 @@ def _tall_cells(A: Automaton, lin_height: int, height_bound: int):
         yield cells
 
 
-def h_unambiguity_search_height(A: Automaton, h: TreeHomomorphism, height_bound: int):
-    """The height up to which `check_h_unambiguous` enumerates the source
-    trees, or None when the fixpoint proves h-unambiguity up to the bound and
-    no tree is enumerated (see the paths there).  Raises, as the check does,
-    unless A is a WTA over h's source."""
-    if not A.is_wta:
-        raise AutomatonError("h-unambiguity is defined on WTA input only")
-    if A.alphabet != h.source:
-        raise AutomatonError("automaton alphabet differs from the homomorphism source")
-    if not images_clash(h):
-        return height_bound
-    if height_bound < 0:
-        raise AutomatonError("height bound must be nonnegative")
-    rules = [(h.image_of(r.lhs.label), r.state_labels, r.target) for r in A.rules]
-    first = first_diverging_height(rules, A.finals)
-    if first is None or first > height_bound:
-        return None
-    # Over zero divisors, first may come from zero-weight runs.
-    return first if A.semiring.zero_divisor_free else height_bound
-
-
 def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) -> Verdict:
     """Bounded h-unambiguity of a WTA: any two accepting runs on source trees
     with equal h-images must apply equally-targeted rules at every position.
@@ -207,16 +186,21 @@ def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) ->
     accepting run, which suffices because pointwise agreement is an
     equivalence.
 
-    Two paths give this verdict.  If ``images_clash(h)``, two source trees
-    have equal images exactly when they have one shape and, position by
-    position, symbols with equal images.  Then `first_diverging_height` over
-    the symbol image classes finds the least height H of a violation; if there
-    is none up to the bound, the verdict is ok without enumerating any tree.
-    Over a zero-divisor-free semiring every run weighs nonzero, so the first
-    violation has height H: only the trees of height H get runs and images
-    (the lower layers are filled, since height H is built from them).  With
-    zero divisors H may come from zero-weight runs, and the search walks
-    every height up to the bound.  The members of an image group have one
+    Raises AutomatonError unless A is a WTA over h's source and the bound is
+    nonnegative, in that order.
+
+    Two paths give this verdict, and they fix the search height: the height
+    up to which source trees are enumerated.  If ``images_clash(h)``, two
+    source trees have equal images exactly when they have one shape and,
+    position by position, symbols with equal images.  Then
+    `first_diverging_height` over the symbol image classes finds the least
+    height H of a violation; if there is none up to the bound, the verdict is
+    ok without enumerating any tree.  Over a zero-divisor-free semiring every
+    run weighs nonzero, so the first violation has height H: the search
+    height is H, and only the trees of height H get runs and images (the
+    lower layers are filled, since height H is built from them).  With zero
+    divisors H may come from zero-weight runs, and the search walks every
+    height up to the bound.  The members of an image group have one
     shape, so one height and one size: the table is read layer by layer
     (`RunsTable.layer`), a layer's groups are compared size by size, and the
     search stops at the first size with a violation, expanding no larger
@@ -224,14 +208,24 @@ def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) ->
     whose groups may span heights and sizes, and compares them once every
     layer up to the bound is read.
     """
-    search_height = h_unambiguity_search_height(A, h, height_bound)
-    if search_height is None:
-        return verified(height_bound)
-    table = RunsTable(A, search_height)
+    if not A.is_wta:
+        raise AutomatonError("h-unambiguity is defined on WTA input only")
+    if A.alphabet != h.source:
+        raise AutomatonError("automaton alphabet differs from the homomorphism source")
+    if height_bound < 0:
+        raise AutomatonError("height bound must be nonnegative")
     if not images_clash(h):
+        table = RunsTable(A, height_bound)
         return _first_disagreement(_image_groups(h, table, table.trees),
                                    height_bound) or verified(height_bound)
-    for k in range(search_height if A.semiring.zero_divisor_free else 0, search_height + 1):
+    rules = [(h.image_of(r.lhs.label), r.state_labels, r.target) for r in A.rules]
+    first = first_diverging_height(rules, A.finals)
+    if first is None or first > height_bound:
+        return verified(height_bound)
+    # Over zero divisors, first may come from zero-weight runs.
+    low, top = (first, first) if A.semiring.zero_divisor_free else (0, height_bound)
+    table = RunsTable(A, top)
+    for k in range(low, top + 1):
         by_size: dict[int, list[Tree]] = {}
         for s in table.layer(k):
             by_size.setdefault(s.size, []).append(s)

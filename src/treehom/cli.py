@@ -27,11 +27,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .analyze import (
-    bounded_equivalence,
-    check_h_unambiguous,
-    h_unambiguity_search_height,
-)
+from .analyze import bounded_equivalence, check_h_unambiguous
 from .automaton import (
     Automaton,
     AutomatonError,
@@ -55,14 +51,13 @@ from .decide import (
     DecisionReport,
     decide_hom_regularity,
 )
-from .hom import HomError, TreeHomomorphism, check_tetris_free, images_clash
+from .hom import HomError, TreeHomomorphism, check_tetris_free
 from .semiring import SemiringError, Weight, get_semiring
 from .term import (
     RankedAlphabet,
     TermError,
     Tree,
     Variables,
-    count_trees,
     format_position,
     parse_nodes,
     parse_position,
@@ -70,8 +65,6 @@ from .term import (
     preorder,
 )
 from .verdict import Verdict
-
-ENUMERATION_WARN_LIMIT = 10**6
 
 
 class FileFormatError(ValueError):
@@ -439,27 +432,6 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _warn_enumeration(alphabet: RankedAlphabet, bound: int, walked_height):
-    """Warn before a check walks more than ENUMERATION_WARN_LIMIT source trees.
-    walked_height() is the height up to which the check at this bound walks
-    them, or None when it walks none.  It is asked only when the alphabet has
-    more trees than the limit up to the bound; if it rejects the input, there
-    is no warning and the command reports its own error."""
-    limit = ENUMERATION_WARN_LIMIT
-    if count_trees(alphabet, bound, limit) <= limit:
-        return
-    try:
-        height = walked_height()
-    except AutomatonError:
-        return
-    if height is not None and count_trees(alphabet, height, limit) > limit:
-        print(
-            f"warning: enumerating more than {limit} trees of height <= {height}; "
-            f"this may take very long",
-            file=sys.stderr,
-        )
-
-
 def _print_verdict(args, v: Verdict, ok_text: str, witness_text: str) -> int:
     if getattr(args, "format", "text") == "machine":
         sys.stdout.write(emit_report(v, "machine"))
@@ -556,15 +528,11 @@ def _cmd_check(args) -> int:
         return _print_verdict(args, v, "unambiguous", "ambiguous")
     if args.what == "tetris-free":
         h = load_hom(args.hom)
-        _warn_enumeration(h.source, args.height,
-                          lambda: None if images_clash(h) else args.height)
         v = check_tetris_free(h, args.height)
         return _print_verdict(args, v, "tetris-free", "not tetris-free")
     if args.what == "h-unambiguous":
         A = load_automaton(args.automaton)
         h = load_hom(args.hom)
-        _warn_enumeration(h.source, args.height,
-                          lambda: h_unambiguity_search_height(A, h, args.height))
         v = check_h_unambiguous(A, h, args.height)
         return _print_verdict(args, v, "h-unambiguous", "not h-unambiguous")
     raise AssertionError(args.what)
@@ -588,8 +556,6 @@ def _cmd_equiv(args) -> int:
 def _cmd_decide(args) -> int:
     A = load_automaton(args.automaton)
     h = load_hom(args.hom)
-    _warn_enumeration(h.source, args.check_bound,
-                      lambda: h_unambiguity_search_height(A, h, args.check_bound))
     report = decide_hom_regularity(
         A,
         h,

@@ -394,18 +394,3 @@ def iter_trees(alphabet: RankedAlphabet, max_height: int):
 def enumerate_trees(alphabet: RankedAlphabet, max_height: int) -> list[Tree]:
     """All ground trees of height <= max_height in (height, size, text) order."""
     return list(iter_trees(alphabet, max_height))
-
-
-def count_trees(alphabet: RankedAlphabet, max_height: int, limit: int | None = None) -> int:
-    """Number of ground trees of height <= max_height, without materializing
-    them.  With a limit, the count stops at the first height where it passes
-    the limit and returns the number up to that height, which exceeds it."""
-    if max_height < 0:
-        return 0
-    items = alphabet.items()
-    total = sum(1 for _, k in items if k == 0)
-    for _ in range(max_height):
-        if limit is not None and total > limit:
-            break
-        total = sum(1 if k == 0 else total**k for _, k in items)
-    return total

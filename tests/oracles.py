@@ -11,6 +11,7 @@ with."""
 
 import argparse
 import functools
+import re
 from itertools import combinations, product
 
 from treehom import (
@@ -535,6 +536,18 @@ def naive_unambiguous(A, height_bound):
     return verified(height_bound)
 
 
+def count_trees(alphabet: RankedAlphabet, max_height: int) -> int:
+    """Number of ground trees of height <= max_height, without materializing
+    them (the reference for the length of ``enumerate_trees``)."""
+    if max_height < 0:
+        return 0
+    items = alphabet.items()
+    total = sum(1 for _, k in items if k == 0)
+    for _ in range(max_height):
+        total = sum(1 if k == 0 else total**k for _, k in items)
+    return total
+
+
 def naive_preimage(h, t, height_bound, trees):
     """Source trees from the given pool whose image is t."""
     return [s for s in trees if h.apply(s) == t and s.height <= height_bound]
@@ -627,6 +640,13 @@ def random_branching_hom(rng):
         images[a] = Tree(root, (Tree("x1", ()),))
         images[b] = Tree(root, (rng.choice([images[a], images[b]]),))
     return TreeHomomorphism(RankedAlphabet(source), BRANCHING_TARGET, images)
+
+
+def z6_copy(automaton_text: str) -> str:
+    """The automaton file text over z6, every weight w becoming w mod 6, or 1
+    where that is 0."""
+    text = re.sub(r"@ (\d+)", lambda m: f"@ {int(m[1]) % 6 or 1}", automaton_text)
+    return re.sub(r"(?m)^semiring: .*$", "semiring: z6", text)
 
 
 def random_weight(rng, sr):

@@ -1,5 +1,4 @@
 import random
-import re
 
 import pytest
 
@@ -40,7 +39,9 @@ from oracles import (
     random_wta,
     run_count_compare,
     wtg_to_wta,
+    z6_copy,
 )
+from test_decide import DUP_AUTOMATON, DUP_HOM
 
 NAT = get_semiring("natural")
 
@@ -260,6 +261,24 @@ def h_verdict_key(v):
 
 H_SEMIRINGS = ("natural", "arctic", "tropical", "boolean", "integer", "z6")
 
+# With f/1 and g/1 -> f(x1) the class images clash.  Over the naturals the
+# pair fixpoint first finds f(f(f(f(a)))) and g(f(f(f(a)))), accepted at p4
+# and p5, so h-unambiguity enumerates the source trees of height 4 only,
+# whatever the bound.
+LATE_DIVERGENCE_AUTOMATON = """semiring: natural
+states: p0 p1 p2 p3 p4 p5
+final: p4 p5
+rules:
+a -> p0 @ 1
+b -> p0 @ 1
+f(p0) -> p1 @ 1
+f(p1) -> p2 @ 1
+f(p2) -> p3 @ 1
+f(p3) -> p4 @ 1
+g(p3) -> p5 @ 1
+m(p4,p4) -> p4 @ 1
+"""
+
 
 def test_h_unambiguous_matches_naive_on_branching_homs():
     rng = random.Random(2309)
@@ -286,6 +305,19 @@ def test_h_unambiguous_matches_naive_on_branching_homs():
     assert {"proved absent", "witness below the bound", "violation on a clash hom",
             "violation on a hom that clashes by the root rule",
             "witness above the least size of its layer"} <= outcomes
+    # Each search height on the five-symbol source: none, where over z6 the
+    # dup hom's images clash and the fixpoint proves the bound; every height
+    # up to the bound, where the tetris hom's images do not clash; the first
+    # diverging height alone, over the naturals.  Bound 4 on this source has
+    # 2.3e8 trees, more than the oracle can enumerate.
+    dup_z6 = DUP_AUTOMATON.replace("natural", "z6")
+    tetris = DUP_HOM.replace("f(x1)", "g(g(x1))").replace("k(x1,x1)", "g(x1)")
+    merged = DUP_HOM.replace("k(x1,x1)", "f(x1)")
+    for aut_text, hom_text, bound in ((dup_z6, DUP_HOM, 3), (dup_z6, tetris, 3),
+                                      (LATE_DIVERGENCE_AUTOMATON, merged, 5)):
+        A, h = parse_automaton(aut_text), parse_hom(hom_text)
+        expected = naive_h_unambiguous(A, h, bound)
+        assert h_verdict_key(check_h_unambiguous(A, h, bound)) == h_verdict_key(expected)
 
 
 def test_h_unambiguous_expands_only_the_witness_height_up_to_its_size(monkeypatch):
@@ -365,8 +397,7 @@ def test_h_unambiguous_stops_at_the_first_violating_layer(workloads, memory_cap)
              if cls.startswith("merge-") for inst in members]
     assert len(merge) == 6
     for inst in merge:
-        text = re.sub(r"@ (\d+)", lambda m: f"@ {int(m[1]) % 6 or 1}", inst.automaton_text)
-        A = parse_automaton(re.sub(r"(?m)^semiring: .*$", "semiring: z6", text))
+        A = parse_automaton(z6_copy(inst.automaton_text))
         h = parse_hom(inst.hom_text)
         with memory_cap():
             verdict = check_h_unambiguous(A, h, 8)

@@ -24,11 +24,9 @@ from treehom import (
     project_boolean,
 )
 from treehom import cli
-from treehom.analyze import h_unambiguity_search_height
 from treehom.cli import (
     COMMANDS,
     FileFormatError,
-    _warn_enumeration,
     emit_report,
     format_automaton,
     load_automaton,
@@ -39,7 +37,6 @@ from treehom.cli import (
     read_args,
     verdict_to_dict,
 )
-from treehom.verdict import verified
 from oracles import (
     automata_equal,
     build_parser,
@@ -52,9 +49,9 @@ from oracles import (
     reference_parse_automaton,
     reference_parse_hom,
     wtg_to_wta,
+    z6_copy,
 )
 from conftest import DATA_DIR, ROOT
-from test_decide import DUP_AUTOMATON, DUP_HOM
 from test_hom import BRANCHING, BRANCHING_SHAPES
 
 AUT_FILES = [
@@ -894,7 +891,8 @@ def test_cli_decide_text_reports_fixed_image(data_dir, tmp_path, capsys):
 
 
 def test_cli_check_tetris_free_warns_only_before_a_walk(tmp_path, capsys, memory_cap):
-    # About 2.8e33 source trees up to height 6; only the walk enumerates them.
+    # About 2.8e33 source trees up to height 6; only the walk enumerates them,
+    # up to its first violation, and nothing is written to stderr.
     head = "from: a/0 b/0 f/1 g/1 m/2\n"
     dup = tmp_path / "dup.hom"
     dup.write_text(head + "to: a/0 b/0 f/1 k/2 m/2\n"
@@ -910,7 +908,7 @@ def test_cli_check_tetris_free_warns_only_before_a_walk(tmp_path, capsys, memory
         assert out == "tetris-free up to height 6\n"
         assert err == ""
         assert run_cli("check", "tetris-free", "--hom", str(tetris), "--height", "6") == 2
-        assert "warning: enumerating" in capsys.readouterr().err
+        assert capsys.readouterr().err == ""
 
 
 # Deterministic, so unambiguous; g(a) and g(b) reach q0 from different states.
@@ -960,104 +958,23 @@ def test_cli_decide_check_bound_4_on_branching_shapes(kind, tmp_path, capsys, me
                                           else (2, "LINEARIZATION_MISMATCH"))
 
 
-def test_cli_decide_warns_only_when_it_will_enumerate(tmp_path, capsys, memory_cap):
+def test_cli_decide_warns_only_when_it_will_enumerate(tmp_path, capsys, memory_cap,
+                                                     workloads):
     # Only a hom whose class images do not all clash makes decide walk the
-    # source trees up to the check bound.
-    for kind, warns in (("dup", False), ("tetris", True)):
-        aut, hom = write_branching_shape(tmp_path, kind)
+    # source trees up to the check bound; over z6 the merge instance's images
+    # clash and the search stops at its first violating layer.  Each run
+    # answers, and none writes to stderr.
+    merge = workloads.branching_pool(2)["merge-natural"][0]
+    z6_aut, z6_hom = tmp_path / "z6-merge.aut", tmp_path / "z6-merge.hom"
+    z6_aut.write_text(z6_copy(merge.automaton_text))
+    z6_hom.write_text(merge.hom_text)
+    for (aut, hom), bound in ((write_branching_shape(tmp_path, "dup"), "6"),
+                              (write_branching_shape(tmp_path, "tetris"), "6"),
+                              ((z6_aut, z6_hom), "8")):
         with memory_cap():
-            run_cli("decide", "--automaton", str(aut), "--hom", str(hom),
-                    "--check-bound", "6", "--lin-height", "1", "--eq-bound", "3")
-        err = capsys.readouterr().err
-        assert ("warning: enumerating" in err) == warns
-        if not warns:
-            assert err == ""
-
-
-# f and g share the image f(x1), so the class images clash.  Over the
-# naturals the pair fixpoint first finds f(f(f(f(a)))) and g(f(f(f(a)))),
-# accepted at p4 and p5, so h-unambiguity enumerates the source trees up to
-# height 4 only, whatever the check bound.
-LATE_DIVERGENCE_AUTOMATON = """semiring: natural
-states: p0 p1 p2 p3 p4 p5
-final: p4 p5
-rules:
-a -> p0 @ 1
-b -> p0 @ 1
-f(p0) -> p1 @ 1
-f(p1) -> p2 @ 1
-f(p2) -> p3 @ 1
-f(p3) -> p4 @ 1
-g(p3) -> p5 @ 1
-m(p4,p4) -> p4 @ 1
-"""
-
-
-def test_cli_decide_warns_for_the_height_it_will_enumerate(tmp_path, capsys, memory_cap):
-    # Over z6 the dup hom's class images clash and the pair fixpoint finds no
-    # divergence, so no check enumerates any of the 228,947,162 source trees
-    # of height <= 4.  With g/1 -> g(x1) and f/1 -> g(g(x1)) the images no
-    # longer clash and tetris-freeness walks them, up to its first violation.
-    # With f/1 and g/1 -> f(x1) over the naturals the fixpoint's first
-    # diverging height, 4, is what gets enumerated at check bound 5.
-    dup_z6 = DUP_AUTOMATON.replace("natural", "z6")
-    tetris = DUP_HOM.replace("f(x1)", "g(g(x1))").replace("k(x1,x1)", "g(x1)")
-    merged = DUP_HOM.replace("k(x1,x1)", "f(x1)")
-    for name, aut_text, hom_text, bound, height in (
-        ("dup", dup_z6, DUP_HOM, 4, None),
-        ("tetris", dup_z6, tetris, 4, 4),
-        ("late", LATE_DIVERGENCE_AUTOMATON, merged, 5, 4),
-    ):
-        aut, hom = tmp_path / f"{name}.aut", tmp_path / f"{name}.hom"
-        aut.write_text(aut_text)
-        hom.write_text(hom_text)
-        A, h = load_automaton(aut), load_hom(hom)
-        assert h_unambiguity_search_height(A, h, bound) == height
-        with memory_cap():
-            run_cli("decide", "--automaton", str(aut), "--hom", str(hom),
-                    "--check-bound", str(bound))
-        err = capsys.readouterr().err
-        assert err == ("" if height is None else
-                       f"warning: enumerating more than 1000000 trees of "
-                       f"height <= {height}; this may take very long\n")
-
-
-def test_cli_check_h_unambiguous_warns_before_it_enumerates(tmp_path, capsys, monkeypatch):
-    # The tetris hom's class images do not clash, so the check would walk
-    # every source tree up to height 6; the stub walks none.
-    aut, hom = write_branching_shape(tmp_path, "tetris")
-    calls = []
-    monkeypatch.setattr(cli, "check_h_unambiguous",
-                        lambda A, h, bound: calls.append(bound) or verified(bound))
-    assert run_cli("check", "h-unambiguous", "--automaton", str(aut), "--hom", str(hom),
-                   "--height", "6") == 0
-    out, err = capsys.readouterr()
-    assert calls == [6]
-    assert out == "h-unambiguous up to height 6\n"
-    assert err == ("warning: enumerating more than 1000000 trees of height <= 6; "
-                   "this may take very long\n")
-
-
-def test_cli_check_h_unambiguous_warns_not_when_the_fixpoint_proves_it(
-        tmp_path, capsys, monkeypatch):
-    # Over z6 the dup hom's class images clash and the pair fixpoint finds no
-    # divergence, so the check enumerates no tree at any height.
-    aut, hom = tmp_path / "dup.aut", tmp_path / "dup.hom"
-    aut.write_text(DUP_AUTOMATON.replace("natural", "z6"))
-    hom.write_text(DUP_HOM)
-    assert h_unambiguity_search_height(load_automaton(aut), load_hom(hom), 6) is None
-    monkeypatch.setattr(cli, "check_h_unambiguous", lambda A, h, bound: verified(bound))
-    assert run_cli("check", "h-unambiguous", "--automaton", str(aut), "--hom", str(hom),
-                   "--height", "6") == 0
-    assert capsys.readouterr() == ("h-unambiguous up to height 6\n", "")
-
-
-def test_enumeration_warning(capsys):
-    big = RankedAlphabet([("a", 0), ("g", 1), ("k", 2)])
-    _warn_enumeration(big, 5, lambda: 5)
-    assert "warning" in capsys.readouterr().err
-    _warn_enumeration(big, 4, lambda: 4)
-    assert capsys.readouterr().err == ""
+            assert run_cli("decide", "--automaton", str(aut), "--hom", str(hom),
+                           "--check-bound", bound, "--lin-height", "1", "--eq-bound", "3") == 2
+        assert capsys.readouterr().err == ""
 
 
 def run_cli_process(*argv):
@@ -1074,22 +991,20 @@ def run_cli_process(*argv):
 def test_cli_decide_at_check_bound_64_counts_no_trees(kind, tmp_path):
     # The number of source trees of height <= 64 has far more digits than
     # memory holds.  The dup hom's class images clash, so no check walks a
-    # tree and nothing warns; the tetris hom's do not, and tetris-freeness
-    # walks the trees up to its first violation, after the warning.
+    # tree; the tetris hom's do not, and tetris-freeness walks the trees up to
+    # its first violation.  Neither counts them, and neither writes to stderr.
     aut, hom = write_branching_shape(tmp_path, kind)
     proc = run_cli_process("decide", "--automaton", str(aut), "--hom", str(hom),
                            "--check-bound", "64")
     report = decide_hom_regularity(load_automaton(aut), load_hom(hom), check_bound=64)
     assert (proc.returncode, proc.stdout) == (2, emit_report(report))
-    assert proc.stderr == ("" if kind == "dup" else
-                           "warning: enumerating more than 1000000 trees of height <= 64; "
-                           "this may take very long\n")
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("command", ["check", "decide"])
 def test_cli_warning_names_no_count(command, tmp_path):
     # The number of source trees of height <= 14 has 8,561 digits, more than
-    # str() prints for an int.
+    # str() prints for an int; no message names it, and stderr stays empty.
     aut, hom = write_branching_shape(tmp_path, "tetris")
     if command == "check":
         argv = ("check", "tetris-free", "--hom", str(hom), "--height", "14")
@@ -1097,8 +1012,7 @@ def test_cli_warning_names_no_count(command, tmp_path):
         argv = ("decide", "--automaton", str(aut), "--hom", str(hom), "--check-bound", "14")
     proc = run_cli_process(*argv)
     assert proc.returncode == 2
-    assert proc.stderr == ("warning: enumerating more than 1000000 trees of height <= 14; "
-                           "this may take very long\n")
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("aut,hom,bound,message", [
@@ -1109,10 +1023,8 @@ def test_cli_warning_names_no_count(command, tmp_path):
 ])
 def test_cli_decide_input_error_does_not_depend_on_the_bound(aut, hom, bound, message,
                                                               data_dir, tmp_path, capsys):
-    # From bound 19 the duplicating hom's source has more trees than the
-    # warning's limit, and the branching source from bound 4.  Then the
-    # warning asks for h-unambiguity's search height, which rejects a WTG and
-    # an alphabet mismatch with messages of its own.
+    # At bounds 4 and 30 the sources have more than a million trees; the
+    # input is rejected before any tree is built.
     hom = write_branching_shape(tmp_path, hom)[1] if hom == "dup" else data_dir / hom
     assert run_cli("decide", "--automaton", str(data_dir / aut), "--hom", str(hom),
                    "--check-bound", str(bound)) == 1

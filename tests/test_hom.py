@@ -264,8 +264,8 @@ BRANCHING_SHAPES = {
 
 @pytest.mark.parametrize("kind", sorted(BRANCHING_SHAPES))
 def test_tetris_free_cost_does_not_follow_the_bound(kind, memory_cap):
-    # count_trees(BRANCHING, 6) is about 2.8e33; the verdict must come from the
-    # symbol images and the first colliding group.
+    # BRANCHING has about 2.8e33 trees of height <= 6; the verdict must come
+    # from the symbol images and the first colliding group.
     images, target = BRANCHING_SHAPES[kind]
     h = TreeHomomorphism(BRANCHING, RankedAlphabet(target), {
         name: parse_term(text, None, ext={"x1", "x2"}) for name, text in images.items()

@@ -8,7 +8,6 @@ from treehom import (
     TermError,
     TermSyntaxError,
     Tree,
-    count_trees,
     enumerate_trees,
     format_position,
     is_variable,
@@ -21,7 +20,7 @@ from treehom import (
     tree_key,
     variable,
 )
-from oracles import naive_parse_term, positions, subtree_at
+from oracles import count_trees, naive_parse_term, positions, subtree_at
 from treehom.cli import load_automaton, parse_automaton
 from treehom.term import PositionError
 
