@@ -5,10 +5,14 @@ Verdict: either clean-up-to-bound or the first concrete witness in the
 global (height, size, text) tree order.  Witness search walks the union of
 the automata's generated tree sets; trees without any run evaluate to zero
 on both sides, so no witness can hide outside that union.  h-unambiguity is
-proved, or its least violating height found, by a fixpoint where it can.
+proved, or its least violating height found, by a fixpoint where it can;
+any search left is the image-group walk of tetris-freeness
+(`hom.image_groups`) over the run table, from that height or from 0.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .automaton import (
     Automaton,
@@ -21,7 +25,7 @@ from .automaton import (
     run_state_map,
 )
 from .construct import linearize
-from .hom import TreeHomomorphism, images_clash
+from .hom import TreeHomomorphism, image_groups, images_clash
 from .semiring import Weight
 from .term import Tree, format_position, tree_key
 from .verdict import Verdict, verified, violated
@@ -189,24 +193,20 @@ def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) ->
     Raises AutomatonError unless A is a WTA over h's source and the bound is
     nonnegative, in that order.
 
-    Two paths give this verdict, and they fix the search height: the height
-    up to which source trees are enumerated.  If ``images_clash(h)``, two
-    source trees have equal images exactly when they have one shape and,
-    position by position, symbols with equal images.  Then
-    `first_diverging_height` over the symbol image classes finds the least
-    height H of a violation; if there is none up to the bound, the verdict is
-    ok without enumerating any tree.  Over a zero-divisor-free semiring every
-    run weighs nonzero, so the first violation has height H: the search
-    height is H, and only the trees of height H get runs and images (the
-    lower layers are filled, since height H is built from them).  With zero
-    divisors H may come from zero-weight runs, and the search walks every
-    height up to the bound.  The members of an image group have one
-    shape, so one height and one size: the table is read layer by layer
-    (`RunsTable.layer`), a layer's groups are compared size by size, and the
-    search stops at the first size with a violation, expanding no larger
-    tree and filling no higher layer.  Every other hom gets the full search,
-    whose groups may span heights and sizes, and compares them once every
-    layer up to the bound is read.
+    The search is the walk of `hom.check_tetris_free`: `hom.image_groups`
+    over the run table's trees from a start height in (height, size, text)
+    order (`RunsTable.walk`), keeping the trees with accepting runs, each
+    expanded once, and stopping at the first violating group.  The table
+    holds every kept tree of height <= bound, so each group opens at its
+    least member.  The start height is 0 unless ``images_clash(h)``.  Then
+    two source trees have equal images exactly when they have one shape and,
+    position by position, symbols with equal images, so the members of a
+    group share one height, and `first_diverging_height` over the symbol
+    image classes finds the least height H of a violation; if there is none
+    up to the bound, the verdict is ok without building any tree.  Over a
+    zero-divisor-free semiring every run weighs nonzero, so the first
+    violation has height H and the walk starts there; with zero divisors H
+    may come from zero-weight runs, and the walk starts at 0.
     """
     if not A.is_wta:
         raise AutomatonError("h-unambiguity is defined on WTA input only")
@@ -214,65 +214,45 @@ def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) ->
         raise AutomatonError("automaton alphabet differs from the homomorphism source")
     if height_bound < 0:
         raise AutomatonError("height bound must be nonnegative")
-    if not images_clash(h):
-        table = RunsTable(A, height_bound)
-        return _first_disagreement(_image_groups(h, table, table.trees),
-                                   height_bound) or verified(height_bound)
-    rules = [(h.image_of(r.lhs.label), r.state_labels, r.target) for r in A.rules]
-    first = first_diverging_height(rules, A.finals)
-    if first is None or first > height_bound:
-        return verified(height_bound)
-    # Over zero divisors, first may come from zero-weight runs.
-    low, top = (first, first) if A.semiring.zero_divisor_free else (0, height_bound)
-    table = RunsTable(A, top)
-    for k in range(low, top + 1):
-        by_size: dict[int, list[Tree]] = {}
-        for s in table.layer(k):
-            by_size.setdefault(s.size, []).append(s)
-        for size in sorted(by_size):
-            trees = sorted(by_size[size], key=tree_key)
-            witness = _first_disagreement(_image_groups(h, table, trees), height_bound)
-            if witness is not None:
-                return witness
-    return verified(height_bound)
+    start = 0
+    if images_clash(h):
+        rules = [(h.image_of(r.lhs.label), r.state_labels, r.target) for r in A.rules]
+        first = first_diverging_height(rules, A.finals)
+        if first is None or first > height_bound:
+            return verified(height_bound)
+        if A.semiring.zero_divisor_free:
+            start = first
+    table = RunsTable(A, height_bound)
+    accepting = cache(table.accepting_runs)
+    groups = image_groups(h, table.walk(start), height_bound, accepting)
+    return _first_disagreement(groups, accepting, height_bound) or verified(height_bound)
 
 
-def _image_groups(h: TreeHomomorphism, table: RunsTable, trees):
-    """The trees with accepting runs, as (tree, its accepting runs), grouped
-    by image, each group in the given order and the groups in the order of
-    their first members."""
-    groups: dict[Tree, list] = {}
-    for s in trees:
-        acc = table.accepting_runs(s)
-        if acc:
-            groups.setdefault(h.apply(s), []).append((s, acc))
-    return groups.values()
-
-
-def _first_disagreement(groups, height_bound: int):
-    """The violated verdict for the first of groups, each a list of (source
-    tree, its accepting runs) with equal images, in which an accepting run
-    disagrees with the first member's first accepting run, or None."""
+def _first_disagreement(groups, accepting, height_bound: int):
+    """The violated verdict for the first of groups, each a list of source
+    trees with equal images, in which an accepting run (`accepting` lists a
+    tree's) disagrees with the first member's first accepting run, or None."""
     for members in groups:
-        ref_tree, ref_runs = members[0]
-        ref_map = run_state_map(ref_runs[0])
+        ref_tree = members[0]
+        ref_run = accepting(ref_tree)[0]
+        ref_map = run_state_map(ref_run)
         ref_positions = sorted(ref_map)
-        for s, runs in members:
-            for run in runs:
-                if s is ref_tree and run is ref_runs[0]:
+        for s in members:
+            for run in accepting(s):
+                if run is ref_run:
                     continue
                 cur = run_state_map(run)
                 if sorted(cur) != ref_positions:
                     return violated(
                         height_bound,
-                        (ref_tree, s, ref_runs[0], run, None),
+                        (ref_tree, s, ref_run, run, None),
                         f"position sets differ for {ref_tree.text} and {s.text}",
                     )
                 for p in ref_positions:
                     if cur[p] != ref_map[p]:
                         return violated(
                             height_bound,
-                            (ref_tree, s, ref_runs[0], run, p),
+                            (ref_tree, s, ref_run, run, p),
                             f"runs on {ref_tree.text} and {s.text} disagree at "
                             f"position {format_position(p)}: {ref_map[p]} vs {cur[p]}",
                         )

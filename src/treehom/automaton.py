@@ -764,14 +764,15 @@ class Evaluator:
 class RunsTable(Evaluator):
     """The chart of every tree of height <= bound that has a run to a real
     state, filled by height layers on demand: `layer(h)` fills the layers up
-    to h, each once.  Layer h instantiates each rule with trees from the
-    layers below h such that the result has height exactly h, and fills each
-    new tree once, summing the values of the instances that built it.  A
-    rule application strictly increases height, so the layers below h hold
-    every tree that a tree of layer h captures.  Reading a tree's cell fills
-    the layers up to its height; trees outside the chart have no runs except
-    the pure sink's.  The inherited `evaluate_text` and `runs_text` read
-    the parse of a text alone, not the table.
+    to h, each once, and `walk` reads them in order.  Layer h instantiates
+    each rule with trees from the layers below h such that the result has
+    height exactly h, and fills each new tree once, summing the values of
+    the instances that built it.  A rule application strictly increases
+    height, so the layers below h hold every tree that a tree of layer h
+    captures.  Reading a tree's cell fills the layers up to its height;
+    trees outside the chart have no runs except the pure sink's.  The
+    inherited `evaluate_text` and `runs_text` read the parse of a text
+    alone, not the table.
     """
 
     def __init__(self, A: Automaton, height_bound: int):
@@ -815,11 +816,16 @@ class RunsTable(Evaluator):
             layers.append(list(cells))
         return layers[h]
 
+    def walk(self, start: int = 0):
+        """The trees of the table of height >= start in (height, size, text)
+        order, layer by layer: a layer is filled when the reader reaches it."""
+        for h in range(start, self.height_bound + 1):
+            yield from sorted(self.layer(h), key=tree_key)
+
     @cached_property
     def trees(self) -> list[Tree]:
         """The trees of the table in (height, size, text) order."""
-        return [t for h in range(self.height_bound + 1)
-                for t in sorted(self.layer(h), key=tree_key)]
+        return list(self.walk())
 
     def _instances(self, rule: Rule, h: int, langs):
         """Instantiations of rule of height exactly h, as captured subtrees:
@@ -991,18 +997,15 @@ def check_unambiguous(A: Automaton, height_bound: int) -> Verdict:
     The witness is the first such tree in (height, size, text) order, with
     its accepting (nonzero-weight) runs.  When the relaxation proves A
     unambiguous up to the bound (`relaxation_unambiguous`), the verdict is ok
-    without enumerating any tree.  Otherwise the run chart's layers are read
-    one height at a time (`RunsTable.layer`), up to the first that holds a
-    witness.
+    without enumerating any tree.  Otherwise the run chart's trees are
+    walked in that order (`RunsTable.walk`), and no layer past the first
+    that holds a witness is filled.
     """
     if relaxation_unambiguous(A, height_bound):
         return verified(height_bound)
     table = RunsTable(A, height_bound)
-    for h in range(height_bound + 1):
-        # A layer holds the trees of one height, so the first witness of the
-        # first layer that has one is the first in (height, size, text) order.
-        for t in sorted(table.layer(h), key=tree_key):
-            acc = table.accepting_runs(t)
-            if len(acc) > 1:
-                return violated(height_bound, (t, acc), f"{len(acc)} accepting runs for {t.text}")
+    for t in table.walk():
+        acc = table.accepting_runs(t)
+        if len(acc) > 1:
+            return violated(height_bound, (t, acc), f"{len(acc)} accepting runs for {t.text}")
     return verified(height_bound)

@@ -207,6 +207,21 @@ def images_clash(h: TreeHomomorphism) -> bool:
     return all(_clash(p, q, roots) for p, q in combinations(classes, 2))
 
 
+def image_groups(h: TreeHomomorphism, trees, height_bound: int, keep):
+    """The image groups of trees, which come in (height, size, text) order,
+    each yielded once, when its first kept member arrives: the group of s is
+    the members of ``h.preimage(h.apply(s))`` of height <= bound that keep
+    accepts, in that order.  A group opens at its first kept member alone,
+    so trees must hold that member, and only a group that opens has its
+    later members read."""
+    for s in trees:
+        if not keep(s):
+            continue
+        members = (t for t in h.preimage(h.apply(s)) if t.height <= height_bound and keep(t))
+        if next(members) == s:
+            yield [s, *members]
+
+
 def check_tetris_free(h: TreeHomomorphism, height_bound: int) -> Verdict:
     """Bounded tetris-freeness: whenever h(s) = h(s'), the two source trees must
     have the same position set and pointwise equal symbol images.
@@ -220,21 +235,19 @@ def check_tetris_free(h: TreeHomomorphism, height_bound: int) -> Verdict:
     Two paths give this verdict.  If ``images_clash(h)``, h is tetris-free at
     every height, which is reported as ``verified(height_bound)`` without
     enumerating any tree.  Otherwise the source trees are walked in
-    (height, size, text) order.  A tree opens its image group exactly when it
-    is the first entry of the (equally ordered) preimage of its image; the rest
-    of the group, up to the height bound, is compared against it, and the walk
-    stops at the first violation.
+    (height, size, text) order through `image_groups`, which keeps every
+    tree: a tree opens its image group exactly when it is the first entry of
+    the (equally ordered) preimage of its image.  The rest of the group, up
+    to the height bound, is compared against it, and the walk stops at the
+    first violation.  `analyze.check_h_unambiguous` walks its run table
+    through the same groups.
     """
     if height_bound < 0:
         raise HomError("height bound must be nonnegative")
     if images_clash(h):
         return verified(height_bound)
-    for first in iter_trees(h.source, height_bound):
-        image = h.apply(first)
-        group = h.preimage(image)
-        if group[0] != first:
-            continue
-        rest = [other for other in group[1:] if other.height <= height_bound]
+    for first, *rest in image_groups(h, iter_trees(h.source, height_bound), height_bound,
+                                     lambda s: True):
         if not rest:
             continue
         first_nodes = tuple(preorder(first))
@@ -248,7 +261,7 @@ def check_tetris_free(h: TreeHomomorphism, height_bound: int) -> Verdict:
                 return violated(
                     height_bound,
                     (first, other),
-                    f"position sets differ for preimages of {image.text}",
+                    f"position sets differ for preimages of {h.apply(first).text}",
                 )
             for (p, x), (_, y) in zip(first_nodes, other_nodes):
                 a, b = x.label, y.label

@@ -296,20 +296,23 @@ def test_h_unambiguous_matches_naive_on_branching_homs():
                 outcomes.add("violation on a clash hom" if clash else "violation")
                 if clash and not root_blind_images_clash(h):
                     outcomes.add("violation on a hom that clashes by the root rule")
-                s = expected.witness[0]
+                s, s2 = expected.witness[:2]
                 if s.height < bound:
                     outcomes.add("witness below the bound")
+                if s.height != s2.height:
+                    outcomes.add("witness trees of two heights")
                 if clash and s.height >= 1 and any(
                         t.size < s.size for t in RunsTable(A, s.height).layer(s.height)):
                     outcomes.add("witness above the least size of its layer")
     assert {"proved absent", "witness below the bound", "violation on a clash hom",
             "violation on a hom that clashes by the root rule",
-            "witness above the least size of its layer"} <= outcomes
-    # Each search height on the five-symbol source: none, where over z6 the
-    # dup hom's images clash and the fixpoint proves the bound; every height
-    # up to the bound, where the tetris hom's images do not clash; the first
-    # diverging height alone, over the naturals.  Bound 4 on this source has
-    # 2.3e8 trees, more than the oracle can enumerate.
+            "witness above the least size of its layer", "violation", "ok after a walk",
+            "witness trees of two heights"} <= outcomes
+    # Each start of the walk on the five-symbol source: none, where over z6
+    # the dup hom's images clash and the fixpoint proves the bound; height 0,
+    # where the tetris hom's images do not clash; the first diverging height,
+    # over the naturals.  Bound 4 on this source has 2.3e8 trees, more than
+    # the oracle can enumerate.
     dup_z6 = DUP_AUTOMATON.replace("natural", "z6")
     tetris = DUP_HOM.replace("f(x1)", "g(g(x1))").replace("k(x1,x1)", "g(x1)")
     merged = DUP_HOM.replace("k(x1,x1)", "f(x1)")
@@ -405,6 +408,15 @@ def test_h_unambiguous_stops_at_the_first_violating_layer(workloads, memory_cap)
         assert verdict.witness[1].height <= 2
         expected = naive_h_unambiguous(A, h, 2)
         assert h_verdict_key(verdict)[2:] == h_verdict_key(expected)[2:]
+    # The tetris hom's images do not clash, and its witness f(a) / g(g(a))
+    # spans heights 1 and 2: the walk stops there too.
+    A = parse_automaton(DUP_AUTOMATON.replace("natural", "z6"))
+    h = parse_hom(DUP_HOM.replace("f(x1)", "g(g(x1))").replace("k(x1,x1)", "g(x1)"))
+    with memory_cap():
+        verdict = check_h_unambiguous(A, h, 8)
+    expected = naive_h_unambiguous(A, h, 3)
+    assert (expected.witness[0].text, expected.witness[1].text) == ("f(a)", "g(g(a))")
+    assert verdict.bound == 8 and h_verdict_key(verdict)[2:] == h_verdict_key(expected)[2:]
 
 
 @pytest.fixture
