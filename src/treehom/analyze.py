@@ -6,8 +6,8 @@ global (height, size, text) tree order.  Witness search walks the union of
 the automata's generated tree sets; trees without any run evaluate to zero
 on both sides, so no witness can hide outside that union.  h-unambiguity is
 proved, or its least violating height found, by a fixpoint where it can;
-any search left is the image-group walk of tetris-freeness
-(`hom.image_groups`) over the run table, from that height or from 0.
+any search left is tetris-freeness's image-group search
+(`hom.first_disagreement`) over the run table, from that height or from 0.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .automaton import (
     run_state_map,
 )
 from .construct import linearize
-from .hom import TreeHomomorphism, image_groups, images_clash
+from .hom import TreeHomomorphism, first_disagreement, images_clash
 from .semiring import Weight
 from .term import Tree, format_position, tree_key
 from .verdict import Verdict, verified, violated
@@ -193,17 +193,20 @@ def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) ->
     Raises AutomatonError unless A is a WTA over h's source and the bound is
     nonnegative, in that order.
 
-    The search is the walk of `hom.check_tetris_free`: `hom.image_groups`
+    The search is that of `hom.check_tetris_free`: `hom.first_disagreement`
     over the run table's trees from a start height in (height, size, text)
-    order (`RunsTable.walk`), keeping the trees with accepting runs, each
-    expanded once, and stopping at the first violating group.  The table
-    holds every kept tree of height <= bound, so each group opens at its
-    least member.  The start height is 0 unless ``images_clash(h)``.  Then
-    two source trees have equal images exactly when they have one shape and,
-    position by position, symbols with equal images, so the members of a
-    group share one height, and `first_diverging_height` over the symbol
-    image classes finds the least height H of a violation; if there is none
-    up to the bound, the verdict is ok without building any tree.  Over a
+    order (`RunsTable.walk`), the items of a tree its accepting runs, each
+    expanded once, labelled by `run_state_map`; it stops at the first
+    violating group.  The table holds every tree with accepting runs of
+    height <= bound, so each group opens at its least member.  A member
+    above the layers the walk has filled is read from A's own chart
+    (`Evaluator`), so a group with a tall member fills no layer for it.
+    The start height is 0 unless ``images_clash(h)``.  Then two source
+    trees have equal images exactly when they have one shape and, position
+    by position, symbols with equal images, so the members of a group share
+    one height, and `first_diverging_height` over the symbol image classes
+    finds the least height H of a violation; if there is none up to the
+    bound, the verdict is ok without building any tree.  Over a
     zero-divisor-free semiring every run weighs nonzero, so the first
     violation has height H and the walk starts there; with zero divisors H
     may come from zero-weight runs, and the walk starts at 0.
@@ -222,38 +225,19 @@ def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) ->
             return verified(height_bound)
         if A.semiring.zero_divisor_free:
             start = first
-    table = RunsTable(A, height_bound)
-    accepting = cache(table.accepting_runs)
-    groups = image_groups(h, table.walk(start), height_bound, accepting)
-    return _first_disagreement(groups, accepting, height_bound) or verified(height_bound)
+    table, chart = RunsTable(A, height_bound), Evaluator(A)
 
+    @cache
+    def accepting(t):
+        return (table if t.height < table.filled else chart).accepting_runs(t)
 
-def _first_disagreement(groups, accepting, height_bound: int):
-    """The violated verdict for the first of groups, each a list of source
-    trees with equal images, in which an accepting run (`accepting` lists a
-    tree's) disagrees with the first member's first accepting run, or None."""
-    for members in groups:
-        ref_tree = members[0]
-        ref_run = accepting(ref_tree)[0]
-        ref_map = run_state_map(ref_run)
-        ref_positions = sorted(ref_map)
-        for s in members:
-            for run in accepting(s):
-                if run is ref_run:
-                    continue
-                cur = run_state_map(run)
-                if sorted(cur) != ref_positions:
-                    return violated(
-                        height_bound,
-                        (ref_tree, s, ref_run, run, None),
-                        f"position sets differ for {ref_tree.text} and {s.text}",
-                    )
-                for p in ref_positions:
-                    if cur[p] != ref_map[p]:
-                        return violated(
-                            height_bound,
-                            (ref_tree, s, ref_run, run, p),
-                            f"runs on {ref_tree.text} and {s.text} disagree at "
-                            f"position {format_position(p)}: {ref_map[p]} vs {cur[p]}",
-                        )
-    return None
+    found = first_disagreement(h, table.walk(start), height_bound, accepting, run_state_map)
+    if found is None:
+        return verified(height_bound)
+    ref_tree, s, ref_run, run, p = found
+    if p is None:
+        return violated(height_bound, found,
+                        f"position sets differ for {ref_tree.text} and {s.text}")
+    return violated(height_bound, found,
+                    f"runs on {ref_tree.text} and {s.text} disagree at position "
+                    f"{format_position(p)}: {run_state_map(ref_run)[p]} vs {run_state_map(run)[p]}")

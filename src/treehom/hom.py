@@ -8,7 +8,7 @@ so sizes never shrink under application and preimages are finite.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .term import (
     RankedAlphabet,
@@ -207,19 +207,42 @@ def images_clash(h: TreeHomomorphism) -> bool:
     return all(_clash(p, q, roots) for p, q in combinations(classes, 2))
 
 
-def image_groups(h: TreeHomomorphism, trees, height_bound: int, keep):
-    """The image groups of trees, which come in (height, size, text) order,
-    each yielded once, when its first kept member arrives: the group of s is
-    the members of ``h.preimage(h.apply(s))`` of height <= bound that keep
-    accepts, in that order.  A group opens at its first kept member alone,
-    so trees must hold that member, and only a group that opens has its
-    later members read."""
+def first_disagreement(h: TreeHomomorphism, trees, height_bound: int, items, labels):
+    """The first disagreement within an image group of trees, or None.
+
+    trees come in (height, size, text) order.  A tree s with items opens its
+    image group when it is the first entry of ``h.preimage(h.apply(s))`` of
+    height <= bound that has items; the group is those entries, in preimage
+    order, so trees must hold each group's first entry.  Every item of
+    every member is compared with the group's reference, the first item of
+    s, by ``labels(item)``, a position -> label map in preorder; pointwise
+    agreement is an equivalence, so this finds the first disagreeing pair.
+    The reference is labelled only when a second item comes, so one-item
+    groups build no labels.
+
+    Returns (s, member, reference, item, position), the position None when
+    the position sets differ."""
     for s in trees:
-        if not keep(s):
+        ref_items = items(s)
+        if not ref_items:
             continue
-        members = (t for t in h.preimage(h.apply(s)) if t.height <= height_bound and keep(t))
-        if next(members) == s:
-            yield [s, *members]
+        members = (t for t in h.preimage(h.apply(s)) if t.height <= height_bound and items(t))
+        if next(members) != s:
+            continue
+        ref, ref_labels = ref_items[0], None
+        for t in chain((s,), members):
+            for item in items(t):
+                if item is ref:
+                    continue
+                if ref_labels is None:
+                    ref_labels = labels(ref)
+                cur = labels(item)
+                if cur.keys() != ref_labels.keys():
+                    return s, t, ref, item, None
+                for p, label in ref_labels.items():
+                    if cur[p] != label:
+                        return s, t, ref, item, p
+    return None
 
 
 def check_tetris_free(h: TreeHomomorphism, height_bound: int) -> Verdict:
@@ -234,42 +257,24 @@ def check_tetris_free(h: TreeHomomorphism, height_bound: int) -> Verdict:
 
     Two paths give this verdict.  If ``images_clash(h)``, h is tetris-free at
     every height, which is reported as ``verified(height_bound)`` without
-    enumerating any tree.  Otherwise the source trees are walked in
-    (height, size, text) order through `image_groups`, which keeps every
-    tree: a tree opens its image group exactly when it is the first entry of
-    the (equally ordered) preimage of its image.  The rest of the group, up
-    to the height bound, is compared against it, and the walk stops at the
-    first violation.  `analyze.check_h_unambiguous` walks its run table
-    through the same groups.
+    enumerating any tree.  Otherwise `first_disagreement` walks the source
+    trees, each its own one item, labelled by its symbol images; a group
+    with one member builds no labels.  `analyze.check_h_unambiguous` runs
+    the same search over accepting runs.
     """
     if height_bound < 0:
         raise HomError("height bound must be nonnegative")
     if images_clash(h):
         return verified(height_bound)
-    for first, *rest in image_groups(h, iter_trees(h.source, height_bound), height_bound,
-                                     lambda s: True):
-        if not rest:
-            continue
-        first_nodes = tuple(preorder(first))
-        first_pos = [p for p, _ in first_nodes]
-        for other in rest:
-            # Same-positions + pointwise-equal-images is an equivalence, so
-            # comparing against the group's first member finds the first
-            # violating pair.
-            other_nodes = tuple(preorder(other))
-            if [p for p, _ in other_nodes] != first_pos:
-                return violated(
-                    height_bound,
-                    (first, other),
-                    f"position sets differ for preimages of {h.apply(first).text}",
-                )
-            for (p, x), (_, y) in zip(first_nodes, other_nodes):
-                a, b = x.label, y.label
-                if h.image_of(a) != h.image_of(b):
-                    return violated(
-                        height_bound,
-                        (first, other),
-                        f"symbol images differ at position {format_position(p)}: "
-                        f"h({a}) != h({b})",
-                    )
-    return verified(height_bound)
+    found = first_disagreement(
+        h, iter_trees(h.source, height_bound), height_bound, lambda s: (s,),
+        lambda s: {p: h.image_of(node.label) for p, node in preorder(s)})
+    if found is None:
+        return verified(height_bound)
+    first, other, _, _, p = found
+    if p is None:
+        return violated(height_bound, (first, other),
+                        f"position sets differ for preimages of {h.apply(first).text}")
+    a, b = (dict(preorder(t))[p].label for t in (first, other))
+    return violated(height_bound, (first, other),
+                    f"symbol images differ at position {format_position(p)}: h({a}) != h({b})")

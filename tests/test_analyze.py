@@ -304,10 +304,30 @@ def test_h_unambiguous_matches_naive_on_branching_homs():
                 if clash and s.height >= 1 and any(
                         t.size < s.size for t in RunsTable(A, s.height).layer(s.height)):
                     outcomes.add("witness above the least size of its layer")
+    # random_wta has one rule per left-hand side, so no tree has two runs.
+    # A second leaf rule for a, to another state, gives trees two accepting
+    # runs, and then a witness may pair the first member's first run with
+    # its second.
+    rng = random.Random(2310)
+    for _ in range(40):
+        h = random_branching_hom(rng)
+        A = random_wta(rng, h.source, rng.choice(H_SEMIRINGS), rng.randint(2, 3))
+        leaf = next(r for r in A.rules if r.lhs.label == "a")
+        other = rng.choice([q for q in A.states if q != leaf.target])
+        A = Automaton(A.semiring, A.alphabet, A.states, A.finals,
+                      [(r.lhs, r.target, r.weight, ()) for r in A.rules]
+                      + [(leaf.lhs, other, Weight(A.semiring, A.semiring.one), ())])
+        for bound in range(3):
+            expected = naive_h_unambiguous(A, h, bound)
+            assert h_verdict_key(check_h_unambiguous(A, h, bound)) == h_verdict_key(expected)
+            if not expected.is_ok and expected.witness[0] == expected.witness[1]:
+                below = "below" if expected.witness[4] else "at"
+                outcomes.add(f"two runs on one tree that differ {below} the root")
     assert {"proved absent", "witness below the bound", "violation on a clash hom",
             "violation on a hom that clashes by the root rule",
             "witness above the least size of its layer", "violation", "ok after a walk",
-            "witness trees of two heights"} <= outcomes
+            "witness trees of two heights", "two runs on one tree that differ at the root",
+            "two runs on one tree that differ below the root"} <= outcomes
     # Each start of the walk on the five-symbol source: none, where over z6
     # the dup hom's images clash and the fixpoint proves the bound; height 0,
     # where the tetris hom's images do not clash; the first diverging height,
@@ -417,6 +437,18 @@ def test_h_unambiguous_stops_at_the_first_violating_layer(workloads, memory_cap)
     expected = naive_h_unambiguous(A, h, 3)
     assert (expected.witness[0].text, expected.witness[1].text) == ("f(a)", "g(g(a))")
     assert verdict.bound == 8 and h_verdict_key(verdict)[2:] == h_verdict_key(expected)[2:]
+    # On tetris-arctic-0 the walk stops in a group that opens at height 3
+    # and has a member of height 4, whose runs are read from the
+    # automaton's own chart: the table's layer 4 alone holds 1.3 million
+    # trees, which outgrow the cap.
+    inst = next(inst for members in workloads.branching_pool(2).values()
+                for inst in members if inst.id == "tetris-arctic-0")
+    A, h = parse_automaton(inst.automaton_text), parse_hom(inst.hom_text)
+    with memory_cap():
+        verdict = check_h_unambiguous(A, h, 16)
+    assert verdict.bound == 16 and h_verdict_key(verdict)[2:5] == (
+        "position sets differ for m(f(f(a)),f(f(a))) and m(f(f(a)),f(g(g(a))))",
+        "m(f(f(a)),f(f(a)))", "m(f(f(a)),f(g(g(a))))")
 
 
 @pytest.fixture

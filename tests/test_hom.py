@@ -11,8 +11,10 @@ from treehom import (
     check_tetris_free,
     enumerate_trees,
     parse_term,
+    preorder,
     tree_key,
 )
+import treehom.hom as hom
 from treehom.cli import load_hom
 from treehom.hom import images_clash
 from oracles import (
@@ -232,9 +234,11 @@ def verdict_key(v):
 def test_tetris_free_matches_naive_on_branching_homs():
     # Some homs clash only by the root rule: a variable facing a node whose
     # (label, arity) is no image's root.
+    # Both kinds of violation occur: position sets that differ, and equal
+    # position sets with a symbol image that differs.
     rng = random.Random(2309)
     paths = set()
-    violations = 0
+    details = set()
     for _ in range(200):
         h = random_branching_hom(rng)
         clash = images_clash(h)
@@ -242,10 +246,32 @@ def test_tetris_free_matches_naive_on_branching_homs():
             expected = naive_tetris_free(h, bound)
             assert verdict_key(check_tetris_free(h, bound)) == verdict_key(expected)
             assert expected.is_ok or not clash
-            violations += not expected.is_ok
+            if not expected.is_ok:
+                details.add(expected.detail.split(" differ")[0])
         paths.add("root rule" if clash and not root_blind_images_clash(h) else clash)
     assert paths == {True, False, "root rule"}
-    assert violations > 0
+    assert details == {"position sets", "symbol images"}
+
+
+def test_tetris_free_builds_no_labels_for_one_member_groups(monkeypatch):
+    # d -> m(x1,x1) and e -> m(x1,g(x1)) overlap only through a repeated
+    # variable, so the images do not clash and the check walks; yet h is
+    # injective, so every image group has one member and no tree's symbol
+    # images are listed.  The tetris hom's groups of two are listed.
+    walked = []
+    monkeypatch.setattr(hom, "preorder", lambda t: walked.append(t) or preorder(t))
+    source = RankedAlphabet([("a", 0), ("g", 1), ("d", 1), ("e", 1)])
+    target = RankedAlphabet([("a", 0), ("g", 1), ("m", 2)])
+    h = TreeHomomorphism(source, target, {
+        name: parse_term(text, target, ext={"x1"})
+        for name, text in {"a": "a", "g": "g(x1)", "d": "m(x1,x1)", "e": "m(x1,g(x1))"}.items()
+    })
+    assert not images_clash(h)
+    verdict = check_tetris_free(h, 4)
+    assert verdict.is_ok and not walked
+    assert verdict_key(verdict) == verdict_key(naive_tetris_free(h, 4))
+    tetris = make_hom({"a": "a", "g": "g(x1)", "f": "g(g(x1))"})
+    assert not check_tetris_free(tetris, 2).is_ok and walked
 
 
 BRANCHING = RankedAlphabet([("a", 0), ("b", 0), ("f", 1), ("g", 1), ("m", 2)])
