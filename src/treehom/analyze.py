@@ -198,9 +198,9 @@ def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) ->
     order (`RunsTable.walk`), the items of a tree its accepting runs, each
     expanded once, labelled by `run_state_map`; it stops at the first
     violating group.  The table holds every tree with accepting runs of
-    height <= bound, so each group opens at its least member.  A member
-    above the layers the walk has filled is read from A's own chart
-    (`Evaluator`), so a group with a tall member fills no layer for it.
+    height <= bound, so each group opens at its least member.  Runs are
+    read from A's own chart (`Evaluator`), not from the table, so a group
+    member above the layers the walk has filled fills no layer.
     The start height is 0 unless ``images_clash(h)``.  Then two source
     trees have equal images exactly when they have one shape and, position
     by position, symbols with equal images, so the members of a group share
@@ -225,12 +225,8 @@ def check_h_unambiguous(A: Automaton, h: TreeHomomorphism, height_bound: int) ->
             return verified(height_bound)
         if A.semiring.zero_divisor_free:
             start = first
-    table, chart = RunsTable(A, height_bound), Evaluator(A)
-
-    @cache
-    def accepting(t):
-        return (table if t.height < table.filled else chart).accepting_runs(t)
-
+    table = RunsTable(A, height_bound)
+    accepting = cache(Evaluator(A).accepting_runs)
     found = first_disagreement(h, table.walk(start), height_bound, accepting, run_state_map)
     if found is None:
         return verified(height_bound)

@@ -816,11 +816,6 @@ class RunsTable(Evaluator):
             layers.append(list(cells))
         return layers[h]
 
-    @property
-    def filled(self) -> int:
-        """The number of filled layers: the chart holds every tree below."""
-        return len(self._layers)
-
     def walk(self, start: int = 0):
         """The trees of the table of height >= start in (height, size, text)
         order, layer by layer: a layer is filled when the reader reaches it."""

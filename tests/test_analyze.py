@@ -5,6 +5,7 @@ import pytest
 from treehom import (
     Automaton,
     AutomatonError,
+    Evaluator,
     RankedAlphabet,
     RunsTable,
     Tree,
@@ -348,8 +349,8 @@ def test_h_unambiguous_expands_only_the_witness_height_up_to_its_size(monkeypatc
     # the witness height H, so no tree below H, and no tree of height H
     # larger than the witness, has its accepting runs expanded.
     expanded = []
-    accepting_runs = RunsTable.accepting_runs
-    monkeypatch.setattr(RunsTable, "accepting_runs",
+    accepting_runs = Evaluator.accepting_runs
+    monkeypatch.setattr(Evaluator, "accepting_runs",
                         lambda self, t: expanded.append(t) or accepting_runs(self, t))
     rng = random.Random(2309)
     below = larger = 0
